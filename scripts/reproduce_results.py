@@ -5,7 +5,7 @@ Simulates both lifetime measurements, the background-limited autocorrelation
 and the repeated-PLE session from the configs/ directory, fits everything,
 and assembles the report bundle.  Expect a few minutes of runtime.
 
-Usage: python3 scripts/reproduce_results.py [--out DIR] [--workers N]
+Usage: python3 scripts/reproduce_results.py [--out DIR]
 """
 
 import argparse
@@ -27,7 +27,6 @@ def run(argv):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="out/reproduction")
-    parser.add_argument("--workers", default="1")
     args = parser.parse_args()
     out = Path(args.out)
     work = out / "analysis"
@@ -38,7 +37,6 @@ def main():
             "simulate", "lifetime",
             "--config", str(CONFIGS / f"{name}.ini"),
             "--out", str(out / name),
-            "--workers", args.workers,
         ])
         run([
             "fit", "exponential",
@@ -50,7 +48,6 @@ def main():
         "simulate", "g2",
         "--config", str(CONFIGS / "g2_background.ini"),
         "--out", str(out / "g2_background"),
-        "--workers", args.workers,
     ])
     run([
         "g2",
@@ -64,7 +61,6 @@ def main():
         "simulate", "ple",
         "--config", str(CONFIGS / "ple_session.ini"),
         "--out", str(work),
-        "--workers", args.workers,
     ])
 
     run(["report", "--in", str(work), "--out", str(out / "report")])

@@ -22,11 +22,9 @@ from .engine import (
     ScanResult,
     SingleEmitter,
     config_digest,
-    run_g2,
     run_lifetime,
     run_ple_scan,
     run_scan_session,
-    sample_shot,
     validate_click_stream,
 )
 from .errors import (
@@ -42,9 +40,6 @@ from .physics import (
     DetectorModel,
     EmitterModel,
     SpectralDiffusionParams,
-    TuningKind,
-    TuningStep,
-    apply_tuning_step,
     cavity_branching_fraction,
     cavity_fwhm_from_q,
     enhanced_decay_rate,

@@ -1,13 +1,12 @@
 """Command-line interface.
 
-    ersim simulate {ple,lifetime,g2} --config FILE --out DIR [--seed N] [--workers N]
+    ersim simulate {ple,lifetime,g2} --config FILE --out DIR [--seed N]
     ersim fit {lorentzian,gaussian,exponential} --in CSV --out CSV
     ersim g2 --in STREAM --max-offset K [--rho R] --out CSV
     ersim report --in DIR --out DIR
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
-4 fit non-convergence.  Outputs are a pure function of (config bytes, seed),
-independent of the worker count.
+4 fit non-convergence.  Outputs are a pure function of (config bytes, seed).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from pathlib import Path
 
 from .analysis import background_corrected_g2, histogram_arrivals, pulsed_g2, spectrum_from_scan
 from .config import parse_config_file, serialize_config
-from .engine import run_g2 as engine_run_g2
 from .engine import run_lifetime, run_scan_session
 from .errors import ConfigError, InvalidParameterError, StreamFormatError
 from .fitting import fit_exponential, fit_gaussian, fit_lorentzian
@@ -49,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="configuration document")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sim.add_argument("--workers", type=int, default=1, help="parallel sampling workers")
 
     fit = sub.add_parser("fit", help="fit an exported table")
     fit.add_argument("model", choices=["lorentzian", "gaussian", "exponential"])
@@ -85,7 +82,7 @@ def _cmd_simulate(args) -> int:
     if args.experiment == "ple":
         if not isinstance(config.laser_frequency, tuple) or len(config.laser_frequency) < 2:
             raise ConfigError("simulate ple requires a [scan] grid with at least 2 points")
-        scans = run_scan_session(config, workers=args.workers)
+        scans = run_scan_session(config)
         for i, scan in enumerate(scans):
             spectrum = spectrum_from_scan(scan, label=f"scan {i}")
             write_spectrum_csv(spectrum, out / f"scan_{i:03d}.csv")
@@ -93,14 +90,14 @@ def _cmd_simulate(args) -> int:
         return EXIT_OK
 
     if args.experiment == "lifetime":
-        stream = run_lifetime(config, workers=args.workers)
+        stream = run_lifetime(config)
         write_clickstream(stream, out / "clicks.ertt")
         hist = histogram_arrivals(stream, _lifetime_bin_width(config.sequence.t_coll))
         write_decay_histogram_csv(hist, out / "decay_histogram.csv")
         print(f"{len(stream)} clicks in {config.sequence.n_shots} shots -> {out}")
         return EXIT_OK
 
-    stream = engine_run_g2(config, workers=args.workers)
+    stream = run_lifetime(config)
     write_clickstream(stream, out / "clicks.ertt")
     print(f"{len(stream)} clicks in {config.sequence.n_shots} shots -> {out}")
     return EXIT_OK

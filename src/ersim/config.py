@@ -44,7 +44,6 @@ _CAVITY_KEYS = {
     "nu_cav_thz": (1e12, "nu_cav_hz"),
     "q_factor": (1.0, "q_factor"),
     "p_peak": (1.0, "p_peak"),
-    "mode_volume_note": (None, "mode_volume_note"),
 }
 _DETECTOR_KEYS = {
     "efficiency": (1.0, "efficiency"),
@@ -305,7 +304,6 @@ def parse_config(text: str) -> ExperimentConfig:
             nu_cav=cavity_values.get("nu_cav_hz", 195.6e12),
             q_factor=cavity_values.get("q_factor", 4e4),
             p_peak=cavity_values.get("p_peak", 400.0),
-            mode_volume_note=str(cavity_values.get("mode_volume_note", "")),
         )
     except InvalidParameterError as exc:
         raise ConfigError(str(exc), section="cavity") from exc
@@ -387,7 +385,6 @@ def serialize_config(config: ExperimentConfig) -> str:
         f"nu_cav_hz = {config.cavity.nu_cav!r}",
         f"q_factor = {config.cavity.q_factor!r}",
         f"p_peak = {config.cavity.p_peak!r}",
-        f"mode_volume_note = {config.cavity.mode_volume_note}",
         "",
         "[detector]",
         f"efficiency = {config.detector.efficiency!r}",

@@ -9,7 +9,8 @@ streams round-trip bit-exactly through the binary file format.
 
 Randomness contract: shot k draws from a counter-based substream keyed by
 (master_seed, k); spectral diffusion draws from one sequential substream per
-emitter.  Results are therefore bit-identical for any number of workers.
+emitter.  Results therefore do not depend on the order in which shots are
+sampled.
 Within a shot the draw order is fixed: per emitter in order (excitation
 uniform; if excited, emission delay then detection uniform), then the
 Poissonian source draws (count, then per photon detection and time uniforms),
@@ -19,8 +20,7 @@ then dark counts (count, then one time uniform per click).
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -150,22 +150,11 @@ class ExperimentConfig:
         return float(self.laser_frequency)
 
 
-def _canonical(value) -> str:
-    if is_dataclass(value) and not isinstance(value, type):
-        parts = ", ".join(
-            f"{f.name}={_canonical(getattr(value, f.name))}" for f in fields(value)
-        )
-        return f"{type(value).__name__}({parts})"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return "(" + ", ".join(_canonical(v) for v in value) + ")"
-    return repr(value)
-
-
 def config_digest(config: ExperimentConfig) -> str:
-    """Stable hexadecimal digest of every field of the configuration."""
-    return hashlib.sha256(_canonical(config).encode()).hexdigest()[:16]
+    """First 16 hex digits of the SHA-256 of the canonical text ``serialize_config`` writes."""
+    from .config import serialize_config  # config imports engine at module load
+
+    return hashlib.sha256(serialize_config(config).encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -219,8 +208,7 @@ def validate_click_stream(stream: ClickStream, dead_time: float = 0.0) -> None:
     d_shot = np.diff(shots)
     if np.any(d_shot < 0):
         raise StreamInvariantError("records not sorted by shot index")
-    same_shot = d_shot == 0
-    d_t = np.diff(times)[same_shot]
+    d_t = np.diff(times)[d_shot == 0]
     if np.any(d_t < 0):
         raise StreamInvariantError("records not sorted by time within shot")
     dead_ns = _to_ns(dead_time)
@@ -297,28 +285,6 @@ def _sample_clicks(ctx: _RunContext, laser_hz: float, offsets, rng) -> list:
     return ts
 
 
-def sample_shot(
-    config: ExperimentConfig,
-    shot_index: int,
-    diffusion: Union[DiffusionState, Sequence[DiffusionState]],
-    rng: np.random.Generator,
-) -> list:
-    """Simulate one shot and return its click times in integer nanoseconds.
-
-    ``diffusion`` supplies the instantaneous frequency offsets, one state per
-    resolved emitter (a bare state is accepted for single-emitter sources).
-    """
-    ctx = _RunContext(config)
-    if isinstance(diffusion, DiffusionState):
-        diffusion = [diffusion] * ctx.n_emitters
-    offsets = [s.total_offset for s in diffusion]
-    if len(offsets) < ctx.n_emitters:
-        raise InvalidParameterError("one diffusion state per emitter is required")
-    laser = config.single_frequency()
-    del shot_index  # identity is carried by the rng substream key
-    return _sample_clicks(ctx, laser, offsets, rng)
-
-
 def _emitter_trajectories(
     config: ExperimentConfig,
     n_steps: int,
@@ -337,47 +303,25 @@ def _emitter_trajectories(
     return trajectories, list(rngs)
 
 
-def _sample_block(ctx, laser, offset_arrays, seed, global_start, lo, hi):
-    shots = []
-    times = []
-    n_emitters = len(offset_arrays)
-    streams = ShotStreams(seed)
-    for k in range(lo, hi):
-        rng = streams.for_shot(global_start + k)
-        offs = [offset_arrays[i][k] for i in range(n_emitters)]
-        for t in _sample_clicks(ctx, laser, offs, rng):
-            shots.append(k)
-            times.append(t)
-    return shots, times
-
-
 def _run_shots(
     config: ExperimentConfig,
     laser: float,
     offset_arrays: Sequence[np.ndarray],
     global_start: int,
-    workers: int,
+    digest: str,
 ) -> ClickStream:
-    _require(workers >= 1, "workers must be >= 1")
     ctx = _RunContext(config)
-    n = config.sequence.n_shots
-    seed = config.master_seed
-    if workers == 1:
-        shots, times = _sample_block(ctx, laser, offset_arrays, seed, global_start, 0, n)
-    else:
-        chunk = -(-n // workers)
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda b: _sample_block(ctx, laser, offset_arrays, seed, global_start, *b),
-                    bounds,
-                )
-            )
-        shots = [s for block, _ in results for s in block]
-        times = [t for _, block in results for t in block]
+    streams = ShotStreams(config.master_seed)
+    shots = []
+    times = []
+    for k in range(config.sequence.n_shots):
+        rng = streams.for_shot(global_start + k)
+        offs = [o[k] for o in offset_arrays]
+        for t in _sample_clicks(ctx, laser, offs, rng):
+            shots.append(k)
+            times.append(t)
     metadata = {
-        "config_digest": config_digest(config),
+        "config_digest": digest,
         "laser_frequency_hz": laser,
         "global_shot_start": global_start,
     }
@@ -389,17 +333,12 @@ def _run_shots(
     )
 
 
-def run_lifetime(config: ExperimentConfig, workers: int = 1) -> ClickStream:
-    """Run n_shots at a fixed laser frequency for lifetime histogramming."""
+def run_lifetime(config: ExperimentConfig) -> ClickStream:
+    """Run n_shots at a fixed laser frequency for lifetime or g2 analysis."""
     laser = config.single_frequency()
     trajectories, _ = _emitter_trajectories(config, config.sequence.n_shots, None, None)
     offsets = [t.total() for t in trajectories]
-    return _run_shots(config, laser, offsets, 0, workers)
-
-
-def run_g2(config: ExperimentConfig, workers: int = 1) -> ClickStream:
-    """Run a fixed-frequency stream for pulsed autocorrelation analysis."""
-    return run_lifetime(config, workers)
+    return _run_shots(config, laser, offsets, 0, config_digest(config))
 
 
 @dataclass(frozen=True)
@@ -432,7 +371,6 @@ def run_ple_scan(
     diffusion_states: Sequence[DiffusionState] | None = None,
     diffusion_rngs: Sequence[np.random.Generator] | None = None,
     start_shot: int = 0,
-    workers: int = 1,
 ) -> ScanResult:
     """Step the laser over the grid, n_shots per point, diffusion continuous.
 
@@ -446,17 +384,18 @@ def run_ple_scan(
     total = len(grid) * n_per
     trajectories, rngs = _emitter_trajectories(config, total, diffusion_states, diffusion_rngs)
     offsets_full = [t.total() for t in trajectories]
+    digest = config_digest(config)
 
     points = []
     for g, laser in enumerate(grid):
         segment = [o[g * n_per : (g + 1) * n_per] for o in offsets_full]
-        stream = _run_shots(config, float(laser), segment, start_shot + g * n_per, workers)
+        stream = _run_shots(config, float(laser), segment, start_shot + g * n_per, digest)
         points.append(ScanPoint(float(laser), len(stream), stream))
     final_states = tuple(t.final for t in trajectories)
     return ScanResult(tuple(points), final_states, start_shot + total)
 
 
-def run_scan_session(config: ExperimentConfig, workers: int = 1) -> list[ScanResult]:
+def run_scan_session(config: ExperimentConfig) -> list[ScanResult]:
     """Repeat the scan ``config.scan_repeats`` times with dwell gaps between.
 
     Diffusion evolves continuously: within scans at one step per shot, across
@@ -473,7 +412,6 @@ def run_scan_session(config: ExperimentConfig, workers: int = 1) -> list[ScanRes
             diffusion_states=states,
             diffusion_rngs=rngs,
             start_shot=start_shot,
-            workers=workers,
         )
         scans.append(result)
         states = list(result.diffusion_states)

@@ -7,9 +7,8 @@ detuning happens only in the reporting layer.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +72,6 @@ class CavityModel:
     nu_cav: float            # mode center frequency (Hz)
     q_factor: float          # quality factor
     p_peak: float            # Purcell factor for a resonant emitter
-    mode_volume_note: str = ""   # informational only, never used in computation
 
     def __post_init__(self):
         _require(self.nu_cav > 0, "nu_cav must be > 0")
@@ -98,22 +96,6 @@ class DetectorModel:
         _require(0 <= self.efficiency <= 1, "efficiency must lie in [0, 1]")
         _require(self.dark_rate >= 0, "dark_rate must be >= 0")
         _require(self.dead_time >= 0, "dead_time must be >= 0")
-
-
-class TuningKind(enum.Enum):
-    """Cavity tuning actions: gas adsorption redshifts, local heating blueshifts."""
-
-    ADSORB_N2 = "adsorb_n2"
-    HEAT_BLUESHIFT = "heat_blueshift"
-
-
-@dataclass(frozen=True)
-class TuningStep:
-    kind: TuningKind
-    magnitude: float  # frequency shift (Hz), strictly positive
-
-    def __post_init__(self):
-        _require(self.magnitude > 0, "tuning magnitude must be > 0")
 
 
 def lorentzian(nu, center, fwhm, amplitude=1.0, baseline=0.0):
@@ -182,13 +164,6 @@ def cavity_branching_fraction(p) -> float:
     p = np.asarray(p, dtype=float)
     _require(np.all(p >= 0), "purcell factor must be >= 0")
     return p / (p + 1.0)
-
-
-def apply_tuning_step(cavity: CavityModel, step: TuningStep) -> CavityModel:
-    """Shift the cavity mode: N2 adsorption moves it down, heating moves it up."""
-    if step.kind is TuningKind.ADSORB_N2:
-        return replace(cavity, nu_cav=cavity.nu_cav - step.magnitude)
-    return replace(cavity, nu_cav=cavity.nu_cav + step.magnitude)
 
 
 def wavelength_to_frequency(wavelength_m: float) -> float:

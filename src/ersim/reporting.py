@@ -58,14 +58,32 @@ def _read_table(path) -> tuple[dict, list, list]:
     return comments, header, rows
 
 
-def _columns(header: list, rows: list) -> dict:
-    data = {name: [] for name in header}
+def _number(path, name: str, text, kind=float):
+    """``kind(text)``; InvalidParameterError names the file and the column or key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidParameterError(f"{path}: {name} is not a number: {text!r}") from None
+
+
+def _float_columns(path, header: list, rows: list, names) -> list:
+    """The named columns as float arrays.
+
+    A missing or empty column, a short or long row, or a cell that is not a
+    number raises InvalidParameterError naming the file and the column.
+    """
     for row in rows:
         if len(row) != len(header):
-            raise InvalidParameterError("row length does not match header")
-        for name, cell in zip(header, row):
-            data[name].append(cell)
-    return data
+            raise InvalidParameterError(f"{path}: row length does not match header")
+    columns = []
+    for name in names:
+        if name not in header:
+            raise InvalidParameterError(f"{path} lacks column {name}")
+        if not rows:
+            raise InvalidParameterError(f"{path} has no values in column {name}")
+        j = header.index(name)
+        columns.append(np.array([_number(path, name, row[j]) for row in rows]))
+    return columns
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
@@ -88,13 +106,12 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
 
 def read_spectrum_csv(path) -> Spectrum:
     comments, header, rows = _read_table(path)
-    cols = _columns(header, rows)
-    if "frequency_hz" not in cols or "counts" not in cols:
-        raise InvalidParameterError(f"{path} lacks frequency_hz/counts columns")
+    frequencies, counts = _float_columns(path, header, rows, ("frequency_hz", "counts"))
+    acquisition_time = comments.get("acquisition_time_s", 0.0)
     return Spectrum(
-        np.array([float(v) for v in cols["frequency_hz"]]),
-        np.array([float(v) for v in cols["counts"]]),
-        acquisition_time=float(comments.get("acquisition_time_s", 0.0)),
+        frequencies,
+        counts,
+        acquisition_time=_number(path, "acquisition_time_s", acquisition_time),
         label=comments.get("label", ""),
     )
 
@@ -110,17 +127,13 @@ def write_decay_histogram_csv(hist: DecayHistogram, path) -> None:
 
 def read_decay_histogram_csv(path) -> DecayHistogram:
     comments, header, rows = _read_table(path)
-    cols = _columns(header, rows)
-    for needed in ("bin_left_s", "bin_right_s", "counts"):
-        if needed not in cols:
-            raise InvalidParameterError(f"{path} lacks column {needed}")
-    lefts = np.array([float(v) for v in cols["bin_left_s"]])
-    rights = np.array([float(v) for v in cols["bin_right_s"]])
-    edges = np.append(lefts, rights[-1])
+    lefts, rights, counts = _float_columns(
+        path, header, rows, ("bin_left_s", "bin_right_s", "counts")
+    )
     return DecayHistogram(
-        edges,
-        np.array([float(v) for v in cols["counts"]]),
-        total_shots=int(comments.get("total_shots", 0)),
+        np.append(lefts, rights[-1]),
+        counts,
+        total_shots=_number(path, "total_shots", comments.get("total_shots", 0), int),
     )
 
 
@@ -184,8 +197,8 @@ def write_fit_csv(fit: FitResult, path, kind: str = "") -> None:
 
 def read_fit_csv(path) -> FitResult:
     comments, header, rows = _read_table(path)
-    if len(rows) != 1:
-        raise InvalidParameterError(f"{path} must contain exactly one fit row")
+    if len(rows) != 1 or len(rows[0]) != len(header):
+        raise InvalidParameterError(f"{path} must contain exactly one fit row matching the header")
     cells = dict(zip(header, rows[0]))
     inverse = {v: k for k, v in _FIT_COLUMN_UNITS.items()}
     parameters = []
@@ -193,12 +206,12 @@ def read_fit_csv(path) -> FitResult:
         if column.endswith("_sigma") or column in ("rss", "iterations", "converged", "status"):
             continue
         name = inverse.get(column, column)
-        sigma = float(cells.get(column + "_sigma", "nan"))
-        parameters.append(FitParameter(name, float(cells[column]), sigma))
+        sigma = _number(path, column + "_sigma", cells.get(column + "_sigma", "nan"))
+        parameters.append(FitParameter(name, _number(path, column, cells[column]), sigma))
     return FitResult(
         tuple(parameters),
-        float(cells.get("rss", "nan")),
-        int(cells.get("iterations", 0)),
+        _number(path, "rss", cells.get("rss", "nan")),
+        _number(path, "iterations", cells.get("iterations", 0), int),
         cells.get("converged", "false") == "true",
         cells.get("status", ""),
         None,

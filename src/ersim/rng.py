@@ -2,8 +2,8 @@
 
 Every shot of the experiment draws from its own Philox stream whose 128-bit
 key packs (master_seed, stream id).  Streams are therefore independent of
-execution order and of the number of workers: shot k always sees the same
-random sequence for a given master seed.
+execution order: shot k always sees the same random sequence for a given
+master seed.
 
 Key layout (stream id in the high 64 bits):
     stream id = 1 + shot_index            for per-shot sampling streams
@@ -47,7 +47,7 @@ class ShotStreams:
 
     ``for_shot(k)`` yields a generator bit-identical to ``shot_stream(seed, k)``
     but reuses one Philox instance, avoiding per-shot construction cost.  Not
-    thread-safe: use one instance per worker.
+    thread-safe.
     """
 
     def __init__(self, master_seed: int):

@@ -14,7 +14,8 @@ Little-endian layout:
 Records are sorted by (shot_index, time).  Reading a file and writing it back
 reproduces the bytes exactly; sub-nanosecond in-memory times do not occur
 because the engine quantizes click tags at creation.  The shot count is not
-part of the format, so it is inferred on read as max(shot_index) + 1.
+part of the format, so it is inferred on read as max(shot_index) + 1.  The
+reader checks the records with ``engine.validate_click_stream``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ClickStream, PulseSequence
-from .errors import InvalidParameterError, StreamFormatError
+from .engine import ClickStream, PulseSequence, validate_click_stream
+from .errors import InvalidParameterError, StreamFormatError, StreamInvariantError
 
 MAGIC = b"ERTT"
 VERSION = 1
@@ -52,10 +53,12 @@ def write_clickstream(stream: ClickStream, path) -> None:
 
 
 def read_clickstream(path) -> ClickStream:
-    """Read and validate a click-stream file.
+    """Read a click-stream file and check it with ``validate_click_stream``.
 
     Raises StreamFormatError for bad magic, unsupported version, truncated or
-    oversized record sections, unsorted records, or out-of-range time tags.
+    oversized record sections, field values beyond 2**62, an invalid pulse
+    sequence, and records that break the stream invariants (unsorted, or time
+    tags outside ``[t_pulse, t_pulse + t_coll)``).
     """
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
@@ -78,19 +81,18 @@ def read_clickstream(path) -> ClickStream:
     times = records[:, 1].astype(np.int64, copy=True)
     if np.any(records >= np.int64(2) ** 62):
         raise StreamFormatError("record field exceeds the supported range")
-    if count and np.any(times >= int(t_rep_ns)):
-        raise StreamFormatError("time tag at or beyond the repetition period")
-    d_shot = np.diff(shots)
-    if np.any(d_shot < 0) or np.any(np.diff(times)[d_shot == 0] < 0):
-        raise StreamFormatError("records not sorted by (shot index, time)")
-    n_shots = int(shots[-1]) + 1 if count else 1
     try:
         sequence = PulseSequence(
             t_pulse=t_pulse_ns * 1e-9,
             t_coll=t_coll_ns * 1e-9,
             t_rep=t_rep_ns * 1e-9,
-            n_shots=n_shots,
+            n_shots=int(shots.max()) + 1 if count else 1,
         )
     except InvalidParameterError as exc:
         raise StreamFormatError(f"invalid pulse sequence in header: {exc}") from exc
-    return ClickStream(shots, times, sequence, metadata={})
+    stream = ClickStream(shots, times, sequence, metadata={})
+    try:
+        validate_click_stream(stream)
+    except StreamInvariantError as exc:
+        raise StreamFormatError(str(exc)) from exc
+    return stream

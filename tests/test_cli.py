@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ersim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
+from ersim.config import parse_config, serialize_config
+from ersim.engine import ClickStream, PulseSequence, config_digest
 from ersim.reporting import (
     read_fit_csv,
     write_decay_histogram_csv,
@@ -13,6 +15,7 @@ from ersim.reporting import (
 )
 from ersim.records import DecayHistogram, Spectrum
 from ersim.fitting import gaussian_peak
+from ersim.streamfile import write_clickstream
 
 
 def doc(text):
@@ -78,12 +81,14 @@ class TestSimulate:
         assert sha(tmp_path / "a" / "clicks.ertt") == sha(tmp_path / "b" / "clicks.ertt")
         assert sha(tmp_path / "a" / "run_config.ini") == sha(tmp_path / "b" / "run_config.ini")
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    def test_config_digest_hashes_run_config(self, tmp_path):
         cfg = tmp_path / "g2.ini"
         cfg.write_text(G2_CONFIG)
-        main(["simulate", "g2", "--config", str(cfg), "--out", str(tmp_path / "w1"), "--workers", "1"])
-        main(["simulate", "g2", "--config", str(cfg), "--out", str(tmp_path / "w4"), "--workers", "4"])
-        assert sha(tmp_path / "w1" / "clicks.ertt") == sha(tmp_path / "w4" / "clicks.ertt")
+        out = tmp_path / "a"
+        assert main(["simulate", "g2", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        config = parse_config(G2_CONFIG)
+        assert config_digest(config) == sha(out / "run_config.ini")[:16]
+        assert config_digest(parse_config(serialize_config(config))) == config_digest(config)
 
     def test_seed_override_changes_stream(self, tmp_path):
         cfg = tmp_path / "g2.ini"
@@ -150,6 +155,24 @@ class TestFit:
         code = main(["fit", "gaussian", "--in", str(tmp_path / "no.csv"), "--out", str(tmp_path / "f.csv")])
         assert code == EXIT_IO
 
+    def test_header_only_histogram_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "h.csv").write_text("bin_left_s,bin_right_s,counts\n")
+        code = main(["fit", "exponential", "--in", str(tmp_path / "h.csv"), "--out", str(tmp_path / "f.csv")])
+        assert code == EXIT_CONFIG
+        assert "h.csv" in capsys.readouterr().err
+
+    def test_non_numeric_cell_is_config_error(self, tmp_path, capsys):
+        x = 195.6e12 + np.linspace(-400e6, 400e6, 81)
+        y = gaussian_peak(x, (195.6e12, 173.6e6, 200.0, 1.0))
+        write_spectrum_csv(Spectrum(x, y), tmp_path / "spec.csv")
+        lines = (tmp_path / "spec.csv").read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",abc"
+        (tmp_path / "spec.csv").write_text("\n".join(lines) + "\n")
+        code = main(["fit", "gaussian", "--in", str(tmp_path / "spec.csv"), "--out", str(tmp_path / "f.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "spec.csv" in err and "counts" in err
+
 
 class TestG2Command:
     def make_stream(self, tmp_path):
@@ -183,6 +206,13 @@ class TestG2Command:
         bad = tmp_path / "bad.ertt"
         bad.write_bytes(b"XXXX" + bytes(40))
         code = main(["g2", "--in", str(bad), "--max-offset", "5", "--out", str(tmp_path / "c.csv")])
+        assert code == EXIT_IO
+
+    def test_click_after_collection_window_is_io_error(self, tmp_path):
+        late = tmp_path / "late.ertt"
+        seq = PulseSequence(1e-6, 20e-6, 60e-6, 4)
+        write_clickstream(ClickStream([0, 3], [2000, 30_000], seq), late)
+        code = main(["g2", "--in", str(late), "--max-offset", "2", "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_IO
 
 
@@ -229,3 +259,12 @@ class TestReport:
 
     def test_missing_directory_is_io_error(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "none"), "--out", str(tmp_path / "o")]) == EXIT_IO
+
+    def test_non_numeric_fit_cell_is_config_error(self, tmp_path, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "fit_exponential_a.csv").write_text(
+            "t1_s,t1_s_sigma,rss,iterations,converged,status\nabc,1e-07,1.0,5,true,converged\n"
+        )
+        assert main(["report", "--in", str(work), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "fit_exponential_a.csv" in capsys.readouterr().err

@@ -270,7 +270,7 @@ class TestIdempotence:
                 nu, gamma0, gamma_h, p_max,
                 SpectralDiffusionParams(sigma_fast, tau, rate),
             ),
-            cavity=CavityModel(nu, 4.1e4, 460.0, "about half a cubic wavelength"),
+            cavity=CavityModel(nu, 4.1e4, 460.0),
             detector=DetectorModel(eff, dark, 0.0),
             sequence=PulseSequence(1e-6, 20e-6, 60e-6, n_shots),
             laser_frequency=nu,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import scenarios
 from ersim.analysis import pulsed_g2, spectrum_from_scan
-from ersim.diffusion import DiffusionState
 from ersim.engine import (
     ClickStream,
     ExperimentConfig,
@@ -17,13 +16,12 @@ from ersim.engine import (
     PulseSequence,
     SingleEmitter,
     config_digest,
-    run_g2,
     run_lifetime,
     run_ple_scan,
     run_scan_session,
-    sample_shot,
     validate_click_stream,
 )
+from ersim.engine import _RunContext, _sample_clicks
 from ersim.errors import InvalidParameterError, StreamInvariantError
 from ersim.fitting import fit_gaussian, fit_lorentzian
 from ersim.physics import DetectorModel, SpectralDiffusionParams
@@ -93,7 +91,7 @@ class TestExperimentConfig:
 
 class TestSampleShot:
     def test_switched_off_emitter_and_no_darks_gives_no_clicks(self):
-        cfg = scenarios.lifetime_config(n_shots=10)
+        cfg = scenarios.lifetime_config(n_shots=1000)
         cfg = ExperimentConfig(
             emitter=scenarios.emitter(p_max=0.0),
             cavity=cfg.cavity,
@@ -102,8 +100,7 @@ class TestSampleShot:
             laser_frequency=cfg.laser_frequency,
             master_seed=cfg.master_seed,
         )
-        for k in range(1000):
-            assert sample_shot(cfg, k, DiffusionState(), shot_stream(0, k)) == []
+        assert len(run_lifetime(cfg)) == 0
 
     def test_mean_clicks_matches_bernoulli_oracle(self):
         cfg = scenarios.lifetime_config(seed=101, n_shots=1_000_000, p_max=0.35)
@@ -191,29 +188,14 @@ class TestDeterminism:
         assert np.array_equal(a.shot_indices, b.shot_indices)
         assert np.array_equal(a.times_ns, b.times_ns)
 
-    def test_worker_count_does_not_change_stream(self):
-        cfg = scenarios.background_g2_config(seed=42, n_shots=30_000)
-        serial = run_g2(cfg, workers=1)
-        for workers in (2, 4, 7):
-            parallel = run_g2(cfg, workers=workers)
-            assert np.array_equal(serial.shot_indices, parallel.shot_indices)
-            assert np.array_equal(serial.times_ns, parallel.times_ns)
-
-    def test_scan_session_parallel_identical(self):
-        cfg = scenarios.linewidth_session_config(repeats=2, n_shots=300, points=11)
-        a = run_scan_session(cfg, workers=1)
-        b = run_scan_session(cfg, workers=3)
-        for scan_a, scan_b in zip(a, b):
-            for pa, pb in zip(scan_a.points, scan_b.points):
-                assert np.array_equal(pa.stream.times_ns, pb.stream.times_ns)
-                assert np.array_equal(pa.stream.shot_indices, pb.stream.shot_indices)
-
     def test_sample_shot_composes_to_run_lifetime(self):
         cfg = scenarios.lifetime_config(seed=9, n_shots=2000)
         stream = run_lifetime(cfg)
+        ctx = _RunContext(cfg)
+        laser = cfg.single_frequency()
         manual = []
         for k in range(cfg.sequence.n_shots):
-            for t in sample_shot(cfg, k, DiffusionState(), shot_stream(cfg.master_seed, k)):
+            for t in _sample_clicks(ctx, laser, [0.0], shot_stream(cfg.master_seed, k)):
                 manual.append((k, t))
         got = list(zip(stream.shot_indices.tolist(), stream.times_ns.tolist()))
         assert manual == got
@@ -347,22 +329,22 @@ class TestPleScan:
 class TestRunG2:
     def test_single_emitter_antibunched(self):
         cfg = scenarios.g2_config(SingleEmitter(), seed=201, n_shots=200_000)
-        hist = pulsed_g2(run_g2(cfg), 30)
+        hist = pulsed_g2(run_lifetime(cfg), 30)
         assert hist.g2_at(0) < 0.05
 
     def test_two_emitters_half(self):
         cfg = scenarios.g2_config(NEmitters(2), seed=202, n_shots=200_000)
-        hist = pulsed_g2(run_g2(cfg), 30)
+        hist = pulsed_g2(run_lifetime(cfg), 30)
         assert hist.g2_at(0) == pytest.approx(0.5, abs=0.05)
 
     def test_poissonian_flat(self):
         cfg = scenarios.g2_config(Poissonian(0.8), seed=203, n_shots=200_000)
-        hist = pulsed_g2(run_g2(cfg), 30)
+        hist = pulsed_g2(run_lifetime(cfg), 30)
         assert np.all(np.abs(hist.g2 - 1.0) < 0.02)
 
     def test_poissonian_ignores_emitter_physics(self):
         cfg = scenarios.g2_config(Poissonian(0.5), seed=204, n_shots=50_000)
-        stream = run_g2(cfg)
+        stream = run_lifetime(cfg)
         assert len(stream) / cfg.sequence.n_shots == pytest.approx(0.5, rel=0.03)
         validate_click_stream(stream)
 

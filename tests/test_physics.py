@@ -11,9 +11,6 @@ from ersim.physics import (
     CavityModel,
     EmitterModel,
     SpectralDiffusionParams,
-    TuningKind,
-    TuningStep,
-    apply_tuning_step,
     cavity_branching_fraction,
     cavity_fwhm_from_q,
     enhanced_decay_rate,
@@ -202,42 +199,6 @@ class TestExcitationProbability:
     def test_bounded_by_peak(self, delta, gamma_h, p):
         value = excitation_probability(delta, gamma_h, p)
         assert 0.0 <= value <= p
-
-
-class TestTuning:
-    def setup_method(self):
-        self.cavity = CavityModel(nu_cav=195.59e12, q_factor=4.14e4, p_peak=460.0)
-
-    def test_adsorption_redshifts(self):
-        stepped = apply_tuning_step(self.cavity, TuningStep(TuningKind.ADSORB_N2, 1e9))
-        assert stepped.nu_cav == 195.59e12 - 1e9
-        assert stepped.nu_cav == pytest.approx(195.589e12, rel=1e-12)
-        assert stepped.q_factor == self.cavity.q_factor
-        assert stepped.p_peak == self.cavity.p_peak
-
-    def test_heating_reverses_adsorption_exactly(self):
-        down = apply_tuning_step(self.cavity, TuningStep(TuningKind.ADSORB_N2, 1e9))
-        back = apply_tuning_step(down, TuningStep(TuningKind.HEAT_BLUESHIFT, 1e9))
-        assert back.nu_cav == self.cavity.nu_cav
-
-    def test_rejects_zero_magnitude(self):
-        with pytest.raises(InvalidParameterError):
-            TuningStep(TuningKind.ADSORB_N2, 0.0)
-
-    @given(
-        nu=st.integers(10**14, 10**15),
-        magnitudes=st.lists(st.integers(1, 10**12), min_size=1, max_size=20),
-    )
-    def test_adsorption_sequence_monotone_and_reversible(self, nu, magnitudes):
-        cav = CavityModel(nu_cav=float(nu), q_factor=1e4, p_peak=1.0)
-        seen = [cav.nu_cav]
-        for m in magnitudes:
-            cav = apply_tuning_step(cav, TuningStep(TuningKind.ADSORB_N2, float(m)))
-            seen.append(cav.nu_cav)
-        assert all(b <= a for a, b in zip(seen, seen[1:]))
-        for m in reversed(magnitudes):
-            cav = apply_tuning_step(cav, TuningStep(TuningKind.HEAT_BLUESHIFT, float(m)))
-        assert cav.nu_cav == float(nu)
 
 
 class TestModelInvariants:

@@ -143,7 +143,15 @@ class TestRejection:
         data = bytearray(path.read_bytes())
         data[46:54] = (70_000).to_bytes(8, "little")  # time field of record 0
         path.write_bytes(bytes(data))
-        with pytest.raises(StreamFormatError, match="repetition"):
+        with pytest.raises(StreamFormatError, match="after the collection window"):
+            read_clickstream(path)
+
+    def test_time_after_collection_window(self, tmp_path):
+        # 30 us lies inside t_rep = 60 us but after the 1 us + 20 us window
+        seq = PulseSequence(1e-6, 20e-6, 60e-6, 50)
+        path = tmp_path / "late.ertt"
+        write_clickstream(ClickStream([3], [30_000], seq), path)
+        with pytest.raises(StreamFormatError, match="after the collection window"):
             read_clickstream(path)
 
     def test_unwritable_sequence_rejected(self, tmp_path):
@@ -169,11 +177,8 @@ class TestFuzzing:
             stream = read_clickstream(path)
         except StreamFormatError:
             return
-        # accepted: the parsed stream must satisfy the file-level invariants
-        assert np.all(stream.times_ns < stream.sequence.t_rep_ns)
-        d_shot = np.diff(stream.shot_indices)
-        assert np.all(d_shot >= 0)
-        assert np.all(np.diff(stream.times_ns)[d_shot == 0] >= 0)
+        # accepted: the parsed stream must satisfy the stream invariants
+        validate_click_stream(stream)
 
     @settings(max_examples=100)
     @given(blob=st.binary(min_size=0, max_size=200))
