@@ -93,8 +93,8 @@ def main():
         rate *= excess_target / excess_now
 
     print()
-    print(f"SIGMA_FAST_HZ = {sigma_fast!r}")
-    print(f"SIGMA_SLOW_RATE_HZ2_PER_S = {rate!r}")
+    print(f"SIGMA_FAST_HZ = {float(sigma_fast)!r}")
+    print(f"SIGMA_SLOW_RATE_HZ2_PER_S = {float(rate)!r}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 
 Simulates both lifetime measurements, the background-limited autocorrelation
 and the repeated-PLE session from the configs/ directory, fits everything,
-and assembles the report bundle.  Expect a few minutes of runtime.
+and assembles the report bundle.  It takes a few seconds.
 
 Usage: python3 scripts/reproduce_results.py [--out DIR]
 """

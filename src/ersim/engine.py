@@ -4,17 +4,32 @@ Each shot: excite the emitter(s) with a probability set by the laser-ion
 detuning, draw an exponential emission delay at the Purcell-enhanced rate,
 route the photon to the detector through the cavity channel, superimpose
 Poisson dark counts inside the collection window, and apply dead-time
-filtering.  Click times are quantized to integer nanoseconds at creation so
-streams round-trip bit-exactly through the binary file format.
+filtering.  Click times are quantized to integer nanoseconds at creation, by
+truncation toward zero, so streams round-trip bit-exactly through the binary
+file format.
 
-Randomness contract: shot k draws from a counter-based substream keyed by
-(master_seed, k); spectral diffusion draws from one sequential substream per
-emitter.  Results therefore do not depend on the order in which shots are
-sampled.
-Within a shot the draw order is fixed: per emitter in order (excitation
-uniform; if excited, emission delay then detection uniform), then the
-Poissonian source draws (count, then per photon detection and time uniforms),
-then dark counts (count, then one time uniform per click).
+Randomness contract, stream layout 2 (``STREAM_LAYOUT``): shots are sampled in
+blocks of ``BLOCK_SHOTS`` = 2**14.  A call that starts at global shot s0
+samples blocks starting at s0, s0 + BLOCK_SHOTS, ...; its last block may be
+partial.  The block starting at global shot s draws from the counter-based
+substream keyed by (master_seed, 1 + s) (``rng.block_stream``).  Block starts
+are distinct global shot indices, and scans continue the global shot count,
+so no key is reused.  Spectral diffusion draws from one sequential substream
+per emitter.  A stream is therefore a pure function of the config and seed,
+independent of the order in which blocks are sampled.
+
+Within a block of n shots the draws come in this column order:
+
+1. per emitter in order: n excitation uniforms; then, for the excited shots
+   only, their exponential emission delays, then their detection uniforms
+   (drawn also when the delay falls after the collection window);
+2. Poissonian source: n photon counts, then per photon a detection uniform
+   and a time uniform;
+3. dark counts: n counts, then one time uniform per click.
+
+The clicks are then sorted by (shot, time) once, and the greedy dead-time
+filter keeps a click when it comes at least the dead time after the last
+kept click of its shot; only shots with two or more clicks are filtered.
 """
 
 from __future__ import annotations
@@ -28,7 +43,11 @@ import numpy as np
 from .diffusion import DiffusionState, DiffusionTrajectory, evolve_diffusion, generate_trajectory
 from .errors import InvalidParameterError, StreamInvariantError
 from .physics import CavityModel, DetectorModel, EmitterModel, _require
-from .rng import ShotStreams, diffusion_stream
+from .rng import block_stream, diffusion_stream
+
+STREAM_LAYOUT = 2         # version of the random-stream layout described above
+BLOCK_SHOTS = 2**14       # shots per sampling block; fixed by the layout
+
 
 def _to_ns(t_seconds: float) -> int:
     return int(round(t_seconds * 1e9))
@@ -216,73 +235,74 @@ def validate_click_stream(stream: ClickStream, dead_time: float = 0.0) -> None:
         raise StreamInvariantError("clicks closer than the detector dead time")
 
 
-class _RunContext:
-    """Per-run constants unpacked from the configuration for the hot loop."""
+def _apply_dead_time(shots: np.ndarray, times: np.ndarray, dead_ns: int):
+    """Greedy dead-time filter over clicks sorted by (shot, time).
 
-    __slots__ = (
-        "nu_ion", "gamma_0", "p_max", "half_sq", "n_emitters",
-        "nu_cav", "kappa", "p_peak", "efficiency",
-        "t_pulse_ns", "t_coll_ns", "window_end_ns", "dead_ns",
-        "dark_mean", "poisson_rate",
-    )
-
-    def __init__(self, config: ExperimentConfig):
-        emitters = config.resolved_emitters()
-        self.n_emitters = len(emitters)
-        self.nu_ion = [e.nu_ion_0 for e in emitters]
-        self.gamma_0 = [e.gamma_0 for e in emitters]
-        self.p_max = [e.p_max for e in emitters]
-        self.half_sq = [(0.5 * e.gamma_h) ** 2 for e in emitters]
-        self.nu_cav = config.cavity.nu_cav
-        self.kappa = config.cavity.fwhm
-        self.p_peak = config.cavity.p_peak
-        self.efficiency = config.detector.efficiency
-        seq = config.sequence
-        self.t_pulse_ns = seq.t_pulse_ns
-        self.t_coll_ns = seq.t_coll_ns
-        self.window_end_ns = seq.t_pulse_ns + seq.t_coll_ns
-        self.dead_ns = _to_ns(config.detector.dead_time)
-        self.dark_mean = config.detector.dark_rate * seq.t_coll
-        self.poisson_rate = (
-            config.source.rate_per_shot if isinstance(config.source, Poissonian) else None
-        )
+    A click is kept when it comes at least ``dead_ns`` after the last kept
+    click of its shot.  Only shots with two or more clicks are visited, one
+    click rank at a time across all of them.
+    """
+    starts = np.flatnonzero(np.r_[True, shots[1:] != shots[:-1]])
+    sizes = np.diff(np.r_[starts, len(shots)])
+    multi = sizes >= 2
+    starts, sizes = starts[multi], sizes[multi]
+    keep = np.ones(len(shots), dtype=bool)
+    last = times[starts]
+    for rank in range(1, sizes.max(initial=1)):
+        live = sizes > rank
+        idx = starts[live] + rank
+        ok = times[idx] - last[live] >= dead_ns
+        keep[idx] = ok
+        last[live] = np.where(ok, times[idx], last[live])
+    return shots[keep], times[keep]
 
 
-def _sample_clicks(ctx: _RunContext, laser_hz: float, offsets, rng) -> list:
-    """Click times (ns) for one shot; see the module docstring for draw order."""
-    ts = []
-    for i in range(ctx.n_emitters):
-        nu = ctx.nu_ion[i] + offsets[i]
-        u_exc = rng.random()
+def _sample_block(config: ExperimentConfig, laser_hz: float, offsets, n: int, rng):
+    """Clicks of one block of n shots as (block-local shot, time ns) arrays.
+
+    Sorted by (shot, time) with dead time applied; see the module docstring
+    for the column order of the draws.
+    """
+    cavity, detector, seq = config.cavity, config.detector, config.sequence
+    t_pulse_ns, t_coll_ns = seq.t_pulse_ns, seq.t_coll_ns
+    shots = []
+    times = []
+    for em, off in zip(config.resolved_emitters(), offsets):
+        nu = em.nu_ion_0 + off
         d = laser_hz - nu
-        h2 = ctx.half_sq[i]
-        if u_exc < h2 / (h2 + d * d) * ctx.p_max[i]:
-            dc = 2.0 * (nu - ctx.nu_cav) / ctx.kappa
-            purcell = ctx.p_peak / (1.0 + dc * dc)
-            delay = rng.exponential(1.0 / (ctx.gamma_0[i] * (1.0 + purcell)))
-            t_ns = ctx.t_pulse_ns + int(delay * 1e9)
-            u_det = rng.random()
-            if t_ns < ctx.window_end_ns:
-                if u_det < purcell / (purcell + 1.0) * ctx.efficiency:
-                    ts.append(t_ns)
-    if ctx.poisson_rate is not None:
-        for _ in range(rng.poisson(ctx.poisson_rate)):
-            u_det = rng.random()
-            u_t = rng.random()
-            if u_det < ctx.efficiency:
-                ts.append(ctx.t_pulse_ns + int(u_t * ctx.t_coll_ns))
-    if ctx.dark_mean > 0.0:
-        for _ in range(rng.poisson(ctx.dark_mean)):
-            ts.append(ctx.t_pulse_ns + int(rng.random() * ctx.t_coll_ns))
-    if len(ts) > 1:
-        ts.sort()
-        if ctx.dead_ns > 0:
-            kept = [ts[0]]
-            for t in ts[1:]:
-                if t - kept[-1] >= ctx.dead_ns:
-                    kept.append(t)
-            ts = kept
-    return ts
+        h2 = (0.5 * em.gamma_h) ** 2
+        excited = np.flatnonzero(rng.random(n) < h2 / (h2 + d * d) * em.p_max)
+        dc = 2.0 * (nu[excited] - cavity.nu_cav) / cavity.fwhm
+        purcell = cavity.p_peak / (1.0 + dc * dc)
+        late_ns = rng.exponential(1.0 / (em.gamma_0 * (1.0 + purcell))) * 1e9
+        u_det = rng.random(len(excited))
+        # late_ns < t_coll_ns is int(late_ns) < t_coll_ns, tested before the cast
+        hit = (late_ns < t_coll_ns) & (u_det < purcell / (purcell + 1.0) * detector.efficiency)
+        shots.append(excited[hit])
+        times.append(t_pulse_ns + late_ns[hit].astype(np.int64))
+    if isinstance(config.source, Poissonian):
+        counts = rng.poisson(config.source.rate_per_shot, n)
+        u = rng.random((int(counts.sum()), 2))  # per photon: detection, time
+        hit = u[:, 0] < detector.efficiency
+        shots.append(np.repeat(np.arange(n), counts)[hit])
+        times.append(t_pulse_ns + (u[hit, 1] * t_coll_ns).astype(np.int64))
+    dark_mean = detector.dark_rate * seq.t_coll
+    if dark_mean > 0.0:
+        counts = rng.poisson(dark_mean, n)
+        u_t = rng.random(int(counts.sum()))
+        shots.append(np.repeat(np.arange(n), counts))
+        times.append(t_pulse_ns + (u_t * t_coll_ns).astype(np.int64))
+    # one sort of (shot, time) packed into an int64 key; times lie below `end`
+    end = t_pulse_ns + t_coll_ns
+    _require(BLOCK_SHOTS * end < 2**63, "collection window too long for the block sort")
+    key = np.concatenate(shots) * end + np.concatenate(times)
+    key.sort()
+    shots = key // end
+    times = key - shots * end
+    dead_ns = _to_ns(detector.dead_time)
+    if dead_ns > 0 and len(key) > 1:
+        return _apply_dead_time(shots, times, dead_ns)
+    return shots, times
 
 
 def _emitter_trajectories(
@@ -310,27 +330,23 @@ def _run_shots(
     global_start: int,
     digest: str,
 ) -> ClickStream:
-    ctx = _RunContext(config)
-    streams = ShotStreams(config.master_seed)
+    n_shots = config.sequence.n_shots
     shots = []
     times = []
-    for k in range(config.sequence.n_shots):
-        rng = streams.for_shot(global_start + k)
-        offs = [o[k] for o in offset_arrays]
-        for t in _sample_clicks(ctx, laser, offs, rng):
-            shots.append(k)
-            times.append(t)
+    for first in range(0, n_shots, BLOCK_SHOTS):
+        stop = min(first + BLOCK_SHOTS, n_shots)
+        rng = block_stream(config.master_seed, global_start + first)
+        block = [o[first:stop] for o in offset_arrays]
+        block_shots, block_times = _sample_block(config, laser, block, stop - first, rng)
+        shots.append(block_shots + first)
+        times.append(block_times)
     metadata = {
         "config_digest": digest,
         "laser_frequency_hz": laser,
         "global_shot_start": global_start,
+        "stream_layout": STREAM_LAYOUT,
     }
-    return ClickStream(
-        np.asarray(shots, dtype=np.int64),
-        np.asarray(times, dtype=np.int64),
-        config.sequence,
-        metadata,
-    )
+    return ClickStream(np.concatenate(shots), np.concatenate(times), config.sequence, metadata)
 
 
 def run_lifetime(config: ExperimentConfig) -> ClickStream:
@@ -374,8 +390,8 @@ def run_ple_scan(
 ) -> ScanResult:
     """Step the laser over the grid, n_shots per point, diffusion continuous.
 
-    Per-point streams carry local shot indices 0..n_shots-1; the substream
-    keys continue globally from ``start_shot`` so chained scans never reuse
+    Per-point streams carry local shot indices 0..n_shots-1; the block keys
+    continue globally from ``start_shot`` so chained scans never reuse
     randomness.
     """
     grid = config.laser_grid()

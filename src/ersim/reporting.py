@@ -292,14 +292,18 @@ def generate_report(in_dir, out_dir) -> dict:
 
     for path in sorted(in_dir.glob("g2*.csv")):
         comments, header, rows = _read_table(path)
-        cells = {row[0]: dict(zip(header, row)) for row in rows}
-        zero = cells.get("0")
-        if zero is None:
+        offsets, raw, corrected, rho = _float_columns(
+            path, header, rows, ("offset_shots", "g2", "g2_corrected", "rho")
+        )
+        zero = np.flatnonzero(offsets == 0)
+        if len(zero) == 0:
             continue
-        summary["g2_zero_raw"] = zero["g2"]
-        summary["g2_zero_raw_sigma"] = comments.get("g2_zero_sigma", "nan")
-        summary["g2_zero_corrected"] = zero["g2_corrected"]
-        summary["g2_rho"] = zero["rho"]
+        i = zero[-1]
+        sigma = _number(path, "g2_zero_sigma", comments.get("g2_zero_sigma", "nan"))
+        summary["g2_zero_raw"] = _fmt(raw[i])
+        summary["g2_zero_raw_sigma"] = _fmt(sigma)
+        summary["g2_zero_corrected"] = _fmt(corrected[i])
+        summary["g2_rho"] = _fmt(rho[i])
         break
 
     write_summary(out_dir / "summary.txt", summary)

@@ -1,14 +1,16 @@
 """Counter-based random substreams for reproducible, order-independent sampling.
 
-Every shot of the experiment draws from its own Philox stream whose 128-bit
-key packs (master_seed, stream id).  Streams are therefore independent of
-execution order: shot k always sees the same random sequence for a given
-master seed.
+Every draw comes from a Philox stream whose 128-bit key packs
+(master_seed, stream id) (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11).  A stream's numbers depend only on its key, never on the
+order in which streams are used.
 
 Key layout (stream id in the high 64 bits):
-    stream id = 1 + shot_index            for per-shot sampling streams
+    stream id = 1 + first_shot            for the sampling block that starts
+                                          at global shot first_shot
     stream id = 2^63 + emitter_index      for per-emitter diffusion streams
-Stream id 0 is reserved.
+Stream id 0 is reserved.  Block sizes and the order of draws inside a block
+are set by the engine (stream layout 2, see ``ersim.engine``).
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ def _substream(master_seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def shot_stream(master_seed: int, shot_index: int) -> np.random.Generator:
-    """Sampling stream for one shot, keyed by (master_seed, shot_index)."""
-    if shot_index < 0:
-        raise InvalidParameterError("shot_index must be >= 0")
-    return _substream(master_seed, 1 + shot_index)
+def block_stream(master_seed: int, first_shot: int) -> np.random.Generator:
+    """Sampling stream for the shot block starting at global shot ``first_shot``."""
+    if first_shot < 0:
+        raise InvalidParameterError("first_shot must be >= 0")
+    return _substream(master_seed, 1 + first_shot)
 
 
 def diffusion_stream(master_seed: int, emitter_index: int = 0) -> np.random.Generator:
@@ -40,32 +42,3 @@ def diffusion_stream(master_seed: int, emitter_index: int = 0) -> np.random.Gene
     if emitter_index < 0:
         raise InvalidParameterError("emitter_index must be >= 0")
     return _substream(master_seed, _DIFFUSION_BASE + emitter_index)
-
-
-class ShotStreams:
-    """Re-keyable view of the per-shot substreams for tight sampling loops.
-
-    ``for_shot(k)`` yields a generator bit-identical to ``shot_stream(seed, k)``
-    but reuses one Philox instance, avoiding per-shot construction cost.  Not
-    thread-safe.
-    """
-
-    def __init__(self, master_seed: int):
-        if not 0 <= master_seed <= _MASK64:
-            raise InvalidParameterError("master_seed must fit in 64 bits")
-        self._seed = master_seed
-        self._bit_gen = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bit_gen)
-        self._state = self._bit_gen.state
-
-    def for_shot(self, shot_index: int) -> np.random.Generator:
-        st = self._state
-        inner = st["state"]
-        inner["key"][0] = self._seed
-        inner["key"][1] = 1 + shot_index
-        inner["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bit_gen.state = st
-        return self._gen

@@ -16,8 +16,8 @@ BETA = P_PEAK / (P_PEAK + 1.0)
 ACCEPTANCE_SEED = 20260809
 
 # produced by scripts/calibrate_linewidth.py at ACCEPTANCE_SEED
-SIGMA_FAST_HZ = 7.056235e7
-SIGMA_SLOW_RATE_HZ2_PER_S = 3.328446e11
+SIGMA_FAST_HZ = 7.078497e7
+SIGMA_SLOW_RATE_HZ2_PER_S = 3.168819e11
 TAU_FAST_S = 1e-3
 GAMMA_H_HZ = 10e6
 

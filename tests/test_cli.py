@@ -268,3 +268,10 @@ class TestReport:
         )
         assert main(["report", "--in", str(work), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "fit_exponential_a.csv" in capsys.readouterr().err
+
+    def test_g2_table_without_g2_columns_is_config_error(self, tmp_path, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "g2.csv").write_text("offset_shots,delay_s\n0,0.0\n")
+        assert main(["report", "--in", str(work), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "g2.csv" in capsys.readouterr().err

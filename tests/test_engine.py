@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scenarios
+from ersim import engine
 from ersim.analysis import pulsed_g2, spectrum_from_scan
+from ersim.config import parse_config_file
 from ersim.engine import (
+    BLOCK_SHOTS,
+    STREAM_LAYOUT,
     ClickStream,
     ExperimentConfig,
     NEmitters,
@@ -21,11 +27,26 @@ from ersim.engine import (
     run_scan_session,
     validate_click_stream,
 )
-from ersim.engine import _RunContext, _sample_clicks
 from ersim.errors import InvalidParameterError, StreamInvariantError
 from ersim.fitting import fit_gaussian, fit_lorentzian
-from ersim.physics import DetectorModel, SpectralDiffusionParams
-from ersim.rng import shot_stream
+from ersim.physics import (
+    DetectorModel,
+    cavity_branching_fraction,
+    excitation_probability,
+    purcell_profile,
+)
+from ersim.rng import block_stream
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def with_shots(config, n_shots, **detector):
+    """``config`` with another shot count and, optionally, other detector fields."""
+    return dataclasses.replace(
+        config,
+        sequence=dataclasses.replace(config.sequence, n_shots=n_shots),
+        detector=dataclasses.replace(config.detector, **detector),
+    )
 
 
 def expected_clicks_per_shot(config):
@@ -142,6 +163,26 @@ class TestSampleShot:
         sigma = math.sqrt((p_signal * (1 - p_signal) + dark_mean) / n)
         assert abs(len(stream) / n - (p_signal + dark_mean)) < 3 * sigma
 
+    def test_g2_background_clicks_per_shot_match_analytic(self):
+        cfg = parse_config_file(CONFIGS / "g2_background.ini")
+        cfg = with_shots(cfg, 200_000)
+        laser = cfg.single_frequency()
+        probs = []
+        for em in cfg.resolved_emitters():
+            p = purcell_profile(em.nu_ion_0 - cfg.cavity.nu_cav, cfg.cavity.p_peak, cfg.cavity.fwhm)
+            capture = 1.0 - math.exp(-cfg.sequence.t_coll * em.gamma_0 * (1.0 + p))
+            probs.append(
+                excitation_probability(laser - em.nu_ion_0, em.gamma_h, em.p_max)
+                * cavity_branching_fraction(p)
+                * cfg.detector.efficiency
+                * capture
+            )
+        dark_mean = cfg.detector.dark_rate * cfg.sequence.t_coll
+        n = cfg.sequence.n_shots
+        expected = sum(probs) + dark_mean
+        sigma = math.sqrt((sum(p * (1 - p) for p in probs) + dark_mean) / n)
+        assert abs(len(run_lifetime(cfg)) / n - expected) < 4 * sigma
+
 
 class TestRunLifetime:
     def test_zero_excitation_gives_empty_stream(self):
@@ -173,6 +214,12 @@ class TestRunLifetime:
         assert result.pvalue > 0.01
         assert abs(np.mean(delays) - t1) / t1 < 0.02
 
+    def test_window_too_long_for_block_sort_rejected(self):
+        seq = PulseSequence(t_pulse=1e-6, t_coll=6e5, t_rep=7e5, n_shots=1)
+        cfg = dataclasses.replace(scenarios.lifetime_config(n_shots=1), sequence=seq)
+        with pytest.raises(InvalidParameterError):
+            run_lifetime(cfg)
+
     def test_streams_validate(self):
         for enhanced in (True, False):
             cfg = scenarios.lifetime_config(seed=6, n_shots=20_000, enhanced=enhanced)
@@ -182,28 +229,54 @@ class TestRunLifetime:
 
 class TestDeterminism:
     def test_repeat_runs_identical(self):
-        cfg = scenarios.lifetime_config(seed=42, n_shots=30_000)
+        cfg = with_shots(
+            scenarios.background_g2_config(seed=42),
+            3 * BLOCK_SHOTS + 5,
+            dark_rate=1e5,
+            dead_time=200e-9,
+        )
         a = run_lifetime(cfg)
         b = run_lifetime(cfg)
-        assert np.array_equal(a.shot_indices, b.shot_indices)
-        assert np.array_equal(a.times_ns, b.times_ns)
+        assert a.shot_indices.tobytes() == b.shot_indices.tobytes()
+        assert a.times_ns.tobytes() == b.times_ns.tobytes()
+        assert a.metadata == b.metadata
 
-    def test_sample_shot_composes_to_run_lifetime(self):
-        cfg = scenarios.lifetime_config(seed=9, n_shots=2000)
-        stream = run_lifetime(cfg)
-        ctx = _RunContext(cfg)
-        laser = cfg.single_frequency()
-        manual = []
-        for k in range(cfg.sequence.n_shots):
-            for t in _sample_clicks(ctx, laser, [0.0], shot_stream(cfg.master_seed, k)):
-                manual.append((k, t))
-        got = list(zip(stream.shot_indices.tolist(), stream.times_ns.tolist()))
-        assert manual == got
+    def test_block_sampled_alone_matches_run(self):
+        # dark counts, multi-click shots and dead time; the last block is partial
+        n = 3 * BLOCK_SHOTS + 5
+        for base in (
+            scenarios.background_g2_config(seed=9),
+            scenarios.g2_config(Poissonian(2.0), seed=9),
+        ):
+            cfg = with_shots(base, n, dark_rate=1e5, dead_time=200e-9)
+            full = run_lifetime(cfg)
+            for first in range(0, n, BLOCK_SHOTS):
+                size = min(BLOCK_SHOTS, n - first)
+                alone = run_ple_scan(with_shots(cfg, size), start_shot=first).points[0].stream
+                rows = (full.shot_indices >= first) & (full.shot_indices < first + size)
+                assert len(alone) > 0
+                assert np.array_equal(alone.shot_indices, full.shot_indices[rows] - first)
+                assert np.array_equal(alone.times_ns, full.times_ns[rows])
+
+    def test_scan_session_never_reuses_a_block_key(self, monkeypatch):
+        firsts = []
+
+        def recording(master_seed, first_shot):
+            firsts.append(first_shot)
+            return block_stream(master_seed, first_shot)
+
+        monkeypatch.setattr(engine, "block_stream", recording)
+        n = BLOCK_SHOTS + 7
+        cfg = scenarios.linewidth_session_config(repeats=3, n_shots=n, points=4)
+        run_scan_session(cfg)
+        # 3 scans x 4 points, two blocks per point, shots counted globally
+        assert firsts == [c * n + o for c in range(12) for o in (0, BLOCK_SHOTS)]
 
     def test_metadata_carries_digest(self):
         cfg = scenarios.lifetime_config(seed=3, n_shots=10)
         stream = run_lifetime(cfg)
         assert stream.metadata["config_digest"] == config_digest(cfg)
+        assert stream.metadata["stream_layout"] == STREAM_LAYOUT
 
 
 class TestDeadTime:
@@ -223,6 +296,29 @@ class TestDeadTime:
         gaps = np.diff(stream.times_ns)[same]
         assert len(gaps) > 100
         assert gaps.min() >= 500
+
+    def test_matches_sequential_greedy_filter(self):
+        # dead time draws no randomness, so the run without it gives the
+        # clicks before the filter
+        dead_ns = 500
+        cfg = ExperimentConfig(
+            emitter=scenarios.emitter(p_max=0.5),
+            cavity=scenarios.cavity(),
+            detector=DetectorModel(dark_rate=300_000.0),
+            sequence=PulseSequence(**scenarios.PULSE_TIMING, n_shots=2 * BLOCK_SHOTS + 3),
+            laser_frequency=scenarios.NU0,
+            master_seed=8,
+        )
+        raw = run_lifetime(cfg)
+        filtered = run_lifetime(with_shots(cfg, cfg.sequence.n_shots, dead_time=dead_ns * 1e-9))
+        expected = []
+        for shot, t in zip(raw.shot_indices.tolist(), raw.times_ns.tolist()):
+            if expected and expected[-1][0] == shot and t - expected[-1][1] < dead_ns:
+                continue
+            expected.append((shot, t))
+        got = list(zip(filtered.shot_indices.tolist(), filtered.times_ns.tolist()))
+        assert len(expected) < len(raw)
+        assert got == expected
 
     def test_validator_flags_dead_time_violation(self):
         seq = PulseSequence(**scenarios.PULSE_TIMING, n_shots=10)
@@ -347,6 +443,19 @@ class TestRunG2:
         stream = run_lifetime(cfg)
         assert len(stream) / cfg.sequence.n_shots == pytest.approx(0.5, rel=0.03)
         validate_click_stream(stream)
+
+
+    def test_poissonian_with_darks_and_dead_time_validates(self):
+        cfg = with_shots(
+            scenarios.g2_config(Poissonian(2.0), seed=205),
+            2 * BLOCK_SHOTS + 1,
+            efficiency=0.6,
+            dark_rate=5e4,
+            dead_time=300e-9,
+        )
+        stream = run_lifetime(cfg)
+        validate_click_stream(stream, cfg.detector.dead_time)
+        assert np.any(np.diff(stream.shot_indices) == 0)
 
 
 @settings(max_examples=25)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ersim.errors import InvalidParameterError
-from ersim.rng import ShotStreams, diffusion_stream, shot_stream
+from ersim.rng import block_stream, diffusion_stream
 
 
 def _draws(gen, n=8):
@@ -10,63 +10,43 @@ def _draws(gen, n=8):
 
 
 def test_same_key_reproduces():
-    assert _draws(shot_stream(42, 7)) == _draws(shot_stream(42, 7))
+    assert _draws(block_stream(42, 7)) == _draws(block_stream(42, 7))
 
 
 def test_distinct_shots_differ():
-    assert _draws(shot_stream(42, 7)) != _draws(shot_stream(42, 8))
+    assert _draws(block_stream(42, 7)) != _draws(block_stream(42, 8))
 
 
 def test_distinct_seeds_differ():
-    assert _draws(shot_stream(42, 7)) != _draws(shot_stream(43, 7))
+    assert _draws(block_stream(42, 7)) != _draws(block_stream(43, 7))
 
 
 def test_shot_order_is_irrelevant():
-    forward = [_draws(shot_stream(1, k), 3) for k in range(20)]
-    backward = [_draws(shot_stream(1, k), 3) for k in reversed(range(20))]
+    forward = [_draws(block_stream(1, k), 3) for k in range(20)]
+    backward = [_draws(block_stream(1, k), 3) for k in reversed(range(20))]
     assert forward == backward[::-1]
 
 
 def test_diffusion_stream_separate_from_shots():
     d = _draws(diffusion_stream(42, 0))
-    assert d != _draws(shot_stream(42, 0))
+    assert d != _draws(block_stream(42, 0))
     assert d == _draws(diffusion_stream(42, 0))
     assert d != _draws(diffusion_stream(42, 1))
 
 
-def test_rekeyed_streams_match_fresh_generators():
-    streams = ShotStreams(99)
-    for shot in [0, 1, 5, 12345, 2**40]:
-        fast = streams.for_shot(shot)
-        got = [fast.random(), fast.exponential(2.0), float(fast.poisson(3.0)),
-               fast.standard_normal()]
-        ref = shot_stream(99, shot)
-        want = [ref.random(), ref.exponential(2.0), float(ref.poisson(3.0)),
-                ref.standard_normal()]
-        assert got == want
-
-
-def test_rekey_resets_buffered_state():
-    streams = ShotStreams(5)
-    gen = streams.for_shot(3)
-    gen.random()  # leave the Philox output buffer partially consumed
-    again = streams.for_shot(3)
-    assert again.random() == shot_stream(5, 3).random()
-
-
 def test_bounds_checked():
     with pytest.raises(InvalidParameterError):
-        shot_stream(-1, 0)
+        block_stream(-1, 0)
     with pytest.raises(InvalidParameterError):
-        shot_stream(2**64, 0)
+        block_stream(2**64, 0)
     with pytest.raises(InvalidParameterError):
-        shot_stream(1, -1)
+        block_stream(1, -1)
     with pytest.raises(InvalidParameterError):
         diffusion_stream(1, -2)
 
 
 def test_uniformity_smoke():
-    gen = shot_stream(123, 0)
+    gen = block_stream(123, 0)
     sample = gen.random(20_000)
     assert abs(sample.mean() - 0.5) < 0.01
     assert np.all(sample >= 0) and np.all(sample < 1)
