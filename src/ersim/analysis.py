@@ -27,8 +27,10 @@ def histogram_arrivals(stream: ClickStream, bin_width: float) -> DecayHistogram:
     _require(bw_ns >= 1, "bin_width must be at least 1 ns")
     seq = stream.sequence
     n_bins = -(-seq.t_coll_ns // bw_ns)
-    delays_ns = stream.times_ns - seq.t_pulse_ns
-    idx = (delays_ns + bw_ns - 1) // bw_ns - 1
+    # bin index ceil(delay / bw) - 1, computed in place on one array
+    idx = stream.times_ns - (seq.t_pulse_ns - bw_ns + 1)
+    idx //= bw_ns
+    idx -= 1
     np.clip(idx, 0, None, out=idx)
     counts = np.bincount(idx, minlength=n_bins)
     edges = np.arange(n_bins + 1) * (bw_ns * 1e-9)
@@ -59,8 +61,9 @@ def pulsed_g2(stream: ClickStream, max_offset: int) -> CorrelationHistogram:
     shot_pairs = n_shots - np.abs(offsets).astype(np.int64)
     shot_pairs[k] = n_shots
     if len(stream) >= 2:
-        counts = np.bincount(stream.shot_indices, minlength=n_shots).astype(np.int64)
-        coincidences[k] = int(np.sum(counts * (counts - 1)))
+        counts = np.bincount(stream.shot_indices, minlength=n_shots)
+        # sum of c (c - 1) over shots, exact in int64 without temporaries
+        coincidences[k] = int(np.dot(counts, counts)) - len(stream)
         for d in range(1, k + 1):
             v = int(np.dot(counts[:-d], counts[d:]))
             coincidences[k + d] = v

@@ -1,10 +1,12 @@
 """Spectral-diffusion state and its stochastic evolution.
 
 The fast component follows an exact Ornstein-Uhlenbeck update over an
-arbitrary step dt, the slow component a Gaussian random walk.  Every update
-consumes exactly two standard normals (fast first, then slow) even when a
-component is switched off, so a serially evolved state and a pre-generated
-trajectory built from the same stream are bit-identical.
+arbitrary step dt, the slow component a Gaussian random walk.  Every serial
+update consumes exactly two standard normals (fast first, then slow) even when
+a component is switched off, and a pre-generated trajectory built from the
+same stream is bit-identical to it.  A static emitter (both components off)
+keeps its offsets whatever is drawn, so its trajectory draws nothing; its
+states still equal the serial ones bit for bit, only the stream is not advanced.
 """
 
 from __future__ import annotations
@@ -95,6 +97,12 @@ def generate_trajectory(
         raise InvalidParameterError("n_steps must be >= 0")
     if n_steps == 0:
         return DiffusionTrajectory(np.empty(0), np.empty(0), state)
+    walls_next = np.cumsum(np.concatenate(([state.wall_time], np.full(n_steps, dt))))[1:]
+    if params.sigma_fast == 0.0 and params.sigma_slow_rate == 0.0:
+        final = DiffusionState(state.nu_offset_fast, state.nu_offset_slow, float(walls_next[-1]))
+        return DiffusionTrajectory(
+            np.full(n_steps, state.nu_offset_fast), np.full(n_steps, state.nu_offset_slow), final
+        )
     draws = rng.standard_normal(2 * n_steps).reshape(n_steps, 2)
     a, c = _ou_coefficients(dt, params)
     # AR(1) recurrence x[k] = a x[k-1] + c z[k]; lfilter reproduces the serial
@@ -104,7 +112,6 @@ def generate_trajectory(
     # cumsum seeded with the incoming value is the same left fold as a serial
     # loop, keeping the pre-generated path bit-identical to evolve_diffusion.
     slow_next = np.cumsum(np.concatenate(([state.nu_offset_slow], walk_scale * draws[:, 1])))[1:]
-    walls_next = np.cumsum(np.concatenate(([state.wall_time], np.full(n_steps, dt))))[1:]
 
     fast = np.concatenate(([state.nu_offset_fast], fast_next[:-1]))
     slow = np.concatenate(([state.nu_offset_slow], slow_next[:-1]))

@@ -47,6 +47,7 @@ from .rng import block_stream, diffusion_stream
 
 STREAM_LAYOUT = 2         # version of the random-stream layout described above
 BLOCK_SHOTS = 2**14       # shots per sampling block; fixed by the layout
+_CHUNK = 1 << 20          # records per pass window over a click stream (here and in streamfile)
 
 
 def _to_ns(t_seconds: float) -> int:
@@ -224,14 +225,28 @@ def validate_click_stream(stream: ClickStream, dead_time: float = 0.0) -> None:
         raise StreamInvariantError("click after the collection window")
     if hi > seq.t_rep_ns:
         raise StreamInvariantError("collection window extends past the repetition period")
-    d_shot = np.diff(shots)
-    if np.any(d_shot < 0):
-        raise StreamInvariantError("records not sorted by shot index")
-    d_t = np.diff(times)[d_shot == 0]
-    if np.any(d_t < 0):
-        raise StreamInvariantError("records not sorted by time within shot")
+    # Ordering and dead time from adjacent differences, in windows of _CHUNK + 1
+    # records that overlap by one, through one reused buffer.  The time verdicts
+    # wait for the whole shot-ordering pass so that the messages keep their order.
     dead_ns = _to_ns(dead_time)
-    if dead_ns > 0 and np.any(d_t < dead_ns):
+    n_pairs = len(stream) - 1
+    diff = np.empty(min(n_pairs, _CHUNK), dtype=np.int64)
+    times_unsorted = too_close = False
+    for start in range(0, n_pairs, _CHUNK):
+        stop = min(start + _CHUNK, n_pairs)
+        d = diff[: stop - start]
+        np.subtract(shots[start + 1 : stop + 1], shots[start:stop], out=d)
+        if d.min() < 0:
+            raise StreamInvariantError("records not sorted by shot index")
+        new_shot = d > 0
+        np.subtract(times[start + 1 : stop + 1], times[start:stop], out=d)
+        np.copyto(d, np.iinfo(np.int64).max, where=new_shot)
+        closest = d.min()
+        times_unsorted |= closest < 0
+        too_close |= closest < dead_ns
+    if times_unsorted:
+        raise StreamInvariantError("records not sorted by time within shot")
+    if dead_ns > 0 and too_close:
         raise StreamInvariantError("clicks closer than the detector dead time")
 
 

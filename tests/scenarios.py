@@ -1,8 +1,17 @@
-"""Shared simulation scenarios and calibrated constants for the test suite."""
+"""Shared simulation scenarios, calibrated constants and stream fixtures for the test suite."""
+
+import tracemalloc
 
 import numpy as np
 
-from ersim.engine import ExperimentConfig, NEmitters, Poissonian, PulseSequence, SingleEmitter
+from ersim.engine import (
+    ClickStream,
+    ExperimentConfig,
+    NEmitters,
+    Poissonian,
+    PulseSequence,
+    SingleEmitter,
+)
 from ersim.physics import CavityModel, DetectorModel, EmitterModel, SpectralDiffusionParams
 
 NU0 = 195.6e12
@@ -115,3 +124,27 @@ def linewidth_session_config(
         scan_repeats=repeats,
         scan_dwell=dwell,
     )
+
+
+def paired_stream(n_records):
+    """A valid stream of n_records clicks in the PULSE_TIMING window, two per shot.
+
+    Record 0 is alone in shot 0; records 2k - 1 and 2k share shot k, the
+    second 500 ns after the first.  So records 2**20 - 1 and 2**20 share a shot.
+    """
+    i = np.arange(n_records)
+    shots = (i + 1) // 2
+    times = 1000 + (shots * 7919) % 19_000 + ((i + 1) % 2) * 500
+    seq = PulseSequence(**PULSE_TIMING, n_shots=int(shots[-1]) + 1)
+    return ClickStream(shots, times, seq)
+
+
+def traced_peak(fn, *args):
+    """Return fn(*args) and the peak of memory traced by tracemalloc during the call, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

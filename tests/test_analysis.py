@@ -161,6 +161,33 @@ class TestPulsedG2:
         hist = pulsed_g2(stream_from_counts(counts, rng), min(k, n_shots - 1))
         assert np.array_equal(hist.coincidences, hist.coincidences[::-1])
 
+    def test_zero_offset_counts_ordered_pairs_exactly(self):
+        rng = np.random.default_rng(55)
+        counts = rng.poisson(3.0, size=10_000)
+        hist = pulsed_g2(stream_from_counts(counts, rng), 2)
+        assert hist.coincidences[2] == int(np.sum(counts * (counts - 1)))
+
+
+class TestMemoryBounds:
+    """tracemalloc peaks on about 2e6 records: one array of the stream's or shots' length."""
+
+    N_RECORDS = 2_000_000
+    MiB = 2**20
+
+    def test_histogram_holds_one_index_per_record(self):
+        stream = scenarios.paired_stream(self.N_RECORDS)
+        hist, peak = scenarios.traced_peak(histogram_arrivals, stream, 312e-9)
+        assert hist.counts.sum() == self.N_RECORDS
+        assert peak <= 8 * self.N_RECORDS + self.MiB
+
+    def test_pulsed_g2_holds_one_count_per_shot(self):
+        stream = scenarios.paired_stream(self.N_RECORDS)
+        n_shots = stream.sequence.n_shots
+        hist, peak = scenarios.traced_peak(pulsed_g2, stream, 30)
+        counts = np.bincount(stream.shot_indices)
+        assert hist.coincidences[30] == int(np.sum(counts * (counts - 1)))
+        assert peak <= 8 * n_shots + self.MiB
+
 
 class TestDarkCountFloor:
     def test_no_dark_counts_no_floor(self):

@@ -119,3 +119,22 @@ def test_empty_trajectory():
     )
     assert len(traj.fast) == 0
     assert traj.final == DiffusionState(1.0, 2.0, 3.0)
+
+
+def test_static_trajectory_equals_serial_evolution_without_draws():
+    params = SpectralDiffusionParams()
+    n = 1000
+    dt = 60e-6  # wall time accumulates rounding, so the fold order shows
+    start = DiffusionState(3.0, -2.0, 1.5)
+    rng = diffusion_stream(4, 0)
+    traj = generate_trajectory(start, n, dt, params, rng)
+    state = start
+    serial_rng = diffusion_stream(4, 0)
+    for k in range(n):
+        assert traj.fast[k] == state.nu_offset_fast
+        assert traj.slow[k] == state.nu_offset_slow
+        state = evolve_diffusion(state, dt, params, serial_rng)
+    assert traj.final == state
+    assert state.wall_time != 1.5 + n * dt  # a different fold would not match
+    # nothing was drawn: the stream is where a fresh one starts
+    assert rng.standard_normal() == diffusion_stream(4, 0).standard_normal()

@@ -356,6 +356,52 @@ class TestValidator:
             validate_click_stream(ClickStream([100], [2000], self.seq))
 
 
+class TestValidatorWindows:
+    """The validator's 2**20-pair windows overlap by one record."""
+
+    N = 2**20 + 3
+
+    def columns(self):
+        stream = scenarios.paired_stream(self.N)
+        return stream.shot_indices.copy(), stream.times_ns.copy(), stream.sequence
+
+    def test_valid_stream_accepted(self):
+        validate_click_stream(scenarios.paired_stream(self.N), dead_time=500e-9)
+
+    def test_shot_break_across_the_window_boundary_rejected(self):
+        shots, times, seq = self.columns()
+        shots[2**20 - 1] += 1   # shot k + 1 before shot k
+        with pytest.raises(StreamInvariantError, match="not sorted by shot"):
+            validate_click_stream(ClickStream(shots, times, seq))
+
+    def test_time_break_across_the_window_boundary_rejected(self):
+        shots, times, seq = self.columns()
+        assert shots[2**20 - 1] == shots[2**20]
+        times[[2**20 - 1, 2**20]] = times[[2**20, 2**20 - 1]]
+        with pytest.raises(StreamInvariantError, match="not sorted by time"):
+            validate_click_stream(ClickStream(shots, times, seq))
+
+    def test_dead_time_across_the_window_boundary_rejected(self):
+        shots, times, seq = self.columns()
+        times[2**20] = times[2**20 - 1] + 100   # every other pair is 500 ns apart
+        validate_click_stream(ClickStream(shots, times, seq), dead_time=100e-9)
+        with pytest.raises(StreamInvariantError, match="dead time"):
+            validate_click_stream(ClickStream(shots, times, seq), dead_time=200e-9)
+
+    def test_shot_break_reported_before_an_earlier_time_break(self):
+        shots, times, seq = self.columns()
+        times[[1, 2]] = times[[2, 1]]   # in the first window
+        shots[2**20 - 1] += 1           # a window later, through the overlap
+        with pytest.raises(StreamInvariantError, match="not sorted by shot"):
+            validate_click_stream(ClickStream(shots, times, seq))
+
+    def test_tag_past_the_window_in_the_final_record_rejected(self):
+        shots, times, seq = self.columns()
+        times[-1] = 21_000
+        with pytest.raises(StreamInvariantError, match="after the collection window"):
+            validate_click_stream(ClickStream(shots, times, seq))
+
+
 class TestPleScan:
     def test_static_lorentzian_linewidth_recovered(self):
         gamma_h = 50e6

@@ -1,4 +1,5 @@
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import scenarios
 from ersim.engine import ClickStream, PulseSequence, run_lifetime, validate_click_stream
 from ersim.errors import StreamFormatError
-from ersim.streamfile import read_clickstream, write_clickstream
+from ersim.streamfile import _read_records, read_clickstream, write_clickstream
 
 
 def sample_stream(n_shots=200, seed=3, mean=0.7):
@@ -154,6 +155,11 @@ class TestRejection:
         with pytest.raises(StreamFormatError, match="after the collection window"):
             read_clickstream(path)
 
+    def test_short_read_of_the_records_rejected(self):
+        # a file that shrinks after its size was checked
+        with pytest.raises(StreamFormatError, match="truncated"):
+            _read_records(io.BytesIO(bytes(16 * 3 - 1)), 3)
+
     def test_unwritable_sequence_rejected(self, tmp_path):
         seq = PulseSequence(1e-6, 20e-6, 60e-6 + 0.4e-9, 5)
         with pytest.raises(StreamFormatError, match="nanosecond"):
@@ -189,3 +195,81 @@ class TestFuzzing:
             read_clickstream(path)
         except StreamFormatError:
             pass
+
+
+CHUNK = 2**20           # records per I/O chunk and validator window
+BOUNDARY_RECORDS = CHUNK + 3
+MiB = 2**20
+
+
+def record_offset(k):
+    return 38 + 16 * k
+
+
+class TestChunkBoundaries:
+    """A stream of 2**20 + 3 records: one full chunk and a partial one."""
+
+    @pytest.fixture(scope="class")
+    def boundary_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("chunks") / "boundary.ertt"
+        write_clickstream(scenarios.paired_stream(BOUNDARY_RECORDS), path)
+        return path
+
+    def patched(self, boundary_file, tmp_path, edit):
+        data = bytearray(boundary_file.read_bytes())
+        edit(data)
+        path = tmp_path / "patched.ertt"
+        path.write_bytes(bytes(data))
+        return path
+
+    def test_roundtrip_is_byte_exact(self, boundary_file, tmp_path):
+        stream = read_clickstream(boundary_file)
+        assert len(stream) == BOUNDARY_RECORDS
+        expected = scenarios.paired_stream(BOUNDARY_RECORDS)
+        assert np.array_equal(stream.shot_indices, expected.shot_indices)
+        assert np.array_equal(stream.times_ns, expected.times_ns)
+        second = tmp_path / "again.ertt"
+        write_clickstream(stream, second)
+        assert digest(second) == digest(boundary_file)
+
+    def test_sort_break_across_the_chunk_boundary_rejected(self, boundary_file, tmp_path):
+        def swap(data):
+            a, b = record_offset(CHUNK - 1), record_offset(CHUNK)
+            data[a : a + 16], data[b : b + 16] = data[b : b + 16], data[a : a + 16]
+
+        with pytest.raises(StreamFormatError, match="sorted"):
+            read_clickstream(self.patched(boundary_file, tmp_path, swap))
+
+    def test_out_of_range_field_in_the_last_partial_chunk_rejected(self, boundary_file, tmp_path):
+        def huge_last_shot(data):
+            a = record_offset(BOUNDARY_RECORDS - 1)
+            data[a : a + 8] = (2**62).to_bytes(8, "little")
+
+        with pytest.raises(StreamFormatError, match="supported range"):
+            read_clickstream(self.patched(boundary_file, tmp_path, huge_last_shot))
+
+    def test_tag_past_the_window_in_the_final_record_rejected(self, boundary_file, tmp_path):
+        def late_last_time(data):
+            a = record_offset(BOUNDARY_RECORDS - 1) + 8
+            data[a : a + 8] = (21_000).to_bytes(8, "little")
+
+        with pytest.raises(StreamFormatError, match="after the collection window"):
+            read_clickstream(self.patched(boundary_file, tmp_path, late_last_time))
+
+
+class TestMemoryBounds:
+    """tracemalloc peaks on about 2e6 records: the columns plus bounded buffers."""
+
+    N_RECORDS = 2_000_000
+
+    def test_read_holds_the_columns_and_at_most_two_chunk_buffers(self, tmp_path):
+        path = tmp_path / "m.ertt"
+        write_clickstream(scenarios.paired_stream(self.N_RECORDS), path)
+        stream, peak = scenarios.traced_peak(read_clickstream, path)
+        assert len(stream) == self.N_RECORDS
+        assert peak <= 16 * self.N_RECORDS + 2 * 16 * CHUNK
+
+    def test_write_holds_at_most_one_chunk_buffer(self, tmp_path):
+        stream = scenarios.paired_stream(self.N_RECORDS)
+        _, peak = scenarios.traced_peak(write_clickstream, stream, tmp_path / "m.ertt")
+        assert peak <= 16 * CHUNK + MiB
