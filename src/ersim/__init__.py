@@ -41,7 +41,6 @@ from .physics import (
     EmitterModel,
     SpectralDiffusionParams,
     cavity_branching_fraction,
-    cavity_fwhm_from_q,
     enhanced_decay_rate,
     excitation_probability,
     lorentzian,

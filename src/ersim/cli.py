@@ -89,16 +89,11 @@ def _cmd_simulate(args) -> int:
         print(f"wrote {len(scans)} scan(s) to {out}")
         return EXIT_OK
 
-    if args.experiment == "lifetime":
-        stream = run_lifetime(config)
-        write_clickstream(stream, out / "clicks.ertt")
-        hist = histogram_arrivals(stream, _lifetime_bin_width(config.sequence.t_coll))
-        write_decay_histogram_csv(hist, out / "decay_histogram.csv")
-        print(f"{len(stream)} clicks in {config.sequence.n_shots} shots -> {out}")
-        return EXIT_OK
-
     stream = run_lifetime(config)
     write_clickstream(stream, out / "clicks.ertt")
+    if args.experiment == "lifetime":
+        hist = histogram_arrivals(stream, _lifetime_bin_width(config.sequence.t_coll))
+        write_decay_histogram_csv(hist, out / "decay_histogram.csv")
     print(f"{len(stream)} clicks in {config.sequence.n_shots} shots -> {out}")
     return EXIT_OK
 

@@ -29,10 +29,6 @@ class DiffusionState:
     nu_offset_slow: float = 0.0
     wall_time: float = 0.0
 
-    @property
-    def total_offset(self) -> float:
-        return self.nu_offset_fast + self.nu_offset_slow
-
 
 def _ou_coefficients(dt: float, params: SpectralDiffusionParams) -> tuple[float, float]:
     """Return (decay factor a, innovation scale c) for the fast OU update."""
@@ -98,7 +94,7 @@ def generate_trajectory(
     if n_steps == 0:
         return DiffusionTrajectory(np.empty(0), np.empty(0), state)
     walls_next = np.cumsum(np.concatenate(([state.wall_time], np.full(n_steps, dt))))[1:]
-    if params.sigma_fast == 0.0 and params.sigma_slow_rate == 0.0:
+    if params.is_static:
         final = DiffusionState(state.nu_offset_fast, state.nu_offset_slow, float(walls_next[-1]))
         return DiffusionTrajectory(
             np.full(n_steps, state.nu_offset_fast), np.full(n_steps, state.nu_offset_slow), final

@@ -42,7 +42,16 @@ import numpy as np
 
 from .diffusion import DiffusionState, DiffusionTrajectory, evolve_diffusion, generate_trajectory
 from .errors import InvalidParameterError, StreamInvariantError
-from .physics import CavityModel, DetectorModel, EmitterModel, _require
+from .physics import (
+    CavityModel,
+    DetectorModel,
+    EmitterModel,
+    _require,
+    cavity_branching_fraction,
+    enhanced_decay_rate,
+    excitation_probability,
+    purcell_profile,
+)
 from .rng import block_stream, diffusion_stream
 
 STREAM_LAYOUT = 2         # version of the random-stream layout described above
@@ -181,8 +190,7 @@ def config_digest(config: ExperimentConfig) -> str:
 class ClickStream:
     """Time-tagged detector clicks, ordered by (shot index, time within shot).
 
-    Times are integer nanoseconds from the start of the shot; the float-second
-    view is available as ``times_s``.
+    Times are integer nanoseconds from the start of the shot.
     """
 
     shot_indices: np.ndarray     # int64, nondecreasing
@@ -198,10 +206,6 @@ class ClickStream:
 
     def __len__(self) -> int:
         return len(self.times_ns)
-
-    @property
-    def times_s(self) -> np.ndarray:
-        return self.times_ns * 1e-9
 
     def delays_s(self) -> np.ndarray:
         """Click delays relative to the end of the excitation pulse (s)."""
@@ -284,15 +288,14 @@ def _sample_block(config: ExperimentConfig, laser_hz: float, offsets, n: int, rn
     times = []
     for em, off in zip(config.resolved_emitters(), offsets):
         nu = em.nu_ion_0 + off
-        d = laser_hz - nu
-        h2 = (0.5 * em.gamma_h) ** 2
-        excited = np.flatnonzero(rng.random(n) < h2 / (h2 + d * d) * em.p_max)
-        dc = 2.0 * (nu[excited] - cavity.nu_cav) / cavity.fwhm
-        purcell = cavity.p_peak / (1.0 + dc * dc)
-        late_ns = rng.exponential(1.0 / (em.gamma_0 * (1.0 + purcell))) * 1e9
+        p_exc = excitation_probability(laser_hz - nu, em.gamma_h, em.p_max)
+        excited = np.flatnonzero(rng.random(n) < p_exc)
+        purcell = purcell_profile(nu[excited] - cavity.nu_cav, cavity.p_peak, cavity.fwhm)
+        late_ns = rng.exponential(1.0 / enhanced_decay_rate(em.gamma_0, purcell)) * 1e9
         u_det = rng.random(len(excited))
+        p_det = cavity_branching_fraction(purcell) * detector.efficiency
         # late_ns < t_coll_ns is int(late_ns) < t_coll_ns, tested before the cast
-        hit = (late_ns < t_coll_ns) & (u_det < purcell / (purcell + 1.0) * detector.efficiency)
+        hit = (late_ns < t_coll_ns) & (u_det < p_det)
         shots.append(excited[hit])
         times.append(t_pulse_ns + late_ns[hit].astype(np.int64))
     if isinstance(config.source, Poissonian):

@@ -14,17 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physics import _require
+from .physics import _require, lorentzian
 from .records import DecayHistogram, Spectrum
 
 _LN2x4 = 4.0 * math.log(2.0)
+_XTOL = 1e-12   # convergence: relative step in the internal parameters
+_FTOL = 1e-12   # convergence: relative decrease of the cost
 
 
 def lorentzian_peak(x, params):
     """baseline + amplitude * (fwhm/2)^2 / ((x-center)^2 + (fwhm/2)^2)."""
     center, fwhm, amplitude, baseline = params
-    half2 = (0.5 * fwhm) ** 2
-    return baseline + amplitude * half2 / ((x - center) ** 2 + half2)
+    return lorentzian(x, center, fwhm, amplitude, baseline)
 
 
 def lorentzian_peak_jacobian(x, params):
@@ -117,9 +118,6 @@ class FitResult:
     status: str = "ok"
     covariance: np.ndarray | None = None
 
-    def names(self) -> tuple:
-        return tuple(p.name for p in self.parameters)
-
     def value(self, name: str) -> float:
         for p in self.parameters:
             if p.name == name:
@@ -188,8 +186,6 @@ def levenberg_marquardt(
     weights=None,
     log_mask=None,
     max_iterations=200,
-    xtol=1e-12,
-    ftol=1e-12,
 ):
     """Minimize sum w (model(x, p) - y)^2 and return (p, cov, rss, iters, converged).
 
@@ -236,8 +232,8 @@ def levenberg_marquardt(
         r_try, J_try = residual_and_jac(u_try)
         cost_try = float(r_try @ r_try)
         if np.isfinite(cost_try) and cost_try <= cost:
-            small_step = np.all(np.abs(step) <= xtol * (np.abs(u) + xtol))
-            small_decrease = (cost - cost_try) <= ftol * max(cost, 1e-300)
+            small_step = np.all(np.abs(step) <= _XTOL * (np.abs(u) + _XTOL))
+            small_decrease = (cost - cost_try) <= _FTOL * max(cost, 1e-300)
             u, r, J, cost = u_try, r_try, J_try, cost_try
             lam = max(lam * 0.3, 1e-14)
             if small_step or small_decrease:
@@ -304,11 +300,8 @@ def fit_gaussian(spectrum: Spectrum) -> FitResult:
 def fit_lorentzian(spectrum: Spectrum) -> FitResult:
     """Least-squares Lorentzian fit, plus the derived quality factor center/fwhm."""
     result = _fit_peak("lorentzian", spectrum)
-    try:
-        center = result.value("center")
-        fwhm = result.value("fwhm")
-    except KeyError:  # pragma: no cover - parameters always present
-        return result
+    center = result.value("center")
+    fwhm = result.value("fwhm")
     q = center / fwhm if fwhm else float("nan")
     sigma_q = float("nan")
     if result.converged and result.covariance is not None and fwhm:

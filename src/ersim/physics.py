@@ -2,7 +2,8 @@
 
 All functions are pure and operate in SI units: frequencies in Hz, rates in
 1/s, times in s.  Frequencies are absolute; conversion to wavelength or
-detuning happens only in the reporting layer.
+detuning happens only in the reporting layer.  Each relation is defined once
+here: the engine samples through them and the fits use ``lorentzian``.
 """
 
 from __future__ import annotations
@@ -108,13 +109,6 @@ def lorentzian(nu, center, fwhm, amplitude=1.0, baseline=0.0):
     return baseline + amplitude * half**2 / ((np.asarray(nu) - center) ** 2 + half**2)
 
 
-def cavity_fwhm_from_q(nu_cav: float, q_factor: float) -> float:
-    """Cavity linewidth kappa = nu_cav / Q."""
-    _require(q_factor > 0, "q_factor must be > 0")
-    _require(nu_cav > 0, "nu_cav must be > 0")
-    return nu_cav / q_factor
-
-
 def purcell_profile(delta, p_peak: float, kappa: float):
     """Purcell factor at emitter-cavity detuning delta.
 
@@ -164,11 +158,6 @@ def cavity_branching_fraction(p) -> float:
     p = np.asarray(p, dtype=float)
     _require(np.all(p >= 0), "purcell factor must be >= 0")
     return p / (p + 1.0)
-
-
-def wavelength_to_frequency(wavelength_m: float) -> float:
-    _require(wavelength_m > 0, "wavelength must be > 0")
-    return SPEED_OF_LIGHT / wavelength_m
 
 
 def frequency_to_wavelength(frequency_hz: float) -> float:

@@ -56,10 +56,6 @@ class DecayHistogram:
         _require(self.total_shots >= 0, "total_shots must be >= 0")
 
     @property
-    def bin_width(self) -> float:
-        return float(self.bin_edges[1] - self.bin_edges[0])
-
-    @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
@@ -121,6 +117,3 @@ class CorrelationHistogram:
         zero = np.nonzero(self.offsets == 0)[0][0]
         n0 = float(self.coincidences[zero])
         return float(np.sqrt(max(n0, 1.0)) / (self.shot_pairs[zero] * self.normalization))
-
-    def delays_s(self) -> np.ndarray:
-        return self.offsets * self.t_rep

@@ -31,7 +31,7 @@ from ersim.engine import (
     validate_click_stream,
 )
 from ersim.fitting import fit_exponential, fit_lorentzian, lorentzian_peak
-from ersim.physics import radiative_linewidth, wavelength_to_frequency
+from ersim.physics import SPEED_OF_LIGHT, radiative_linewidth
 from ersim.records import Spectrum
 from ersim.reporting import generate_report, write_fit_csv
 from ersim.streamfile import read_clickstream, write_clickstream
@@ -119,7 +119,7 @@ def test_criterion_1_purcell_arithmetic():
 
 
 def test_criterion_2_cavity_lorentzian_refit():
-    nu0 = wavelength_to_frequency(1532.8e-9)
+    nu0 = SPEED_OF_LIGHT / 1532.8e-9
     q_true = 4.14e4
     fwhm_true = nu0 / q_true
     rng = np.random.default_rng(scenarios.ACCEPTANCE_SEED)

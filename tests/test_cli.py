@@ -275,3 +275,75 @@ class TestReport:
         (work / "g2.csv").write_text("offset_shots,delay_s\n0,0.0\n")
         assert main(["report", "--in", str(work), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "g2.csv" in capsys.readouterr().err
+
+
+# Emitter 2 GHz above a cavity of FWHM kappa = 195.6 THz / 48900 = 4 GHz, so
+# every output depends on the Purcell roll-off, P = p_peak / 2.
+DETUNED_G2 = doc("""
+    [emitter]
+    nu_ion_hz = 195602000000000
+    gamma0_per_s = 892.857142857143
+    p_max = 0.4
+    [cavity]
+    nu_cav_thz = 195.6
+    q_factor = 48900
+    p_peak = 460
+    [detector]
+    dark_rate_per_s = 20000
+    dead_time_ns = 200
+    [sequence]
+    n_shots = 49157
+    [seed]
+    master_seed = 7
+""")
+
+DIFFUSING_PLE = doc("""
+    [emitter]
+    gamma_h_mhz = 100
+    p_max = 1.0
+    sigma_fast_mhz = 70
+    tau_fast_s = 0.001
+    sigma_slow_rate_mhz2_per_s = 0.3
+    [cavity]
+    nu_cav_thz = 195.6
+    q_factor = 41400
+    p_peak = 460
+    [sequence]
+    n_shots = 200
+    [scan]
+    center_thz = 195.6
+    span_mhz = 400
+    points = 5
+    repeats = 2
+    dwell_s = 10
+    [seed]
+    master_seed = 11
+""")
+
+
+class TestLayoutDigests:
+    """Stream layout 2 pinned byte for byte.
+
+    A failing digest means the bytes of simulated outputs changed for the same
+    config and seed: a stream-layout change, which must be announced with a
+    new ``STREAM_LAYOUT`` (README, Determinism) and never slip in with a
+    refactor.  The digests were taken with NumPy 2.4; a NumPy release that
+    changes the draws of its Generator methods also changes them.
+    """
+
+    def test_detuned_g2_stream(self, tmp_path):
+        cfg = tmp_path / "g2.ini"
+        cfg.write_text(DETUNED_G2)  # 3 * 2**14 + 5 shots: three full blocks, one partial
+        assert main(["simulate", "g2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert sha(tmp_path / "o" / "clicks.ertt") == (
+            "8ad68148c295293b7c4cba6306c6a5098d1d94a5fd264bf872df2f6e7ddb9485"
+        )
+
+    def test_diffusing_ple_scans(self, tmp_path):
+        cfg = tmp_path / "ple.ini"
+        cfg.write_text(DIFFUSING_PLE)
+        assert main(["simulate", "ple", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert {name: sha(tmp_path / "o" / name) for name in ("scan_000.csv", "scan_001.csv")} == {
+            "scan_000.csv": "f506200b6adf12a0cdfae889fcc79b7080e3ca772384ce98daad30fa0931b1e6",
+            "scan_001.csv": "346b961b83e01f4a6f6b07aa838a7ac90d0fba5fb5fe1db1536bfd5923afb131",
+        }

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import scenarios
 from ersim import engine
-from ersim.analysis import pulsed_g2, spectrum_from_scan
+from ersim.analysis import histogram_arrivals, pulsed_g2, spectrum_from_scan
 from ersim.config import parse_config_file
 from ersim.engine import (
     BLOCK_SHOTS,
@@ -28,7 +28,7 @@ from ersim.engine import (
     validate_click_stream,
 )
 from ersim.errors import InvalidParameterError, StreamInvariantError
-from ersim.fitting import fit_gaussian, fit_lorentzian
+from ersim.fitting import fit_exponential, fit_gaussian, fit_lorentzian
 from ersim.physics import (
     DetectorModel,
     cavity_branching_fraction,
@@ -225,6 +225,42 @@ class TestRunLifetime:
             cfg = scenarios.lifetime_config(seed=6, n_shots=20_000, enhanced=enhanced)
             stream = run_lifetime(cfg)
             validate_click_stream(stream, cfg.detector.dead_time)
+
+
+class TestCavityDetuning:
+    """Emitter half a cavity linewidth from the mode with p_peak = 2, so P = 1.
+
+    The cavity FWHM is 195.6 THz / 48900 = 4 GHz and the emitter sits 2 GHz
+    above it: P = 2 / (1 + (2 * 2 GHz / 4 GHz)^2) = 1 exactly.  The expected
+    values are written out by hand, not computed by ersim.physics, which the
+    engine samples through.  With gamma_0 = 1e5/s the decay rate is
+    gamma_0 (1 + P) = 2e5/s (t1 = 5 us) and half the emission is routed into
+    the cavity channel.
+    """
+
+    def run(self):
+        cfg = ExperimentConfig(
+            emitter=scenarios.emitter(p_max=0.5, nu=195.602e12, gamma_0=1e5),
+            cavity=scenarios.cavity(nu=195.6e12, q=48900.0, p_peak=2.0),
+            detector=DetectorModel(),
+            sequence=PulseSequence(**scenarios.PULSE_TIMING, n_shots=200_000),
+            laser_frequency=195.602e12,
+            master_seed=31,
+        )
+        return run_lifetime(cfg)
+
+    def test_fitted_lifetime_is_half_the_bare_lifetime(self):
+        fit = fit_exponential(histogram_arrivals(self.run(), 0.25e-6))
+        assert fit.converged
+        assert fit.sigma("t1") < 0.02 * 5e-6
+        assert abs(fit.value("t1") - 5e-6) < 4 * fit.sigma("t1")
+
+    def test_clicks_per_shot_match_half_branching(self):
+        n = 200_000
+        # p_max * P/(P+1) * (1 - exp(-t_coll / t1)), t_coll = 20 us, t1 = 5 us
+        expected = 0.5 * 0.5 * (1.0 - math.exp(-4.0))
+        sigma = math.sqrt(expected * (1.0 - expected) / n)
+        assert abs(len(self.run()) / n - expected) < 4 * sigma
 
 
 class TestDeterminism:
