@@ -5,15 +5,20 @@ INI-style text with sections mirroring the experiment config: ``[emitter]``
 ``[detector]``, ``[sequence]``, ``[scan]``, ``[seed]``, ``[source]``.  Every
 physical key carries its unit as a suffix; convenience aliases in laboratory
 units (THz, MHz, us, ns) convert onto the canonical SI keys.  Unknown
-sections or keys are rejected with line diagnostics and a close-match hint.
+sections or keys are rejected with line diagnostics and a close-match hint;
+numbers must be finite.
 
-The canonical serialization uses SI-unit keys only, so parse -> serialize ->
-parse reproduces the configuration exactly.
+One table, ``_SCHEMA``, drives parse and echo: key validation, unit
+conversion, defaults and model construction walk it, and ``serialize_config``
+writes its canonical SI keys in its order, so parse -> serialize -> parse
+reproduces the configuration exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
+import math
 import re
 
 import numpy as np
@@ -24,80 +29,73 @@ from .physics import CavityModel, DetectorModel, EmitterModel, SpectralDiffusion
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z0-9_]+)\s*=\s*(.*)$")
+_EMITTER_RE = re.compile(r"emitter(\.[0-9]+)?")
 
-# key -> (scale to SI, canonical key); canonical keys map onto themselves
-_EMITTER_KEYS = {
-    "nu_ion_hz": (1.0, "nu_ion_hz"),
-    "nu_ion_thz": (1e12, "nu_ion_hz"),
-    "gamma0_per_s": (1.0, "gamma0_per_s"),
-    "gamma_h_hz": (1.0, "gamma_h_hz"),
-    "gamma_h_mhz": (1e6, "gamma_h_hz"),
-    "p_max": (1.0, "p_max"),
-    "sigma_fast_hz": (1.0, "sigma_fast_hz"),
-    "sigma_fast_mhz": (1e6, "sigma_fast_hz"),
-    "tau_fast_s": (1.0, "tau_fast_s"),
-    "sigma_slow_rate_hz2_per_s": (1.0, "sigma_slow_rate_hz2_per_s"),
-    "sigma_slow_rate_mhz2_per_s": (1e12, "sigma_slow_rate_hz2_per_s"),
-}
-_CAVITY_KEYS = {
-    "nu_cav_hz": (1.0, "nu_cav_hz"),
-    "nu_cav_thz": (1e12, "nu_cav_hz"),
-    "q_factor": (1.0, "q_factor"),
-    "p_peak": (1.0, "p_peak"),
-}
-_DETECTOR_KEYS = {
-    "efficiency": (1.0, "efficiency"),
-    "dark_rate_per_s": (1.0, "dark_rate_per_s"),
-    "dead_time_s": (1.0, "dead_time_s"),
-    "dead_time_ns": (1e-9, "dead_time_s"),
-}
-_SEQUENCE_KEYS = {
-    "t_pulse_s": (1.0, "t_pulse_s"),
-    "t_pulse_us": (1e-6, "t_pulse_s"),
-    "t_coll_s": (1.0, "t_coll_s"),
-    "t_coll_us": (1e-6, "t_coll_s"),
-    "t_rep_s": (1.0, "t_rep_s"),
-    "t_rep_us": (1e-6, "t_rep_s"),
-    "n_shots": (None, "n_shots"),
-}
-_SCAN_KEYS = {
-    "frequency_hz": (1.0, "frequency_hz"),
-    "frequency_thz": (1e12, "frequency_hz"),
-    "grid_hz": (None, "grid_hz"),
-    "center_hz": (1.0, "center_hz"),
-    "center_thz": (1e12, "center_hz"),
-    "span_hz": (1.0, "span_hz"),
-    "span_mhz": (1e6, "span_hz"),
-    "points": (None, "points"),
-    "repeats": (None, "repeats"),
-    "dwell_s": (1.0, "dwell_s"),
-}
-_SEED_KEYS = {"master_seed": (None, "master_seed")}
-_SOURCE_KEYS = {
-    "kind": (None, "kind"),
-    "n": (None, "n"),
-    "rate_per_shot": (1.0, "rate_per_shot"),
+# section -> canonical key -> (default, {alias: scale to SI}).  Keys are in
+# the order serialize_config writes them; for [emitter], [cavity], [detector]
+# and [sequence] that is also the field order of the model built from them.
+# An alias map of None marks a key whose text is kept as written; if its
+# default is an int, the text is parsed as an integer where it is used.
+# A default of None means there is none: the scan form keys only.
+_SCHEMA = {
+    "emitter": {
+        "nu_ion_hz": (195.6e12, {"nu_ion_thz": 1e12}),
+        "gamma0_per_s": (1000.0, {}),
+        "gamma_h_hz": (10e6, {"gamma_h_mhz": 1e6}),
+        "p_max": (0.5, {}),
+        "sigma_fast_hz": (0.0, {"sigma_fast_mhz": 1e6}),
+        "tau_fast_s": (0.0, {}),
+        "sigma_slow_rate_hz2_per_s": (0.0, {"sigma_slow_rate_mhz2_per_s": 1e12}),
+    },
+    "cavity": {
+        "nu_cav_hz": (195.6e12, {"nu_cav_thz": 1e12}),
+        "q_factor": (4e4, {}),
+        "p_peak": (400.0, {}),
+    },
+    "detector": {
+        "efficiency": (1.0, {}),
+        "dark_rate_per_s": (0.0, {}),
+        "dead_time_s": (0.0, {"dead_time_ns": 1e-9}),
+    },
+    "sequence": {
+        "t_pulse_s": (1e-6, {"t_pulse_us": 1e-6}),
+        "t_coll_s": (20e-6, {"t_coll_us": 1e-6}),
+        "t_rep_s": (60e-6, {"t_rep_us": 1e-6}),
+        "n_shots": (10_000, None),
+    },
+    "scan": {
+        "frequency_hz": (None, {"frequency_thz": 1e12}),
+        "grid_hz": (None, None),
+        "center_hz": (None, {"center_thz": 1e12}),
+        "span_hz": (None, {"span_mhz": 1e6}),
+        "points": (0, None),
+        "repeats": (1, None),
+        "dwell_s": (0.0, {}),
+    },
+    "seed": {"master_seed": (0, None)},
+    "source": {
+        "kind": ("single", None),
+        "n": (0, None),
+        "rate_per_shot": (0.0, {}),
+    },
 }
 
-_SECTION_SCHEMAS = {
-    "emitter": _EMITTER_KEYS,
-    "cavity": _CAVITY_KEYS,
-    "detector": _DETECTOR_KEYS,
-    "sequence": _SEQUENCE_KEYS,
-    "scan": _SCAN_KEYS,
-    "seed": _SEED_KEYS,
-    "source": _SOURCE_KEYS,
+# section -> accepted key -> (scale to SI, or None for kept text; canonical key)
+_KEYS = {
+    section: {
+        name: (scale, key)
+        for key, (_, aliases) in keys.items()
+        for name, scale in ({key: None} if aliases is None else {key: 1.0, **aliases}).items()
+    }
+    for section, keys in _SCHEMA.items()
 }
 
-_EMITTER_DEFAULTS = {
-    "nu_ion_hz": 195.6e12,
-    "gamma0_per_s": 1000.0,
-    "gamma_h_hz": 10e6,
-    "p_max": 0.5,
-    "sigma_fast_hz": 0.0,
-    "tau_fast_s": 0.0,
-    "sigma_slow_rate_hz2_per_s": 0.0,
-}
+# sections that are one model each, named after their ExperimentConfig field
+_MODELS = {"cavity": CavityModel, "detector": DetectorModel, "sequence": PulseSequence}
+# [source] kind -> source class; each class's fields are named after its keys
+_SOURCE_KINDS = {"single": SingleEmitter, "n_emitters": NEmitters, "poissonian": Poissonian}
+# the [scan] keys that together give an evenly spaced grid
+_WINDOW = {"center_hz", "span_hz", "points"}
 
 
 def _suggest(name: str, candidates) -> str:
@@ -134,23 +132,16 @@ def _tokenize(text: str) -> dict:
     return sections
 
 
-def _section_schema(name: str):
-    base = name.split(".")[0]
-    if base == "emitter" and re.fullmatch(r"emitter(\.[0-9]+)?", name):
-        return _EMITTER_KEYS
-    return _SECTION_SCHEMAS.get(name)
-
-
-def _convert(section: str, schema: dict, entries: dict) -> dict:
+def _convert(section: str, keys: dict, entries: dict) -> dict:
     """Validate keys, apply unit scales, and map aliases to canonical keys."""
     out: dict = {}
     origin: dict = {}
     for key, (raw, lineno) in entries.items():
-        if key not in schema:
+        if key not in keys:
             raise ConfigError(
-                f"unknown key '{key}'" + _suggest(key, schema), section=section, line=lineno
+                f"unknown key '{key}'" + _suggest(key, keys), section=section, line=lineno
             )
-        scale, canonical = schema[key]
+        scale, canonical = keys[key]
         if canonical in out:
             raise ConfigError(
                 f"'{key}' conflicts with '{origin[canonical]}' (same quantity)",
@@ -166,116 +157,102 @@ def _convert(section: str, schema: dict, entries: dict) -> dict:
                 raise ConfigError(
                     f"value for '{key}' is not a number: {raw!r}", section=section, line=lineno
                 ) from None
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"value for '{key}' is not a finite number", section=section, line=lineno
+                )
         out[canonical] = value
         origin[canonical] = key
     return out
 
 
-def _int_value(section: str, values: dict, key: str, default: int) -> int:
+def _value(section: str, values: dict, key: str):
+    """The converted value of ``key``, or its default; integer keys are parsed here."""
+    default, aliases = _SCHEMA[section.split(".")[0]][key]
     if key not in values:
         return default
     raw = values[key]
-    try:
-        return int(str(raw).strip())
-    except ValueError:
-        raise ConfigError(f"value for '{key}' is not an integer: {raw!r}", section=section) from None
+    if aliases is None and isinstance(default, int):
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(f"value for '{key}' is not an integer: {raw!r}", section=section) from None
+    return raw
 
 
-def _build_emitter(section: str, values: dict) -> EmitterModel:
-    merged = {**_EMITTER_DEFAULTS, **values}
+def _resolved(section: str, values: dict) -> list:
+    """The values of a section in schema order, defaults filled in."""
+    return [_value(section, values, key) for key in _SCHEMA[section.split(".")[0]]]
+
+
+def _build(section, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, reporting a parameter violation against ``section``."""
     try:
-        diffusion = SpectralDiffusionParams(
-            sigma_fast=merged["sigma_fast_hz"],
-            tau_fast=merged["tau_fast_s"],
-            sigma_slow_rate=merged["sigma_slow_rate_hz2_per_s"],
-        )
-        return EmitterModel(
-            nu_ion_0=merged["nu_ion_hz"],
-            gamma_0=merged["gamma0_per_s"],
-            gamma_h=merged["gamma_h_hz"],
-            p_max=merged["p_max"],
-            diffusion=diffusion,
-        )
+        return cls(*args, **kwargs)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc), section=section) from exc
 
 
 def _build_scan(values: dict, default_center: float):
-    single_keys = {"frequency_hz"} & values.keys()
-    grid_keys = {"grid_hz"} & values.keys()
-    window_keys = {"center_hz", "span_hz", "points"} & values.keys()
-    chosen = [bool(single_keys), bool(grid_keys), bool(window_keys)]
-    if sum(chosen) > 1:
+    window = _WINDOW & values.keys()
+    if ("frequency_hz" in values) + ("grid_hz" in values) + bool(window) > 1:
         raise ConfigError(
             "scan accepts only one of: frequency, grid_hz, or center/span/points",
             section="scan",
         )
-    if single_keys:
-        return float(values["frequency_hz"])
-    if grid_keys:
+    if "frequency_hz" in values:
+        return values["frequency_hz"]
+    if "grid_hz" in values:
         try:
-            grid = tuple(float(v) for v in str(values["grid_hz"]).split(","))
+            grid = tuple(float(v) for v in values["grid_hz"].split(","))
         except ValueError:
             raise ConfigError("grid_hz must be a comma-separated list of numbers", section="scan") from None
+        if not all(map(math.isfinite, grid)):
+            raise ConfigError("value for 'grid_hz' is not a finite number", section="scan")
         return grid
-    if window_keys:
-        if window_keys != {"center_hz", "span_hz", "points"}:
-            missing = {"center_hz", "span_hz", "points"} - window_keys
-            raise ConfigError(
-                f"scan window needs center, span and points (missing {sorted(missing)})",
-                section="scan",
-            )
-        points = _int_value("scan", values, "points", 0)
-        if points < 2:
-            raise ConfigError("scan points must be >= 2", section="scan")
-        span = float(values["span_hz"])
-        if span <= 0:
-            raise ConfigError("scan span must be > 0", section="scan")
-        center = float(values["center_hz"])
-        grid = center + np.linspace(-0.5 * span, 0.5 * span, points)
-        return tuple(float(g) for g in grid)
-    return default_center
+    if not window:
+        return default_center
+    if window != _WINDOW:
+        raise ConfigError(
+            f"scan window needs center, span and points (missing {sorted(_WINDOW - window)})",
+            section="scan",
+        )
+    points = _value("scan", values, "points")
+    if points < 2:
+        raise ConfigError("scan points must be >= 2", section="scan")
+    span = values["span_hz"]
+    if span <= 0:
+        raise ConfigError("scan span must be > 0", section="scan")
+    grid = values["center_hz"] + np.linspace(-0.5 * span, 0.5 * span, points)
+    return tuple(float(g) for g in grid)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a configuration document."""
-    sections = _tokenize(text)
     converted: dict = {}
     emitter_sections: dict = {}
-    for name, entries in sections.items():
-        schema = _section_schema(name)
-        if schema is None:
-            raise ConfigError(
-                f"unknown section '{name}'" + _suggest(name, _SECTION_SCHEMAS), section=name
-            )
-        values = _convert(name, schema, entries)
-        if name.startswith("emitter"):
-            emitter_sections[name] = values
-        else:
-            converted[name] = values
+    for name, entries in _tokenize(text).items():
+        base = "emitter" if _EMITTER_RE.fullmatch(name) else name
+        if base not in _KEYS:
+            raise ConfigError(f"unknown section '{name}'" + _suggest(name, _SCHEMA), section=name)
+        values = _convert(name, _KEYS[base], entries)
+        (emitter_sections if base == "emitter" else converted)[name] = values
 
     source_values = converted.get("source", {})
-    kind = source_values.get("kind", "single")
-    if kind not in ("single", "n_emitters", "poissonian"):
+    kind = _value("source", source_values, "kind")
+    if kind not in _SOURCE_KINDS:
         raise ConfigError(
-            f"unknown source kind '{kind}' (single, n_emitters, poissonian)", section="source"
+            f"unknown source kind '{kind}' ({', '.join(_SOURCE_KINDS)})", section="source"
         )
     if "n" in source_values and kind != "n_emitters":
         raise ConfigError("'n' is only valid for kind = n_emitters", section="source")
     if "rate_per_shot" in source_values and kind != "poissonian":
         raise ConfigError("'rate_per_shot' is only valid for kind = poissonian", section="source")
-    if kind == "single":
-        source = SingleEmitter()
-    elif kind == "n_emitters":
-        n = _int_value("source", source_values, "n", 0)
-        if n < 1:
-            raise ConfigError("n_emitters requires n >= 1", section="source")
-        source = NEmitters(n)
-    else:
-        try:
-            source = Poissonian(float(source_values.get("rate_per_shot", 0.0)))
-        except InvalidParameterError as exc:
-            raise ConfigError(str(exc), section="source") from exc
+    cls = _SOURCE_KINDS[kind]
+    params = [_value("source", source_values, f.name) for f in dataclasses.fields(cls)]
+    if kind == "n_emitters" and params[0] < 1:
+        raise ConfigError("n_emitters requires n >= 1", section="source")
+    source = _build("source", cls, *params)
 
     numbered = sorted(k for k in emitter_sections if k != "emitter")
     if numbered:
@@ -290,67 +267,31 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"expected emitter sections {expected} for n = {source.n}, got {numbered}",
                 section=numbered[0],
             )
-    base_emitter = _build_emitter("emitter", emitter_sections.get("emitter", {}))
-    if numbered:
-        emitters: object = (base_emitter,) + tuple(
-            _build_emitter(name, emitter_sections[name]) for name in numbered
-        )
-    else:
-        emitters = base_emitter
-
-    cavity_values = converted.get("cavity", {})
-    try:
-        cavity = CavityModel(
-            nu_cav=cavity_values.get("nu_cav_hz", 195.6e12),
-            q_factor=cavity_values.get("q_factor", 4e4),
-            p_peak=cavity_values.get("p_peak", 400.0),
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc), section="cavity") from exc
-
-    detector_values = converted.get("detector", {})
-    try:
-        detector = DetectorModel(
-            efficiency=detector_values.get("efficiency", 1.0),
-            dark_rate=detector_values.get("dark_rate_per_s", 0.0),
-            dead_time=detector_values.get("dead_time_s", 0.0),
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc), section="detector") from exc
-
-    seq_values = converted.get("sequence", {})
-    try:
-        sequence = PulseSequence(
-            t_pulse=seq_values.get("t_pulse_s", 1e-6),
-            t_coll=seq_values.get("t_coll_s", 20e-6),
-            t_rep=seq_values.get("t_rep_s", 60e-6),
-            n_shots=_int_value("sequence", seq_values, "n_shots", 10_000),
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc), section="sequence") from exc
-
+    emitters = []
+    for name in ["emitter", *numbered]:
+        v = _resolved(name, emitter_sections.get(name, {}))  # EmitterModel fields, then diffusion
+        emitters.append(_build(name, EmitterModel, *v[:4], _build(name, SpectralDiffusionParams, *v[4:])))
+    models = {
+        name: _build(name, cls, *_resolved(name, converted.get(name, {})))
+        for name, cls in _MODELS.items()
+    }
     scan_values = converted.get("scan", {})
-    laser = _build_scan(scan_values, base_emitter.nu_ion_0)
-    repeats = _int_value("scan", scan_values, "repeats", 1)
-    dwell = float(scan_values.get("dwell_s", 0.0))
+    laser = _build_scan(scan_values, emitters[0].nu_ion_0)
+    # after _build_scan, so a bad form is reported before anything else in [scan]
+    *_, repeats, dwell = _resolved("scan", scan_values)
+    (master_seed,) = _resolved("seed", converted.get("seed", {}))
 
-    seed_values = converted.get("seed", {})
-    master_seed = _int_value("seed", seed_values, "master_seed", 0)
-
-    try:
-        return ExperimentConfig(
-            emitter=emitters,
-            cavity=cavity,
-            detector=detector,
-            sequence=sequence,
-            laser_frequency=laser,
-            master_seed=master_seed,
-            source=source,
-            scan_repeats=repeats,
-            scan_dwell=dwell,
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(
+        None,
+        ExperimentConfig,
+        emitter=tuple(emitters) if numbered else emitters[0],
+        **models,
+        laser_frequency=laser,
+        master_seed=master_seed,
+        source=source,
+        scan_repeats=repeats,
+        scan_dwell=dwell,
+    )
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -358,68 +299,41 @@ def parse_config_file(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def _emitter_lines(name: str, emitter: EmitterModel) -> list:
-    d = emitter.diffusion
-    return [
-        f"[{name}]",
-        f"nu_ion_hz = {emitter.nu_ion_0!r}",
-        f"gamma0_per_s = {emitter.gamma_0!r}",
-        f"gamma_h_hz = {emitter.gamma_h!r}",
-        f"p_max = {emitter.p_max!r}",
-        f"sigma_fast_hz = {d.sigma_fast!r}",
-        f"tau_fast_s = {d.tau_fast!r}",
-        f"sigma_slow_rate_hz2_per_s = {d.sigma_slow_rate!r}",
-        "",
-    ]
+def _flat(model) -> list:
+    """Field values of a model dataclass in field order, nested dataclasses inlined."""
+    out: list = []
+    for f in dataclasses.fields(model):
+        value = getattr(model, f.name)
+        out += _flat(value) if dataclasses.is_dataclass(value) else [value]
+    return out
+
+
+def _lines(section: str, values) -> list:
+    """``[section]`` then ``key = value`` for each value in schema key order; None is skipped."""
+    schema = _SCHEMA[section.split(".")[0]]
+    lines = [f"[{section}]"]
+    for key, value in zip(schema, values):
+        if value is not None:
+            lines.append(f"{key} = {value!r}" if schema[key][1] is not None else f"{key} = {value}")
+    return lines + [""]
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Render a configuration as canonical SI-unit text (parses back exactly)."""
-    lines: list = []
     emitters = config.emitter if isinstance(config.emitter, tuple) else (config.emitter,)
-    lines += _emitter_lines("emitter", emitters[0])
-    for i, em in enumerate(emitters[1:], start=2):
-        lines += _emitter_lines(f"emitter.{i}", em)
-    lines += [
-        "[cavity]",
-        f"nu_cav_hz = {config.cavity.nu_cav!r}",
-        f"q_factor = {config.cavity.q_factor!r}",
-        f"p_peak = {config.cavity.p_peak!r}",
-        "",
-        "[detector]",
-        f"efficiency = {config.detector.efficiency!r}",
-        f"dark_rate_per_s = {config.detector.dark_rate!r}",
-        f"dead_time_s = {config.detector.dead_time!r}",
-        "",
-        "[sequence]",
-        f"t_pulse_s = {config.sequence.t_pulse!r}",
-        f"t_coll_s = {config.sequence.t_coll!r}",
-        f"t_rep_s = {config.sequence.t_rep!r}",
-        f"n_shots = {config.sequence.n_shots}",
-        "",
-        "[scan]",
-    ]
-    if isinstance(config.laser_frequency, tuple):
-        grid = ", ".join(repr(f) for f in config.laser_frequency)
-        lines.append(f"grid_hz = {grid}")
+    lines: list = []
+    for i, em in enumerate(emitters, start=1):
+        lines += _lines("emitter" if i == 1 else f"emitter.{i}", _flat(em))
+    for name in _MODELS:
+        lines += _lines(name, _flat(getattr(config, name)))
+    laser = config.laser_frequency
+    if isinstance(laser, tuple):
+        form = (None, ", ".join(repr(f) for f in laser))  # grid_hz
     else:
-        lines.append(f"frequency_hz = {config.laser_frequency!r}")
-    lines += [
-        f"repeats = {config.scan_repeats}",
-        f"dwell_s = {config.scan_dwell!r}",
-        "",
-        "[seed]",
-        f"master_seed = {config.master_seed}",
-        "",
-        "[source]",
-    ]
-    if isinstance(config.source, SingleEmitter):
-        lines.append("kind = single")
-    elif isinstance(config.source, NEmitters):
-        lines.append("kind = n_emitters")
-        lines.append(f"n = {config.source.n}")
-    else:
-        lines.append("kind = poissonian")
-        lines.append(f"rate_per_shot = {config.source.rate_per_shot!r}")
-    lines.append("")
+        form = (laser, None)  # frequency_hz
+    lines += _lines("scan", (*form, None, None, None, config.scan_repeats, config.scan_dwell))
+    lines += _lines("seed", (config.master_seed,))
+    kind = next(k for k, cls in _SOURCE_KINDS.items() if isinstance(config.source, cls))
+    source = {"kind": kind, **dataclasses.asdict(config.source)}
+    lines += _lines("source", map(source.get, _SCHEMA["source"]))
     return "\n".join(lines)

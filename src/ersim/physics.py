@@ -123,7 +123,7 @@ def purcell_profile(delta, p_peak: float, kappa: float):
 def enhanced_decay_rate(gamma_0: float, p) -> float:
     """Total decay rate gamma_0 * (1 + P) for Purcell factor P."""
     _require(gamma_0 > 0, "gamma_0 must be > 0")
-    _require(np.all(np.asarray(p) >= 0), "purcell factor must be >= 0")
+    _require((np.asarray(p) >= 0).all(), "purcell factor must be >= 0")
     return gamma_0 * (1.0 + p)
 
 
@@ -156,7 +156,7 @@ def excitation_probability(delta_laser_ion, gamma_h: float, p_max: float):
 def cavity_branching_fraction(p) -> float:
     """Fraction P / (P + 1) of enhanced emission routed into the cavity channel."""
     p = np.asarray(p, dtype=float)
-    _require(np.all(p >= 0), "purcell factor must be >= 0")
+    _require((p >= 0).all(), "purcell factor must be >= 0")
     return p / (p + 1.0)
 
 

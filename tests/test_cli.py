@@ -131,6 +131,20 @@ class TestSimulate:
         code = main(["simulate", "g2", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[sequence]\nn_shots = 1000\nt_rep_s = inf\n",
+            "[sequence]\nn_shots = 1000\n[detector]\ndark_rate_per_s = inf\n",
+        ],
+        ids=["t_rep_s", "dark_rate_per_s"],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, text):
+        cfg = tmp_path / "inf.ini"
+        cfg.write_text(text)
+        code = main(["simulate", "g2", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG == 2
+
 
 class TestFit:
     def test_gaussian_fit_roundtrip(self, tmp_path):

@@ -1,10 +1,12 @@
+import hashlib
 import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ersim.config import parse_config, serialize_config
+from ersim.config import parse_config, parse_config_file, serialize_config
 from ersim.engine import ExperimentConfig, NEmitters, Poissonian, PulseSequence, SingleEmitter
 from ersim.errors import ConfigError
 from ersim.physics import CavityModel, DetectorModel, EmitterModel, SpectralDiffusionParams
@@ -99,6 +101,30 @@ class TestDiagnostics:
     def test_invariant_violation_carries_section(self):
         with pytest.raises(ConfigError, match=r"\[detector\]"):
             parse_config("[detector]\nefficiency = 1.5\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[sequence]\nn_shots = 1e3\n",
+             "[sequence] value for 'n_shots' is not an integer: '1e3'"),
+            ("[source]\nkind = n_emitters\n", "[source] n_emitters requires n >= 1"),
+            ("[source]\nkind = single\nn = 1\n",
+             "[source] 'n' is only valid for kind = n_emitters"),
+            ("[scan]\ncenter_thz = 195.6\nspan_mhz = -10\npoints = 5\n",
+             "[scan] scan span must be > 0"),
+            ("[scan]\ngrid_hz = 1e14, abc\n",
+             "[scan] grid_hz must be a comma-separated list of numbers"),
+            ("[emitter.x]\n", "[emitter.x] unknown section 'emitter.x'; did you mean 'emitter'?"),
+            ("[source]\nkind = poissonian\nrate_per_shot = -1\n",
+             "[source] rate_per_shot must be >= 0"),
+        ],
+        ids=["float_n_shots", "n_emitters_without_n", "n_with_single", "negative_span",
+             "bad_grid_entry", "bad_emitter_suffix", "negative_rate"],
+    )
+    def test_message(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
 
 
 class TestScanForms:
@@ -277,3 +303,31 @@ class TestIdempotence:
             master_seed=seed,
         )
         assert parse_config(serialize_config(config)) == config
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# SHA-256 of serialize_config(parse_config_file(p)) for each shipped config.
+CANONICAL_SHA256 = {
+    "g2_background.ini": "ef2b03eaf77c4292f923c02190c20d948899a2f237106786f088fa6bdadd567d",
+    "g2_single.ini": "4ca67117f33879b3a88e74128ee9a8ba80b262d7fef93b18bed3481c5cf4b194",
+    "lifetime_cavity.ini": "4648f51d7fba42302c857e92aa35eb7d4d3e824474145a5d25ea97c28a6e9b4a",
+    "lifetime_reference.ini": "6f1431a73fad233598e13a74d69dbafbdc0ae88062b357bafe41b86fff5af7f5",
+    "ple_session.ini": "bdeb400e1e4d32b394652f5fa51e5287b050e14afc2588f319414717a44c8aa0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_SHA256))
+def test_canonical_text_is_pinned(name):
+    """The canonical text is the run provenance: run_config.ini holds it and
+    config_digest hashes it into every stream's metadata.  A failing digest
+    here means every config digest and every run_config.ini changes; such a
+    change must be announced (README section Determinism) and the digests
+    above updated with it.
+    """
+    text = serialize_config(parse_config_file(CONFIG_DIR / name))
+    assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_SHA256[name]
+
+
+def test_every_shipped_config_is_pinned():
+    assert sorted(p.name for p in CONFIG_DIR.glob("*.ini")) == sorted(CANONICAL_SHA256)
