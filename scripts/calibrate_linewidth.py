@@ -4,8 +4,9 @@
 Finds the fast-jitter standard deviation that makes a single PLE scan fit to
 a 173.6 MHz Gaussian FWHM, then the slow random-walk rate that brings the
 time-averaged linewidth of a 25-scan, 3.5-hour session to 209.4 MHz.  The
-resulting constants are frozen in tests/scenarios.py; rerun this script after
-engine changes that alter the random stream layout.
+resulting constants are frozen in two places: tests/scenarios.py (in Hz and
+Hz^2/s) and configs/ple_session.ini (in MHz and MHz^2/s); update both.  Rerun
+this script after engine changes that alter the random stream layout.
 
 Usage: python3 scripts/calibrate_linewidth.py [--seed N]
 """

@@ -23,7 +23,6 @@ from .engine import (
     SingleEmitter,
     config_digest,
     run_lifetime,
-    run_ple_scan,
     run_scan_session,
     validate_click_stream,
 )

@@ -115,6 +115,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_g2(args) -> int:
+    if not 0 < args.rho <= 1:
+        raise InvalidParameterError("rho must lie in (0, 1]")
     stream = read_clickstream(args.infile)
     hist = pulsed_g2(stream, args.max_offset)
     write_correlation_csv(hist, args.outfile, rho=args.rho)

@@ -133,7 +133,10 @@ def _tokenize(text: str) -> dict:
 
 
 def _convert(section: str, keys: dict, entries: dict) -> dict:
-    """Validate keys, apply unit scales, and map aliases to canonical keys."""
+    """Validate keys, apply unit scales, and map aliases to canonical keys.
+
+    Returns {canonical key: (value, line number)}.
+    """
     out: dict = {}
     origin: dict = {}
     for key, (raw, lineno) in entries.items():
@@ -161,7 +164,7 @@ def _convert(section: str, keys: dict, entries: dict) -> dict:
                 raise ConfigError(
                     f"value for '{key}' is not a finite number", section=section, line=lineno
                 )
-        out[canonical] = value
+        out[canonical] = (value, lineno)
         origin[canonical] = key
     return out
 
@@ -171,13 +174,20 @@ def _value(section: str, values: dict, key: str):
     default, aliases = _SCHEMA[section.split(".")[0]][key]
     if key not in values:
         return default
-    raw = values[key]
+    raw, lineno = values[key]
     if aliases is None and isinstance(default, int):
         try:
             return int(raw)
         except ValueError:
-            raise ConfigError(f"value for '{key}' is not an integer: {raw!r}", section=section) from None
+            raise ConfigError(
+                f"value for '{key}' is not an integer: {raw!r}", section=section, line=lineno
+            ) from None
     return raw
+
+
+def _line(values: dict, key: str):
+    """Line number of ``key`` in its section, or None when the key is not written."""
+    return values[key][1] if key in values else None
 
 
 def _resolved(section: str, values: dict) -> list:
@@ -201,14 +211,17 @@ def _build_scan(values: dict, default_center: float):
             section="scan",
         )
     if "frequency_hz" in values:
-        return values["frequency_hz"]
+        return _value("scan", values, "frequency_hz")
     if "grid_hz" in values:
+        line = _line(values, "grid_hz")
         try:
-            grid = tuple(float(v) for v in values["grid_hz"].split(","))
+            grid = tuple(float(v) for v in _value("scan", values, "grid_hz").split(","))
         except ValueError:
-            raise ConfigError("grid_hz must be a comma-separated list of numbers", section="scan") from None
+            raise ConfigError(
+                "grid_hz must be a comma-separated list of numbers", section="scan", line=line
+            ) from None
         if not all(map(math.isfinite, grid)):
-            raise ConfigError("value for 'grid_hz' is not a finite number", section="scan")
+            raise ConfigError("value for 'grid_hz' is not a finite number", section="scan", line=line)
         return grid
     if not window:
         return default_center
@@ -219,11 +232,11 @@ def _build_scan(values: dict, default_center: float):
         )
     points = _value("scan", values, "points")
     if points < 2:
-        raise ConfigError("scan points must be >= 2", section="scan")
-    span = values["span_hz"]
+        raise ConfigError("scan points must be >= 2", section="scan", line=_line(values, "points"))
+    span = _value("scan", values, "span_hz")
     if span <= 0:
-        raise ConfigError("scan span must be > 0", section="scan")
-    grid = values["center_hz"] + np.linspace(-0.5 * span, 0.5 * span, points)
+        raise ConfigError("scan span must be > 0", section="scan", line=_line(values, "span_hz"))
+    grid = _value("scan", values, "center_hz") + np.linspace(-0.5 * span, 0.5 * span, points)
     return tuple(float(g) for g in grid)
 
 
@@ -242,16 +255,23 @@ def parse_config(text: str) -> ExperimentConfig:
     kind = _value("source", source_values, "kind")
     if kind not in _SOURCE_KINDS:
         raise ConfigError(
-            f"unknown source kind '{kind}' ({', '.join(_SOURCE_KINDS)})", section="source"
+            f"unknown source kind '{kind}' ({', '.join(_SOURCE_KINDS)})",
+            section="source",
+            line=_line(source_values, "kind"),
         )
-    if "n" in source_values and kind != "n_emitters":
-        raise ConfigError("'n' is only valid for kind = n_emitters", section="source")
-    if "rate_per_shot" in source_values and kind != "poissonian":
-        raise ConfigError("'rate_per_shot' is only valid for kind = poissonian", section="source")
+    for key, owner in (("n", "n_emitters"), ("rate_per_shot", "poissonian")):
+        if key in source_values and kind != owner:
+            raise ConfigError(
+                f"'{key}' is only valid for kind = {owner}",
+                section="source",
+                line=_line(source_values, key),
+            )
     cls = _SOURCE_KINDS[kind]
     params = [_value("source", source_values, f.name) for f in dataclasses.fields(cls)]
     if kind == "n_emitters" and params[0] < 1:
-        raise ConfigError("n_emitters requires n >= 1", section="source")
+        raise ConfigError(
+            "n_emitters requires n >= 1", section="source", line=_line(source_values, "n")
+        )
     source = _build("source", cls, *params)
 
     numbered = sorted(k for k in emitter_sections if k != "emitter")

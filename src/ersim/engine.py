@@ -9,13 +9,15 @@ truncation toward zero, so streams round-trip bit-exactly through the binary
 file format.
 
 Randomness contract, stream layout 2 (``STREAM_LAYOUT``): shots are sampled in
-blocks of ``BLOCK_SHOTS`` = 2**14.  A call that starts at global shot s0
-samples blocks starting at s0, s0 + BLOCK_SHOTS, ...; its last block may be
-partial.  The block starting at global shot s draws from the counter-based
-substream keyed by (master_seed, 1 + s) (``rng.block_stream``).  Block starts
-are distinct global shot indices, and scans continue the global shot count,
-so no key is reused.  Spectral diffusion draws from one sequential substream
-per emitter.  A stream is therefore a pure function of the config and seed,
+blocks of ``BLOCK_SHOTS`` = 2**14.  A session of R scans over a grid of G
+laser points counts global shots point by point, then scan by scan: point g of
+scan r covers global shots s0 = (r * G + g) * n_shots onwards and samples
+blocks starting at s0, s0 + BLOCK_SHOTS, ...; its last block may be partial.
+A lifetime run is point 0 of scan 0.  The block starting at global shot s
+draws from the counter-based substream keyed by (master_seed, 1 + s)
+(``rng.block_stream``).  Block starts are distinct global shot indices, so no
+key is reused.  Spectral diffusion draws from one sequential substream per
+emitter.  A stream is therefore a pure function of the config and seed,
 independent of the order in which blocks are sampled.
 
 Within a block of n shots the draws come in this column order:
@@ -36,11 +38,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .diffusion import DiffusionState, DiffusionTrajectory, evolve_diffusion, generate_trajectory
+from .diffusion import DiffusionState, evolve_diffusion, generate_trajectory
 from .errors import InvalidParameterError, StreamInvariantError
 from .physics import (
     CavityModel,
@@ -207,10 +209,6 @@ class ClickStream:
     def __len__(self) -> int:
         return len(self.times_ns)
 
-    def delays_s(self) -> np.ndarray:
-        """Click delays relative to the end of the excitation pulse (s)."""
-        return (self.times_ns - self.sequence.t_pulse_ns) * 1e-9
-
 
 def validate_click_stream(stream: ClickStream, dead_time: float = 0.0) -> None:
     """Raise StreamInvariantError unless gating, ordering and dead time hold."""
@@ -323,24 +321,6 @@ def _sample_block(config: ExperimentConfig, laser_hz: float, offsets, n: int, rn
     return shots, times
 
 
-def _emitter_trajectories(
-    config: ExperimentConfig,
-    n_steps: int,
-    states: Sequence[DiffusionState] | None,
-    rngs: Sequence[np.random.Generator] | None,
-) -> tuple[list[DiffusionTrajectory], list[np.random.Generator]]:
-    emitters = config.resolved_emitters()
-    if states is None:
-        states = [DiffusionState() for _ in emitters]
-    if rngs is None:
-        rngs = [diffusion_stream(config.master_seed, i) for i in range(len(emitters))]
-    trajectories = [
-        generate_trajectory(states[i], n_steps, config.sequence.t_rep, em.diffusion, rngs[i])
-        for i, em in enumerate(emitters)
-    ]
-    return trajectories, list(rngs)
-
-
 def _run_shots(
     config: ExperimentConfig,
     laser: float,
@@ -367,14 +347,6 @@ def _run_shots(
     return ClickStream(np.concatenate(shots), np.concatenate(times), config.sequence, metadata)
 
 
-def run_lifetime(config: ExperimentConfig) -> ClickStream:
-    """Run n_shots at a fixed laser frequency for lifetime or g2 analysis."""
-    laser = config.single_frequency()
-    trajectories, _ = _emitter_trajectories(config, config.sequence.n_shots, None, None)
-    offsets = [t.total() for t in trajectories]
-    return _run_shots(config, laser, offsets, 0, config_digest(config))
-
-
 @dataclass(frozen=True)
 class ScanPoint:
     laser_frequency: float
@@ -384,11 +356,10 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """One pass over the laser grid plus the state needed to chain scans."""
+    """One pass over the laser grid and the diffusion states after it."""
 
     points: tuple
     diffusion_states: tuple
-    next_shot_index: int
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -399,60 +370,52 @@ class ScanResult:
         return np.asarray([p.counts for p in self.points], dtype=float)
 
 
-def run_ple_scan(
-    config: ExperimentConfig,
-    *,
-    diffusion_states: Sequence[DiffusionState] | None = None,
-    diffusion_rngs: Sequence[np.random.Generator] | None = None,
-    start_shot: int = 0,
-) -> ScanResult:
-    """Step the laser over the grid, n_shots per point, diffusion continuous.
+def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
+    """The run loop: ``config.scan_repeats`` passes over the laser grid, lazily.
 
-    Per-point streams carry local shot indices 0..n_shots-1; the block keys
-    continue globally from ``start_shot`` so chained scans never reuse
-    randomness.
+    Diffusion evolves continuously: within scans at one step per shot, across
+    the gap before each later scan as a single step of ``config.scan_dwell``.
+    Per-point streams carry local shot indices 0..n_shots-1; point g of scan r
+    samples from global shot (r * len(grid) + g) * n_shots.
     """
+    emitters = config.resolved_emitters()
+    rngs = [diffusion_stream(config.master_seed, i) for i in range(len(emitters))]
+    states = [DiffusionState() for _ in emitters]
     grid = config.laser_grid()
-    _require(len(grid) >= 1, "scan grid must be nonempty")
     n_per = config.sequence.n_shots
-    total = len(grid) * n_per
-    trajectories, rngs = _emitter_trajectories(config, total, diffusion_states, diffusion_rngs)
-    offsets_full = [t.total() for t in trajectories]
     digest = config_digest(config)
+    for repeat in range(config.scan_repeats):
+        if repeat:
+            states = [
+                evolve_diffusion(s, config.scan_dwell, em.diffusion, rng)
+                for s, em, rng in zip(states, emitters, rngs)
+            ]
+        trajectories = [
+            generate_trajectory(s, len(grid) * n_per, config.sequence.t_rep, em.diffusion, rng)
+            for s, em, rng in zip(states, emitters, rngs)
+        ]
+        states = [t.final for t in trajectories]
+        offsets = [t.total() for t in trajectories]
+        points = []
+        for g, laser in enumerate(grid):
+            segment = [o[g * n_per : (g + 1) * n_per] for o in offsets]
+            first = (repeat * len(grid) + g) * n_per
+            stream = _run_shots(config, float(laser), segment, first, digest)
+            points.append(ScanPoint(float(laser), len(stream), stream))
+        # drop this scan's per-shot arrays before the next scan's are generated
+        del trajectories, offsets, segment
+        yield ScanResult(tuple(points), tuple(states))
 
-    points = []
-    for g, laser in enumerate(grid):
-        segment = [o[g * n_per : (g + 1) * n_per] for o in offsets_full]
-        stream = _run_shots(config, float(laser), segment, start_shot + g * n_per, digest)
-        points.append(ScanPoint(float(laser), len(stream), stream))
-    final_states = tuple(t.final for t in trajectories)
-    return ScanResult(tuple(points), final_states, start_shot + total)
+
+def run_lifetime(config: ExperimentConfig) -> ClickStream:
+    """Run n_shots at a fixed laser frequency for lifetime or g2 analysis.
+
+    Only the first scan of the session is sampled, whatever ``scan_repeats``.
+    """
+    config.single_frequency()  # raises unless the grid has one point
+    return next(_scans(config)).points[0].stream
 
 
 def run_scan_session(config: ExperimentConfig) -> list[ScanResult]:
-    """Repeat the scan ``config.scan_repeats`` times with dwell gaps between.
-
-    Diffusion evolves continuously: within scans at one step per shot, across
-    the gaps as a single step of duration ``config.scan_dwell``.
-    """
-    emitters = config.resolved_emitters()
-    states = [DiffusionState() for _ in emitters]
-    rngs = [diffusion_stream(config.master_seed, i) for i in range(len(emitters))]
-    scans = []
-    start_shot = 0
-    for repeat in range(config.scan_repeats):
-        result = run_ple_scan(
-            config,
-            diffusion_states=states,
-            diffusion_rngs=rngs,
-            start_shot=start_shot,
-        )
-        scans.append(result)
-        states = list(result.diffusion_states)
-        start_shot = result.next_shot_index
-        if repeat + 1 < config.scan_repeats:
-            states = [
-                evolve_diffusion(states[i], config.scan_dwell, emitters[i].diffusion, rngs[i])
-                for i in range(len(emitters))
-            ]
-    return scans
+    """All ``config.scan_repeats`` scans over the laser grid, n_shots per point."""
+    return list(_scans(config))

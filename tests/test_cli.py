@@ -216,6 +216,18 @@ class TestG2Command:
         zero = rows[5]
         assert float(zero[header.index("g2")]) < 0.05
 
+    @pytest.mark.parametrize("rho", ["-1", "5"])
+    def test_rho_outside_unit_interval_is_config_error(self, tmp_path, capsys, rho):
+        # two clicks in 200 shots: no side coincidences, so no corrected g2 is computed
+        sparse = tmp_path / "sparse.ertt"
+        seq = PulseSequence(1e-6, 20e-6, 60e-6, 200)
+        write_clickstream(ClickStream([3, 150], [2000, 9000], seq), sparse)
+        out = tmp_path / "c.csv"
+        code = main(["g2", "--in", str(sparse), "--max-offset", "5", "--rho", rho, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "rho" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_stream_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.ertt"
         bad.write_bytes(b"XXXX" + bytes(40))

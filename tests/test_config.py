@@ -106,20 +106,22 @@ class TestDiagnostics:
         "text, message",
         [
             ("[sequence]\nn_shots = 1e3\n",
-             "[sequence] value for 'n_shots' is not an integer: '1e3'"),
+             "line 2: [sequence] value for 'n_shots' is not an integer: '1e3'"),
+            ("# seed\n[seed]\nmaster_seed = 1.5\n",
+             "line 3: [seed] value for 'master_seed' is not an integer: '1.5'"),
             ("[source]\nkind = n_emitters\n", "[source] n_emitters requires n >= 1"),
             ("[source]\nkind = single\nn = 1\n",
-             "[source] 'n' is only valid for kind = n_emitters"),
+             "line 3: [source] 'n' is only valid for kind = n_emitters"),
             ("[scan]\ncenter_thz = 195.6\nspan_mhz = -10\npoints = 5\n",
-             "[scan] scan span must be > 0"),
+             "line 3: [scan] scan span must be > 0"),
             ("[scan]\ngrid_hz = 1e14, abc\n",
-             "[scan] grid_hz must be a comma-separated list of numbers"),
+             "line 2: [scan] grid_hz must be a comma-separated list of numbers"),
             ("[emitter.x]\n", "[emitter.x] unknown section 'emitter.x'; did you mean 'emitter'?"),
             ("[source]\nkind = poissonian\nrate_per_shot = -1\n",
              "[source] rate_per_shot must be >= 0"),
         ],
-        ids=["float_n_shots", "n_emitters_without_n", "n_with_single", "negative_span",
-             "bad_grid_entry", "bad_emitter_suffix", "negative_rate"],
+        ids=["float_n_shots", "float_master_seed", "n_emitters_without_n", "n_with_single",
+             "negative_span", "bad_grid_entry", "bad_emitter_suffix", "negative_rate"],
     )
     def test_message(self, text, message):
         with pytest.raises(ConfigError) as info:

@@ -23,7 +23,6 @@ from ersim.engine import (
     SingleEmitter,
     config_digest,
     run_lifetime,
-    run_ple_scan,
     run_scan_session,
     validate_click_stream,
 )
@@ -201,7 +200,7 @@ class TestRunLifetime:
             master_seed=13,
         )
         stream = run_lifetime(cfg)
-        delays = stream.delays_s()
+        delays = (stream.times_ns - stream.sequence.t_pulse_ns) * 1e-9
         assert len(delays) > 90_000
         gamma = scenarios.GAMMA_0 * (1.0 + scenarios.P_PEAK)
         result = scipy.stats.kstest(delays, "expon", args=(0.0, 1.0 / gamma))
@@ -280,13 +279,17 @@ class TestDeterminism:
         ):
             cfg = with_shots(base, n, dark_rate=1e5, dead_time=200e-9)
             full = run_lifetime(cfg)
+            laser = cfg.single_frequency()
             for first in range(0, n, BLOCK_SHOTS):
                 size = min(BLOCK_SHOTS, n - first)
-                alone = run_ple_scan(with_shots(cfg, size), start_shot=first).points[0].stream
+                # static emitters: the run's diffusion offsets are all zero
+                offsets = [np.zeros(size) for _ in cfg.resolved_emitters()]
+                rng = block_stream(cfg.master_seed, first)
+                shots, times = engine._sample_block(cfg, laser, offsets, size, rng)
                 rows = (full.shot_indices >= first) & (full.shot_indices < first + size)
-                assert len(alone) > 0
-                assert np.array_equal(alone.shot_indices, full.shot_indices[rows] - first)
-                assert np.array_equal(alone.times_ns, full.times_ns[rows])
+                assert len(shots) > 0
+                assert np.array_equal(shots, full.shot_indices[rows] - first)
+                assert np.array_equal(times, full.times_ns[rows])
 
     def test_scan_session_never_reuses_a_block_key(self, monkeypatch):
         firsts = []
@@ -301,6 +304,31 @@ class TestDeterminism:
         run_scan_session(cfg)
         # 3 scans x 4 points, two blocks per point, shots counted globally
         assert firsts == [c * n + o for c in range(12) for o in (0, BLOCK_SHOTS)]
+
+    def test_lifetime_is_first_point_of_session(self, monkeypatch):
+        n = BLOCK_SHOTS + 7
+        cfg = dataclasses.replace(
+            scenarios.linewidth_session_config(repeats=3, n_shots=n, points=4),
+            laser_frequency=scenarios.NU0,
+        )
+        assert not cfg.resolved_emitters()[0].diffusion.is_static
+        session = run_scan_session(cfg)[0].points[0].stream
+        firsts = []
+
+        def recording(master_seed, first_shot):
+            firsts.append(first_shot)
+            return block_stream(master_seed, first_shot)
+
+        def no_dwell(*args):
+            raise AssertionError("evolve_diffusion called for a lifetime run")
+
+        monkeypatch.setattr(engine, "block_stream", recording)
+        monkeypatch.setattr(engine, "evolve_diffusion", no_dwell)
+        stream = run_lifetime(cfg)
+        assert firsts == [0, BLOCK_SHOTS]
+        assert stream.shot_indices.tobytes() == session.shot_indices.tobytes()
+        assert stream.times_ns.tobytes() == session.times_ns.tobytes()
+        assert stream.metadata == session.metadata
 
     def test_metadata_carries_digest(self):
         cfg = scenarios.lifetime_config(seed=3, n_shots=10)
@@ -444,14 +472,14 @@ class TestPleScan:
             laser_frequency=grid,
             master_seed=17,
         )
-        scan = run_ple_scan(cfg)
+        (scan,) = run_scan_session(cfg)
         fit = fit_lorentzian(spectrum_from_scan(scan))
         assert fit.converged
         assert fit.value("fwhm") == pytest.approx(gamma_h, rel=0.05)
 
     def test_counts_match_stream_lengths(self):
         cfg = scenarios.linewidth_session_config(repeats=1, n_shots=200, points=7)
-        scan = run_ple_scan(cfg)
+        (scan,) = run_scan_session(cfg)
         for point in scan.points:
             assert point.counts == len(point.stream)
             validate_click_stream(point.stream)
@@ -460,7 +488,7 @@ class TestPleScan:
         cfg = scenarios.linewidth_session_config(
             repeats=1, n_shots=6000, sigma_slow_rate=0.0
         )
-        scan = run_ple_scan(cfg)
+        (scan,) = run_scan_session(cfg)
         fit = fit_gaussian(spectrum_from_scan(scan))
         assert fit.converged
         assert fit.value("fwhm") == pytest.approx(173.6e6, rel=0.05)
@@ -494,7 +522,7 @@ class TestPleScan:
 
     def test_scan_requires_grid(self):
         cfg = scenarios.lifetime_config(n_shots=10)
-        scan = run_ple_scan(cfg)  # single frequency = one-point grid
+        (scan,) = run_scan_session(cfg)  # single frequency = one-point grid
         assert len(scan.points) == 1
 
 
