@@ -77,7 +77,6 @@ def pulsed_g2(stream: ClickStream, max_offset: int) -> CorrelationHistogram:
         normalization,
         stream.sequence.t_rep,
         n_clicks=len(stream),
-        metadata=dict(stream.metadata),
     )
 
 

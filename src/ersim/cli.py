@@ -75,13 +75,15 @@ def _cmd_simulate(args) -> int:
     config = parse_config_file(args.config)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
+    if args.experiment != "ple":
+        config.single_frequency()
+    elif not isinstance(config.laser_frequency, tuple) or len(config.laser_frequency) < 2:
+        raise ConfigError("simulate ple requires a [scan] grid with at least 2 points")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "run_config.ini").write_text(serialize_config(config), encoding="utf-8")
 
     if args.experiment == "ple":
-        if not isinstance(config.laser_frequency, tuple) or len(config.laser_frequency) < 2:
-            raise ConfigError("simulate ple requires a [scan] grid with at least 2 points")
         scans = run_scan_session(config)
         for i, scan in enumerate(scans):
             spectrum = spectrum_from_scan(scan, label=f"scan {i}")

@@ -187,8 +187,12 @@ def levenberg_marquardt(
     log_mask=None,
     max_iterations=200,
 ):
-    """Minimize sum w (model(x, p) - y)^2 and return (p, cov, rss, iters, converged).
+    """Minimize sum w (model(x, p) - y)^2 and return (p, cov, rss, iters, status).
 
+    ``status`` says why the iteration stopped: ``"ok"`` (converged),
+    ``"max_iterations"`` (iteration limit reached), ``"stalled"`` (no step
+    lowered the cost before the damping exceeded 1e14) or ``"singular"``
+    (the damped normal equations could not be solved).
     ``log_mask`` selects parameters optimized as logarithms (kept positive).
     The damped normal equations are solved with diagonal equilibration so that
     parameters of wildly different magnitudes (Hz-scale centers, unit-scale
@@ -214,7 +218,7 @@ def levenberg_marquardt(
     r, J = residual_and_jac(u)
     cost = float(r @ r)
     lam = 1e-3
-    converged = False
+    status = "max_iterations"
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         A = J.T @ J
@@ -226,7 +230,7 @@ def levenberg_marquardt(
         try:
             step_hat = np.linalg.solve(A_hat + lam * np.eye(m), -g_hat)
         except np.linalg.LinAlgError:
-            return _to_natural(u, log_mask), None, cost, iterations, False
+            return _to_natural(u, log_mask), None, cost, iterations, "singular"
         step = step_hat / d
         u_try = u + step
         r_try, J_try = residual_and_jac(u_try)
@@ -237,16 +241,17 @@ def levenberg_marquardt(
             u, r, J, cost = u_try, r_try, J_try, cost_try
             lam = max(lam * 0.3, 1e-14)
             if small_step or small_decrease:
-                converged = True
+                status = "ok"
                 break
         else:
             lam *= 8.0
             if lam > 1e14:
+                status = "stalled"
                 break
 
     p = _to_natural(u, log_mask)
     cov = None
-    if converged:
+    if status == "ok":
         n_dof = len(y) - m
         try:
             A = J.T @ J
@@ -260,10 +265,11 @@ def levenberg_marquardt(
             cov = cov_u * np.outer(s, s)
         except np.linalg.LinAlgError:
             cov = None
-    return p, cov, cost, iterations, converged
+    return p, cov, cost, iterations, status
 
 
-def _build_result(names, p, cov, rss, iterations, converged, status):
+def _build_result(names, p, cov, rss, iterations, status):
+    converged = status == "ok"
     if cov is not None and converged:
         sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     else:
@@ -285,11 +291,10 @@ def _fit_peak(kind: str, spectrum: Spectrum) -> FitResult:
     center, fwhm, amplitude, baseline = peak_initial_guess(x, y)
     if amplitude == 0.0:
         return _degenerate_result(names, (center, fwhm, 0.0, baseline), np.sum((y - baseline) ** 2))
-    p, cov, rss, iters, ok = levenberg_marquardt(
+    p, cov, rss, iters, status = levenberg_marquardt(
         model, jac, x, y, (center, fwhm, amplitude, baseline), log_mask=log_mask
     )
-    status = "ok" if ok else "max_iterations"
-    return _build_result(names, p, cov, rss, iters, ok, status)
+    return _build_result(names, p, cov, rss, iters, status)
 
 
 def fit_gaussian(spectrum: Spectrum) -> FitResult:
@@ -329,8 +334,7 @@ def fit_exponential(histogram: DecayHistogram) -> FitResult:
         return _degenerate_result(names, (0.0, t1, float(np.mean(y))), 0.0)
     if amplitude <= 0:
         amplitude = max(float(np.max(y) - baseline), 1.0)
-    p, cov, rss, iters, ok = levenberg_marquardt(
+    p, cov, rss, iters, status = levenberg_marquardt(
         model, jac, t, y, (amplitude, t1, baseline), weights=weights, log_mask=log_mask
     )
-    status = "ok" if ok else "max_iterations"
-    return _build_result(names, p, cov, rss, iters, ok, status)
+    return _build_result(names, p, cov, rss, iters, status)

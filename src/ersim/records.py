@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class CorrelationHistogram:
     normalization: float
     t_rep: float
     n_clicks: int = 0
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
@@ -95,14 +94,10 @@ class CorrelationHistogram:
         return self.n_clicks < 2 or self.normalization <= 0
 
     @property
-    def rates(self) -> np.ndarray:
-        return self.coincidences / self.shot_pairs
-
-    @property
     def g2(self) -> np.ndarray:
         if self.normalization <= 0:
             return np.full(len(self.offsets), np.nan)
-        return self.rates / self.normalization
+        return self.coincidences / self.shot_pairs / self.normalization
 
     def g2_at(self, offset: int) -> float:
         (idx,) = np.nonzero(self.offsets == offset)

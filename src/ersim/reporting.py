@@ -2,8 +2,10 @@
 
 All tabular files are comma-separated with one header row whose column names
 carry units; optional ``# key = value`` comment lines precede the header.
-Floats are rendered with ``repr`` so files are byte-reproducible and parse
-back to identical values.
+``_write_table`` is the only renderer: each writer declares its columns and
+``_fmt`` turns every cell and comment value into text.  Floats are rendered
+with ``repr`` so files are byte-reproducible and parse back to identical
+values.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .records import CorrelationHistogram, DecayHistogram, Spectrum
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -28,10 +32,12 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_table(path, comments: dict, header: list, rows: list) -> None:
-    lines = [f"# {k} = {v}" for k, v in comments.items()]
-    lines.append(",".join(header))
-    lines += [",".join(row) for row in rows]
+def _write_table(path, comments: dict, columns: dict) -> None:
+    """Comment lines, a header of the column names, then one row per index of
+    the equal-length value sequences in ``columns``."""
+    lines = [f"# {k} = {_fmt(v)}" for k, v in comments.items()]
+    lines.append(",".join(columns))
+    lines += [",".join(map(_fmt, row)) for row in zip(*columns.values(), strict=True)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -87,21 +93,18 @@ def _float_columns(path, header: list, rows: list, names) -> list:
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
-    center = 0.5 * (spectrum.frequencies[0] + spectrum.frequencies[-1])
-    comments = {
-        "label": spectrum.label,
-        "acquisition_time_s": _fmt(spectrum.acquisition_time),
-    }
-    rows = [
-        [
-            _fmt(f),
-            _fmt(frequency_to_wavelength(f) * 1e9),
-            _fmt((f - center) / 1e6),
-            _fmt(c),
-        ]
-        for f, c in zip(spectrum.frequencies, spectrum.counts)
-    ]
-    _write_table(path, comments, ["frequency_hz", "wavelength_nm", "detuning_mhz", "counts"], rows)
+    f = spectrum.frequencies
+    center = 0.5 * (f[0] + f[-1])
+    _write_table(
+        path,
+        {"label": spectrum.label, "acquisition_time_s": spectrum.acquisition_time},
+        {
+            "frequency_hz": f,
+            "wavelength_nm": [frequency_to_wavelength(v) * 1e9 for v in f],
+            "detuning_mhz": (f - center) / 1e6,
+            "counts": spectrum.counts,
+        },
+    )
 
 
 def read_spectrum_csv(path) -> Spectrum:
@@ -117,12 +120,11 @@ def read_spectrum_csv(path) -> Spectrum:
 
 
 def write_decay_histogram_csv(hist: DecayHistogram, path) -> None:
-    comments = {"total_shots": str(hist.total_shots)}
-    rows = [
-        [_fmt(le), _fmt(re), _fmt(c)]
-        for le, re, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts)
-    ]
-    _write_table(path, comments, ["bin_left_s", "bin_right_s", "counts"], rows)
+    _write_table(
+        path,
+        {"total_shots": hist.total_shots},
+        {"bin_left_s": hist.bin_edges[:-1], "bin_right_s": hist.bin_edges[1:], "counts": hist.counts},
+    )
 
 
 def read_decay_histogram_csv(path) -> DecayHistogram:
@@ -139,60 +141,38 @@ def read_decay_histogram_csv(path) -> DecayHistogram:
 
 def write_correlation_csv(hist: CorrelationHistogram, path, rho: float = 1.0) -> None:
     g2 = hist.g2
+    corrected = [background_corrected_g2(v, rho) if math.isfinite(v) else math.nan for v in g2]
     comments = {
-        "normalization_per_pair": _fmt(hist.normalization),
-        "n_clicks": str(hist.n_clicks),
-        "t_rep_s": _fmt(hist.t_rep),
-        "g2_zero_sigma": _fmt(hist.g2_zero_sigma()),
+        "normalization_per_pair": hist.normalization,
+        "n_clicks": hist.n_clicks,
+        "t_rep_s": hist.t_rep,
+        "g2_zero_sigma": hist.g2_zero_sigma(),
     }
-    rows = []
-    for i, offset in enumerate(hist.offsets):
-        value = float(g2[i])
-        corrected = (
-            background_corrected_g2(value, rho) if math.isfinite(value) else float("nan")
-        )
-        rows.append(
-            [
-                str(int(offset)),
-                _fmt(offset * hist.t_rep),
-                str(int(hist.coincidences[i])),
-                str(int(hist.shot_pairs[i])),
-                _fmt(value),
-                _fmt(corrected),
-                _fmt(rho),
-            ]
-        )
-    _write_table(
-        path,
-        comments,
-        ["offset_shots", "delay_s", "coincidences", "shot_pairs", "g2", "g2_corrected", "rho"],
-        rows,
-    )
+    columns = {
+        "offset_shots": hist.offsets,
+        "delay_s": hist.offsets * hist.t_rep,
+        "coincidences": hist.coincidences,
+        "shot_pairs": hist.shot_pairs,
+        "g2": g2,
+        "g2_corrected": corrected,
+        "rho": [rho] * len(g2),
+    }
+    _write_table(path, comments, columns)
 
 
-_FIT_COLUMN_UNITS = {
-    "center": "center_hz",
-    "fwhm": "fwhm_hz",
-    "amplitude": "amplitude",
-    "baseline": "baseline",
-    "t1": "t1_s",
-    "q_factor": "q_factor",
-}
+#: fit parameter -> column name, where the column carries a unit
+_FIT_COLUMN_UNITS = {"center": "center_hz", "fwhm": "fwhm_hz", "t1": "t1_s"}
+#: FitResult fields written after the parameter and sigma columns
+_FIT_SCALARS = ("rss", "iterations", "converged", "status")
 
 
 def write_fit_csv(fit: FitResult, path, kind: str = "") -> None:
-    comments = {}
-    if kind:
-        comments["model"] = kind
-    header: list = []
-    row: list = []
+    columns: dict = {}
     for p in fit.parameters:
         column = _FIT_COLUMN_UNITS.get(p.name, p.name)
-        header += [column, column + "_sigma"]
-        row += [_fmt(p.value), _fmt(p.sigma)]
-    header += ["rss", "iterations", "converged", "status"]
-    row += [_fmt(fit.rss), str(fit.iterations), _fmt(fit.converged), fit.status]
-    _write_table(path, comments, header, [row])
+        columns[column], columns[column + "_sigma"] = [p.value], [p.sigma]
+    columns.update((name, [getattr(fit, name)]) for name in _FIT_SCALARS)
+    _write_table(path, {"model": kind} if kind else {}, columns)
 
 
 def read_fit_csv(path) -> FitResult:
@@ -203,7 +183,7 @@ def read_fit_csv(path) -> FitResult:
     inverse = {v: k for k, v in _FIT_COLUMN_UNITS.items()}
     parameters = []
     for column in header:
-        if column.endswith("_sigma") or column in ("rss", "iterations", "converged", "status"):
+        if column.endswith("_sigma") or column in _FIT_SCALARS:
             continue
         name = inverse.get(column, column)
         sigma = _number(path, column + "_sigma", cells.get(column + "_sigma", "nan"))
@@ -216,11 +196,6 @@ def read_fit_csv(path) -> FitResult:
         cells.get("status", ""),
         None,
     )
-
-
-def write_summary(path, entries: dict) -> None:
-    lines = [f"{k} = {v}" for k, v in entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def generate_report(in_dir, out_dir) -> dict:
@@ -237,58 +212,45 @@ def generate_report(in_dir, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {}
 
-    exp_fits = []
-    for path in sorted(in_dir.glob("fit_exponential*.csv")):
-        fit = read_fit_csv(path)
-        if fit.converged:
-            exp_fits.append((path.name, fit))
+    exp_fits = [read_fit_csv(p) for p in sorted(in_dir.glob("fit_exponential*.csv"))]
+    exp_fits = sorted((f for f in exp_fits if f.converged), key=lambda f: f.value("t1"))
     if len(exp_fits) >= 2:
-        ordered = sorted(exp_fits, key=lambda item: item[1].value("t1"))
-        short, long_ = ordered[0][1], ordered[-1][1]
-        report = purcell_report(short, long_)
-        summary["t1_us"] = _fmt(report.t1 * 1e6)
-        summary["t1_sigma_us"] = _fmt(report.t1_sigma * 1e6)
-        summary["t1_reference_ms"] = _fmt(report.t1_reference * 1e3)
-        summary["t1_reference_sigma_ms"] = _fmt(report.t1_reference_sigma * 1e3)
-        summary["purcell_factor"] = _fmt(report.purcell_factor)
-        summary["purcell_factor_sigma"] = _fmt(report.sigma)
-        summary["radiative_linewidth_khz"] = _fmt(radiative_linewidth(report.t1) / 1e3)
+        report = purcell_report(exp_fits[0], exp_fits[-1])
+        summary["t1_us"] = report.t1 * 1e6
+        summary["t1_sigma_us"] = report.t1_sigma * 1e6
+        summary["t1_reference_ms"] = report.t1_reference * 1e3
+        summary["t1_reference_sigma_ms"] = report.t1_reference_sigma * 1e3
+        summary["purcell_factor"] = report.purcell_factor
+        summary["purcell_factor_sigma"] = report.sigma
+        summary["radiative_linewidth_khz"] = radiative_linewidth(report.t1) / 1e3
     elif len(exp_fits) == 1:
-        fit = exp_fits[0][1]
-        summary["t1_us"] = _fmt(fit.value("t1") * 1e6)
-        summary["t1_sigma_us"] = _fmt(fit.sigma("t1") * 1e6)
-        summary["radiative_linewidth_khz"] = _fmt(radiative_linewidth(fit.value("t1")) / 1e3)
+        fit = exp_fits[0]
+        summary["t1_us"] = fit.value("t1") * 1e6
+        summary["t1_sigma_us"] = fit.sigma("t1") * 1e6
+        summary["radiative_linewidth_khz"] = radiative_linewidth(fit.value("t1")) / 1e3
 
     for path in sorted(in_dir.glob("fit_gaussian*.csv")):
         fit = read_fit_csv(path)
         if fit.converged:
-            summary["measured_linewidth_mhz"] = _fmt(fit.value("fwhm") / 1e6)
+            summary["measured_linewidth_mhz"] = fit.value("fwhm") / 1e6
             break
 
     scans = [read_spectrum_csv(p) for p in sorted(in_dir.glob("scan_*.csv"))]
     if len(scans) >= 2:
         sd_map = spectral_diffusion_map(scans)
-        rows = [
-            [_fmt(f)] + [_fmt(c) for c in sd_map.counts[:, j]]
-            for j, f in enumerate(sd_map.frequencies)
-        ]
-        header = ["frequency_hz"] + [f"scan_{i}_counts" for i in range(len(scans))]
-        _write_table(out_dir / "diffusion_map.csv", {}, header, rows)
-        fwhm_rows = [
-            [str(i), _fmt(f.value("fwhm") / 1e6), _fmt(f.sigma("fwhm") / 1e6)]
-            for i, f in enumerate(sd_map.per_scan_fits)
-        ]
-        _write_table(
-            out_dir / "scan_linewidths.csv",
-            {},
-            ["scan_index", "fwhm_mhz", "fwhm_sigma_mhz"],
-            fwhm_rows,
-        )
-        summary["single_scan_fwhm_mhz_mean"] = _fmt(float(np.mean(sd_map.per_scan_fwhm)) / 1e6)
-        summary["time_averaged_fwhm_mhz"] = _fmt(sd_map.average_fwhm / 1e6)
-        summary["measured_linewidth_mhz"] = summary.get(
-            "measured_linewidth_mhz", _fmt(float(np.mean(sd_map.per_scan_fwhm)) / 1e6)
-        )
+        columns = {"frequency_hz": sd_map.frequencies}
+        columns.update((f"scan_{i}_counts", counts) for i, counts in enumerate(sd_map.counts))
+        _write_table(out_dir / "diffusion_map.csv", {}, columns)
+        fits = sd_map.per_scan_fits
+        columns = {
+            "scan_index": range(len(fits)),
+            "fwhm_mhz": [f.value("fwhm") / 1e6 for f in fits],
+            "fwhm_sigma_mhz": [f.sigma("fwhm") / 1e6 for f in fits],
+        }
+        _write_table(out_dir / "scan_linewidths.csv", {}, columns)
+        summary["single_scan_fwhm_mhz_mean"] = float(np.mean(sd_map.per_scan_fwhm)) / 1e6
+        summary["time_averaged_fwhm_mhz"] = sd_map.average_fwhm / 1e6
+        summary.setdefault("measured_linewidth_mhz", summary["single_scan_fwhm_mhz_mean"])
 
     for path in sorted(in_dir.glob("g2*.csv")):
         comments, header, rows = _read_table(path)
@@ -300,11 +262,13 @@ def generate_report(in_dir, out_dir) -> dict:
             continue
         i = zero[-1]
         sigma = _number(path, "g2_zero_sigma", comments.get("g2_zero_sigma", "nan"))
-        summary["g2_zero_raw"] = _fmt(raw[i])
-        summary["g2_zero_raw_sigma"] = _fmt(sigma)
-        summary["g2_zero_corrected"] = _fmt(corrected[i])
-        summary["g2_rho"] = _fmt(rho[i])
+        summary["g2_zero_raw"] = raw[i]
+        summary["g2_zero_raw_sigma"] = sigma
+        summary["g2_zero_corrected"] = corrected[i]
+        summary["g2_rho"] = rho[i]
         break
 
-    write_summary(out_dir / "summary.txt", summary)
+    summary = {k: _fmt(v) for k, v in summary.items()}
+    lines = [f"{k} = {v}" for k, v in summary.items()]
+    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return summary

@@ -1,20 +1,25 @@
 import hashlib
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ersim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
+from ersim.analysis import pulsed_g2
 from ersim.config import parse_config, serialize_config
 from ersim.engine import ClickStream, PulseSequence, config_digest
 from ersim.reporting import (
+    generate_report,
     read_fit_csv,
+    write_correlation_csv,
     write_decay_histogram_csv,
+    write_fit_csv,
     write_spectrum_csv,
     _read_table,
 )
 from ersim.records import DecayHistogram, Spectrum
-from ersim.fitting import gaussian_peak
+from ersim.fitting import FitParameter, FitResult, gaussian_peak
 from ersim.streamfile import write_clickstream
 
 
@@ -68,6 +73,9 @@ G2_CONFIG = doc("""
 """)
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -102,6 +110,13 @@ class TestSimulate:
         cfg = tmp_path / "single.ini"
         cfg.write_text(G2_CONFIG)
         assert main(["simulate", "ple", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert not (tmp_path / "o" / "run_config.ini").exists()
+
+    @pytest.mark.parametrize("experiment", ["lifetime", "g2"])
+    def test_single_frequency_experiment_rejects_grid(self, tmp_path, experiment):
+        cfg = str(CONFIGS / "ple_session.ini")
+        assert main(["simulate", experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert not (tmp_path / "o" / "run_config.ini").exists()
 
     def test_ple_writes_scan_files(self, tmp_path):
         cfg = tmp_path / "ple.ini"
@@ -373,3 +388,74 @@ class TestLayoutDigests:
             "scan_000.csv": "f506200b6adf12a0cdfae889fcc79b7080e3ca772384ce98daad30fa0931b1e6",
             "scan_001.csv": "346b961b83e01f4a6f6b07aa838a7ac90d0fba5fb5fe1db1536bfd5923afb131",
         }
+
+
+class TestTableDigests:
+    """Every kind of CSV table pinned byte for byte.
+
+    The inputs are built by hand and no cell holds a fitted value: a fit goes
+    through BLAS products whose last bit may differ between CPUs.  A failing
+    digest means the rendering of a table changed for the same values.
+    """
+
+    SEQ = PulseSequence(1e-6, 20e-6, 60e-6, 10)
+    NAN = float("nan")
+
+    def test_labelled_spectrum(self, tmp_path):
+        x = 195.6e12 + np.linspace(-200e6, 200e6, 5)
+        write_spectrum_csv(
+            Spectrum(x, [3, 7, 12.5, 6, 2], acquisition_time=0.25, label="scan 0"), tmp_path / "s.csv"
+        )
+        assert sha(tmp_path / "s.csv") == (
+            "7d46f3ab443048817dcfeab7b91fb7f26e5d3a998133cd1fa5393b31b4c13068"
+        )
+
+    def test_decay_histogram(self, tmp_path):
+        edges = np.linspace(0.0, 20e-6, 6)
+        write_decay_histogram_csv(DecayHistogram(edges, [40, 22, 11, 6, 3], 1000), tmp_path / "d.csv")
+        assert sha(tmp_path / "d.csv") == (
+            "8b3c8ba34a78934d8bc312f266acc2da9c300ac190163979101df8e9c9beb089"
+        )
+
+    def test_correlation(self, tmp_path):
+        stream = ClickStream([0, 0, 2, 3, 7], [2000, 3000, 2500, 4000, 1500], self.SEQ)
+        write_correlation_csv(pulsed_g2(stream, 3), tmp_path / "c.csv", rho=0.8)
+        assert sha(tmp_path / "c.csv") == (
+            "ea2d73a051925c4336905b50fda653d8ceb8d17d8e08ebd8fa504f016fd38be7"
+        )
+
+    def test_empty_correlation(self, tmp_path):
+        stream = ClickStream([4], [2000], self.SEQ)
+        write_correlation_csv(pulsed_g2(stream, 2), tmp_path / "c.csv")
+        assert sha(tmp_path / "c.csv") == (
+            "b716d64d09deb77ee41c210254108dee5f7a8042aa799f5538ec0f88b6c66a93"
+        )
+
+    def test_lorentzian_fit_with_q_factor(self, tmp_path):
+        names = ("center", "fwhm", "amplitude", "baseline", "q_factor")
+        values = (195.59e12, 4.724e9, -0.8, 1.0, 41404.7)
+        sigmas = (1.5e6, 2.1e7, 0.003, 0.001, 183.9)
+        fit = FitResult(tuple(map(FitParameter, names, values, sigmas)), 0.0123, 9, True, "ok")
+        write_fit_csv(fit, tmp_path / "f.csv", kind="lorentzian")
+        assert sha(tmp_path / "f.csv") == (
+            "19eb0754005b208c53a14bfdc8a1ca8be4b8d72e481c0c4d954720a3296d12fa"
+        )
+
+    def test_unconverged_fit(self, tmp_path):
+        names = ("amplitude", "t1", "baseline")
+        params = tuple(FitParameter(n, v, self.NAN) for n, v in zip(names, (120.0, 2.2e-6, 4.0)))
+        write_fit_csv(FitResult(params, 55.5, 200, False, "max_iterations"), tmp_path / "f.csv")
+        assert sha(tmp_path / "f.csv") == (
+            "31092e66d9ce66ba0875db06a3ebe58ab79671a1f2ec9128dfaf699198df78e8"
+        )
+
+    def test_report_diffusion_map(self, tmp_path):
+        work = tmp_path / "work"
+        work.mkdir()
+        x = 195.6e12 + np.linspace(-300e6, 300e6, 7)
+        for i, counts in enumerate(([1, 2, 6, 14, 5, 2, 1], [1, 1, 3, 9, 15, 4, 2], [2, 5, 13, 7, 3, 1, 1])):
+            write_spectrum_csv(Spectrum(x, counts, label=f"scan {i}"), work / f"scan_{i:03d}.csv")
+        generate_report(work, tmp_path / "report")
+        assert sha(tmp_path / "report" / "diffusion_map.csv") == (
+            "ca3835c0177d0d6bb9a16e7867116e4ec5d6d45e84c0b413525adc140db85610"
+        )

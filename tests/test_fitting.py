@@ -97,8 +97,8 @@ class TestRoundTrips:
             y = model(x, np.asarray(true))
             for _ in range(10):
                 p0 = np.asarray(true) * (1.0 + rng.uniform(-0.2, 0.2, size=4))
-                p, _, _, _, ok = levenberg_marquardt(model, jac, x, y, p0, log_mask=log_mask)
-                assert ok
+                p, _, _, _, status = levenberg_marquardt(model, jac, x, y, p0, log_mask=log_mask)
+                assert status == "ok"
                 assert np.all(np.abs(p - np.asarray(true)) <= 1e-3 * np.abs(true))
 
     def test_exponential_roundtrip_perturbed(self):
@@ -109,8 +109,8 @@ class TestRoundTrips:
         y = model(t, np.asarray(true))
         for _ in range(10):
             p0 = np.asarray(true) * (1.0 + rng.uniform(-0.2, 0.2, size=3))
-            p, _, _, _, ok = levenberg_marquardt(model, jac, t, y, p0, log_mask=log_mask)
-            assert ok
+            p, _, _, _, status = levenberg_marquardt(model, jac, t, y, p0, log_mask=log_mask)
+            assert status == "ok"
             assert np.all(np.abs(p - np.asarray(true)) <= 1e-3 * np.abs(true))
 
 
@@ -227,10 +227,10 @@ class TestNonConvergence:
         x = np.linspace(-3, 3, 40)
         y = model(x, np.array([0.0, 1.0, 10.0, 0.0]))
         p0 = (2.5, 4.0, -3.0, 8.0)
-        p, cov, rss, iters, ok = levenberg_marquardt(
+        p, cov, rss, iters, status = levenberg_marquardt(
             model, jac, x, y, p0, log_mask=log_mask, max_iterations=1
         )
-        assert not ok
+        assert status == "max_iterations"
         assert iters == 1
         assert cov is None
 
@@ -240,9 +240,16 @@ class TestNonConvergence:
         y = np.array([0.0, 5.0, 0.0, 5.0, 0.0, 5.0])
         from ersim.fitting import _build_result
 
-        result = _build_result(("a", "b"), np.array([1.0, 2.0]), None, 1.0, 3, False, "max_iterations")
+        result = _build_result(("a", "b"), np.array([1.0, 2.0]), None, 1.0, 3, "max_iterations")
         assert not result.converged
         assert all(math.isnan(p.sigma) for p in result.parameters)
+
+    def test_damping_limit_reports_stalled(self):
+        # no step lowers the cost long before the 200-iteration limit
+        fit = fit_gaussian(Spectrum(np.linspace(0, 1, 7), [2, 4, 3, 1, 6, 2, 2]))
+        assert not fit.converged
+        assert fit.status == "stalled"
+        assert fit.iterations < 200
 
 
 class TestHeuristics:
