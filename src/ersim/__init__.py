@@ -12,7 +12,7 @@ from .analysis import (
     spectrum_from_scan,
 )
 from .config import parse_config, parse_config_file, serialize_config
-from .diffusion import DiffusionState, evolve_diffusion, generate_trajectory
+from .diffusion import DiffusionState, generate_trajectory
 from .engine import (
     ClickStream,
     ExperimentConfig,

@@ -1,12 +1,11 @@
 """Spectral-diffusion state and its stochastic evolution.
 
-The fast component follows an exact Ornstein-Uhlenbeck update over an
-arbitrary step dt, the slow component a Gaussian random walk.  Every serial
-update consumes exactly two standard normals (fast first, then slow) even when
-a component is switched off, and a pre-generated trajectory built from the
-same stream is bit-identical to it.  A static emitter (both components off)
-keeps its offsets whatever is drawn, so its trajectory draws nothing; its
-states still equal the serial ones bit for bit, only the stream is not advanced.
+The fast component follows an exact Ornstein-Uhlenbeck update over any step
+dt (Gillespie, Phys. Rev. E 54, 2084, 1996), the slow one a Gaussian random
+walk.  ``generate_trajectory`` is the only update: each step draws two
+standard normals (fast, then slow) even when a component is off, so split
+segments chain bit for bit, and the gap between segments is one step.  A
+static emitter (both components off) draws nothing; only its wall time moves.
 """
 
 from __future__ import annotations
@@ -41,24 +40,6 @@ def _ou_coefficients(dt: float, params: SpectralDiffusionParams) -> tuple[float,
     return a, params.sigma_fast * math.sqrt(1.0 - a * a)
 
 
-def evolve_diffusion(
-    state: DiffusionState,
-    dt: float,
-    params: SpectralDiffusionParams,
-    rng: np.random.Generator,
-) -> DiffusionState:
-    """Advance the diffusion state by dt using two draws from rng."""
-    if dt < 0:
-        raise InvalidParameterError("dt must be >= 0")
-    z_fast = rng.standard_normal()
-    z_slow = rng.standard_normal()
-    a, c = _ou_coefficients(dt, params)
-    fast = a * state.nu_offset_fast + c * z_fast
-    walk_scale = math.sqrt(params.sigma_slow_rate * dt)
-    slow = state.nu_offset_slow + walk_scale * z_slow
-    return DiffusionState(fast, slow, state.wall_time + dt)
-
-
 @dataclass(frozen=True)
 class DiffusionTrajectory:
     """Frozen per-shot offsets for one emitter over a run segment.
@@ -83,14 +64,16 @@ def generate_trajectory(
     params: SpectralDiffusionParams,
     rng: np.random.Generator,
 ) -> DiffusionTrajectory:
-    """Pre-generate n_steps of diffusion, equivalent to serial evolve calls.
+    """Evolve ``state`` n_steps times by dt, keeping the state before each step.
 
-    Shot k of the segment uses the state after k evolutions (shot 0 sees the
-    incoming state unchanged); the state is evolved once more after the last
-    shot so that consecutive segments chain exactly like a serial loop.
+    Shot k of the segment uses the state after k steps (shot 0 sees the
+    incoming state unchanged); ``final`` is the state after the last step, so
+    consecutive segments chain exactly like one long segment.
     """
     if n_steps < 0:
         raise InvalidParameterError("n_steps must be >= 0")
+    if dt < 0:
+        raise InvalidParameterError("dt must be >= 0")
     if n_steps == 0:
         return DiffusionTrajectory(np.empty(0), np.empty(0), state)
     walls_next = np.cumsum(np.concatenate(([state.wall_time], np.full(n_steps, dt))))[1:]
@@ -106,7 +89,7 @@ def generate_trajectory(
     fast_next = lfilter([c], [1.0, -a], draws[:, 0], zi=[a * state.nu_offset_fast])[0]
     walk_scale = math.sqrt(params.sigma_slow_rate * dt)
     # cumsum seeded with the incoming value is the same left fold as a serial
-    # loop, keeping the pre-generated path bit-identical to evolve_diffusion.
+    # loop, so splitting a segment does not change a bit of the path.
     slow_next = np.cumsum(np.concatenate(([state.nu_offset_slow], walk_scale * draws[:, 1])))[1:]
 
     fast = np.concatenate(([state.nu_offset_fast], fast_next[:-1]))

@@ -42,7 +42,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .diffusion import DiffusionState, evolve_diffusion, generate_trajectory
+from .diffusion import DiffusionState, generate_trajectory
 from .errors import InvalidParameterError, StreamInvariantError
 from .physics import (
     CavityModel,
@@ -387,7 +387,7 @@ def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
     for repeat in range(config.scan_repeats):
         if repeat:
             states = [
-                evolve_diffusion(s, config.scan_dwell, em.diffusion, rng)
+                generate_trajectory(s, 1, config.scan_dwell, em.diffusion, rng).final
                 for s, em, rng in zip(states, emitters, rngs)
             ]
         trajectories = [

@@ -10,7 +10,7 @@ half-maximum crossings, edge-point baseline).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,10 @@ from .records import DecayHistogram, Spectrum
 _LN2x4 = 4.0 * math.log(2.0)
 _XTOL = 1e-12   # convergence: relative step in the internal parameters
 _FTOL = 1e-12   # convergence: relative decrease of the cost
+# The models compute up to fourth powers of their parameters (the Lorentzian
+# Jacobian squares (x - center)**2 + (fwhm/2)**2), so a parameter of magnitude
+# within exp(+-_LOG_LIMIT) keeps them finite: exp(4 * 175) is a normal double.
+_LOG_LIMIT = 175.0
 
 
 def lorentzian_peak(x, params):
@@ -118,17 +122,17 @@ class FitResult:
     status: str = "ok"
     covariance: np.ndarray | None = None
 
-    def value(self, name: str) -> float:
+    def _parameter(self, name: str) -> FitParameter:
         for p in self.parameters:
             if p.name == name:
-                return p.value
+                return p
         raise KeyError(name)
 
+    def value(self, name: str) -> float:
+        return self._parameter(name).value
+
     def sigma(self, name: str) -> float:
-        for p in self.parameters:
-            if p.name == name:
-                return p.sigma
-        raise KeyError(name)
+        return self._parameter(name).sigma
 
 
 def peak_initial_guess(x, y):
@@ -194,9 +198,12 @@ def levenberg_marquardt(
     lowered the cost before the damping exceeded 1e14) or ``"singular"``
     (the damped normal equations could not be solved).
     ``log_mask`` selects parameters optimized as logarithms (kept positive).
+    A step that takes a parameter's magnitude out of exp(+-175) is rejected
+    before the model runs, so the model never divides by zero or overflows.
     The damped normal equations are solved with diagonal equilibration so that
     parameters of wildly different magnitudes (Hz-scale centers, unit-scale
-    amplitudes) coexist.
+    amplitudes) coexist.  A converged fit whose equilibrated normal matrix is
+    singular to working precision gets no covariance.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -204,18 +211,16 @@ def levenberg_marquardt(
     if log_mask is None:
         log_mask = (False,) * m
     sw = np.ones_like(y) if weights is None else np.sqrt(np.asarray(weights, dtype=float))
+    limit = np.where(log_mask, _LOG_LIMIT, math.exp(_LOG_LIMIT))
 
     def residual_and_jac(u):
+        """Weighted residuals, Jacobian in u, and dp/du (p for a log parameter)."""
         p = _to_natural(u, log_mask)
-        r = sw * (model(x, p) - y)
-        J = jacobian(x, p) * sw[:, None]
-        for j, is_log in enumerate(log_mask):
-            if is_log:
-                J[:, j] = J[:, j] * p[j]
-        return r, J
+        dp_du = np.where(log_mask, p, 1.0)
+        return sw * (model(x, p) - y), jacobian(x, p) * sw[:, None] * dp_du, dp_du
 
     u = _to_internal(p0, log_mask)
-    r, J = residual_and_jac(u)
+    r, J, dp_du = residual_and_jac(u)
     cost = float(r @ r)
     lam = 1e-3
     status = "max_iterations"
@@ -233,12 +238,14 @@ def levenberg_marquardt(
             return _to_natural(u, log_mask), None, cost, iterations, "singular"
         step = step_hat / d
         u_try = u + step
-        r_try, J_try = residual_and_jac(u_try)
-        cost_try = float(r_try @ r_try)
+        cost_try = math.inf
+        if np.all(np.abs(u_try) < limit):  # also rejects a non-finite step
+            r_try, J_try, dp_du_try = residual_and_jac(u_try)
+            cost_try = float(r_try @ r_try)
         if np.isfinite(cost_try) and cost_try <= cost:
             small_step = np.all(np.abs(step) <= _XTOL * (np.abs(u) + _XTOL))
             small_decrease = (cost - cost_try) <= _FTOL * max(cost, 1e-300)
-            u, r, J, cost = u_try, r_try, J_try, cost_try
+            u, r, J, dp_du, cost = u_try, r_try, J_try, dp_du_try, cost_try
             lam = max(lam * 0.3, 1e-14)
             if small_step or small_decrease:
                 status = "ok"
@@ -253,18 +260,15 @@ def levenberg_marquardt(
     cov = None
     if status == "ok":
         n_dof = len(y) - m
-        try:
-            A = J.T @ J
-            d = np.sqrt(np.diag(A))
-            d[d <= 0] = 1.0
-            inv_hat = np.linalg.inv(A / np.outer(d, d))
-            cov_u = inv_hat / np.outer(d, d)
+        A = J.T @ J
+        d = np.sqrt(np.diag(A))
+        d[d <= 0] = 1.0
+        A_hat = A / np.outer(d, d)
+        if np.linalg.cond(A_hat) * np.finfo(float).eps < 1.0:
+            cov_u = np.linalg.inv(A_hat) / np.outer(d, d)
             scale = cost / n_dof if n_dof > 0 else 0.0
             cov_u = cov_u * scale
-            s = np.array([p[j] if is_log else 1.0 for j, is_log in enumerate(log_mask)])
-            cov = cov_u * np.outer(s, s)
-        except np.linalg.LinAlgError:
-            cov = None
+            cov = cov_u * np.outer(dp_du, dp_du)
     return p, cov, cost, iterations, status
 
 
@@ -278,11 +282,6 @@ def _build_result(names, p, cov, rss, iterations, status):
     return FitResult(params, float(rss), iterations, converged, status, cov)
 
 
-def _degenerate_result(names, values, rss):
-    params = tuple(FitParameter(n, float(v), float("nan")) for n, v in zip(names, values))
-    return FitResult(params, float(rss), 0, False, "degenerate", None)
-
-
 def _fit_peak(kind: str, spectrum: Spectrum) -> FitResult:
     _require(len(spectrum) >= 5, "peak fits need at least 5 points")
     model, jac, names, log_mask = MODELS[kind]
@@ -290,7 +289,8 @@ def _fit_peak(kind: str, spectrum: Spectrum) -> FitResult:
     y = spectrum.counts
     center, fwhm, amplitude, baseline = peak_initial_guess(x, y)
     if amplitude == 0.0:
-        return _degenerate_result(names, (center, fwhm, 0.0, baseline), np.sum((y - baseline) ** 2))
+        rss = np.sum((y - baseline) ** 2)
+        return _build_result(names, (center, fwhm, 0.0, baseline), None, rss, 0, "degenerate")
     p, cov, rss, iters, status = levenberg_marquardt(
         model, jac, x, y, (center, fwhm, amplitude, baseline), log_mask=log_mask
     )
@@ -315,10 +315,8 @@ def fit_lorentzian(spectrum: Spectrum) -> FitResult:
         grad[1] = -center / fwhm**2
         var = float(grad @ result.covariance @ grad)
         sigma_q = math.sqrt(max(var, 0.0))
-    params = result.parameters + (FitParameter("q_factor", float(q), sigma_q),)
-    return FitResult(
-        params, result.rss, result.iterations, result.converged, result.status, result.covariance
-    )
+    q_param = FitParameter("q_factor", float(q), sigma_q)
+    return replace(result, parameters=result.parameters + (q_param,))
 
 
 def fit_exponential(histogram: DecayHistogram) -> FitResult:
@@ -331,7 +329,7 @@ def fit_exponential(histogram: DecayHistogram) -> FitResult:
     weights = 1.0 / np.maximum(y, 1.0)
     amplitude, t1, baseline = decay_initial_guess(t, y)
     if np.max(np.abs(y - np.median(y))) == 0.0:
-        return _degenerate_result(names, (0.0, t1, float(np.mean(y))), 0.0)
+        return _build_result(names, (0.0, t1, float(np.mean(y))), None, 0.0, 0, "degenerate")
     if amplitude <= 0:
         amplitude = max(float(np.max(y) - baseline), 1.0)
     p, cov, rss, iters, status = levenberg_marquardt(

@@ -1,9 +1,14 @@
 import hashlib
+import math
+import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ersim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
 from ersim.analysis import pulsed_g2
@@ -201,6 +206,109 @@ class TestFit:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "spec.csv" in err and "counts" in err
+
+
+FIT_STATUSES = {"ok", "max_iterations", "stalled", "singular", "degenerate"}
+
+
+def fit_cli(workdir, model, x, counts):
+    """Run ``ersim fit`` on counts over grid x with warnings raised as errors.
+
+    A peak model reads x as a spectrum's frequencies, ``exponential`` as the
+    left bin edges of a decay histogram.  Returns (exit code, fit CSV path).
+    """
+    x = [float(v) for v in x]
+    if model == "exponential":
+        step = x[1] - x[0]
+        rows = [f"{left!r},{left + step!r},{c}" for left, c in zip(x, counts)]
+        header = "bin_left_s,bin_right_s,counts"
+    else:
+        rows = [f"{v!r},{c}" for v, c in zip(x, counts)]
+        header = "frequency_hz,counts"
+    data, out = Path(workdir) / "in.csv", Path(workdir) / "fit.csv"
+    data.write_text("\n".join([header, *rows]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", model, "--in", str(data), "--out", str(out)])
+    return code, out
+
+
+def check_fit_output(code, out):
+    assert out.is_file()
+    fit = read_fit_csv(out)
+    assert fit.status in FIT_STATUSES
+    assert code == (EXIT_OK if fit.status == "ok" else EXIT_NOT_CONVERGED)
+    if fit.status != "ok":
+        assert all(math.isnan(p.sigma) for p in fit.parameters)
+    return fit
+
+
+class TestFitDomain:
+    """Every ``ersim fit`` input ends in exit 0, 2 or 4 with finite values."""
+
+    @pytest.mark.parametrize(
+        "model, x, counts",
+        [
+            ("gaussian", np.linspace(1, 2, 7), [2, 4, 3, 1, 6, 2, 2]),
+            ("lorentzian", np.linspace(1, 2, 7), [2, 4, 3, 1, 6, 2, 2]),
+            ("gaussian", np.arange(5) * 0.001, [0, 1, 0, 1, 0]),
+            ("lorentzian", np.arange(5) * 1e-9, [0, 0, 202186, 0, 202025]),
+            (
+                "gaussian",
+                (566 + np.arange(17)) * 4.7082136816722245e-08,
+                [429489, 660561, 259697, 722605, 515214, 673829, 583465, 819238, 44880,
+                 808279, 894306, 850376, 152138, 417503, 755953, 115778, 550891],
+            ),
+            (
+                "lorentzian",
+                (56 + np.arange(15)) * 29778802.965527292,
+                [754866, 359352, 438211, 321603, 15170, 938518, 576652, 285261, 302423,
+                 10627, 193166, 923831, 495986, 277391, 504874],
+            ),
+        ],
+        ids=["gaussian-width-underflow", "lorentzian-width-underflow",
+             "gaussian-width-overflow", "lorentzian-fourth-power-overflow",
+             "gaussian-center-overflow", "lorentzian-singular-covariance"],
+    )
+    def test_fit_stays_in_float_range(self, tmp_path, model, x, counts):
+        code, out = fit_cli(tmp_path, model, x, counts)
+        assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+        fit = check_fit_output(code, out)
+        assert all(math.isfinite(p.value) for p in fit.parameters)
+        assert fit.value("fwhm") > 0
+
+    @settings(max_examples=150)
+    @given(
+        model=st.sampled_from(["lorentzian", "gaussian", "exponential"]),
+        n=st.integers(5, 40),
+        log_step=st.floats(-9.0, 12.0),
+        start=st.integers(0, 1000),
+        shape=st.sampled_from(["random", "flat", "spike", "dip"]),
+        data=st.data(),
+    )
+    def test_any_small_table_ends_in_a_documented_exit(
+        self, model, n, log_step, start, shape, data
+    ):
+        count = st.integers(0, 10**6)
+        if shape == "random":
+            counts = data.draw(st.lists(count, min_size=n, max_size=n))
+        else:
+            base = data.draw(count)
+            counts = [base] * n
+            if shape != "flat":
+                extreme = st.integers(base, 10**6) if shape == "spike" else st.integers(0, base)
+                counts[data.draw(st.integers(0, n - 1))] = data.draw(extreme)
+        step = 10.0**log_step
+        with tempfile.TemporaryDirectory() as workdir:
+            code, out = fit_cli(workdir, model, (start + np.arange(n)) * step, counts)
+            if model == "exponential" and np.count_nonzero(counts) < 4:
+                assert code == EXIT_CONFIG
+                return
+            assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+            fit = check_fit_output(code, out)
+        if fit.status == "ok":
+            assert all(math.isfinite(p.value) for p in fit.parameters)
+            assert fit.value("t1" if model == "exponential" else "fwhm") > 0
 
 
 class TestG2Command:

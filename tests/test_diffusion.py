@@ -3,10 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from ersim.diffusion import DiffusionState, evolve_diffusion, generate_trajectory
+from ersim.diffusion import DiffusionState, _ou_coefficients, generate_trajectory
 from ersim.errors import InvalidParameterError
 from ersim.physics import SpectralDiffusionParams
 from ersim.rng import diffusion_stream
+
+
+def evolve_diffusion(state, dt, params, rng):
+    """Serial oracle: one step by dt from two draws, the update written out."""
+    if dt < 0:
+        raise InvalidParameterError("dt must be >= 0")
+    z_fast = rng.standard_normal()
+    z_slow = rng.standard_normal()
+    a, c = _ou_coefficients(dt, params)
+    fast = a * state.nu_offset_fast + c * z_fast
+    slow = state.nu_offset_slow + math.sqrt(params.sigma_slow_rate * dt) * z_slow
+    return DiffusionState(fast, slow, state.wall_time + dt)
 
 
 def test_zero_params_only_advance_wall_time():
@@ -30,6 +42,32 @@ def test_zero_dt_preserves_offsets():
 def test_negative_dt_rejected():
     with pytest.raises(InvalidParameterError):
         evolve_diffusion(DiffusionState(), -1.0, SpectralDiffusionParams(), diffusion_stream(0, 0))
+
+
+def test_trajectory_rejects_negative_dt():
+    with pytest.raises(InvalidParameterError):
+        generate_trajectory(
+            DiffusionState(), 1, -1.0, SpectralDiffusionParams(), diffusion_stream(0, 0)
+        )
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        SpectralDiffusionParams(sigma_fast=3e6, tau_fast=0.7e-3, sigma_slow_rate=2e11),
+        SpectralDiffusionParams(sigma_fast=3e6, tau_fast=0.0, sigma_slow_rate=0.0),
+        SpectralDiffusionParams(sigma_fast=0.0, tau_fast=0.0, sigma_slow_rate=2e11),
+        SpectralDiffusionParams(),
+    ],
+)
+@pytest.mark.parametrize("dt", [0.0, 60e-6, 509.65])
+def test_one_step_trajectory_is_one_serial_step(params, dt):
+    # the dwell gap between scans is a one-step trajectory
+    start = DiffusionState(1.5e6, -2.5e6, 3.0)
+    traj = generate_trajectory(start, 1, dt, params, diffusion_stream(12, 0))
+    assert traj.fast[0] == start.nu_offset_fast
+    assert traj.slow[0] == start.nu_offset_slow
+    assert traj.final == evolve_diffusion(start, dt, params, diffusion_stream(12, 0))
 
 
 def test_wall_time_nondecreasing():

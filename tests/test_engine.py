@@ -12,6 +12,7 @@ import scenarios
 from ersim import engine
 from ersim.analysis import histogram_arrivals, pulsed_g2, spectrum_from_scan
 from ersim.config import parse_config_file
+from ersim.diffusion import generate_trajectory
 from ersim.engine import (
     BLOCK_SHOTS,
     STREAM_LAYOUT,
@@ -319,13 +320,18 @@ class TestDeterminism:
             firsts.append(first_shot)
             return block_stream(master_seed, first_shot)
 
-        def no_dwell(*args):
-            raise AssertionError("evolve_diffusion called for a lifetime run")
+        steps = []
+
+        def trajectory(state, n_steps, *args):
+            steps.append(n_steps)
+            return generate_trajectory(state, n_steps, *args)
 
         monkeypatch.setattr(engine, "block_stream", recording)
-        monkeypatch.setattr(engine, "evolve_diffusion", no_dwell)
+        monkeypatch.setattr(engine, "generate_trajectory", trajectory)
         stream = run_lifetime(cfg)
         assert firsts == [0, BLOCK_SHOTS]
+        # one trajectory over the n shots per emitter, and no dwell step first
+        assert steps == [n] * len(cfg.resolved_emitters())
         assert stream.shot_indices.tobytes() == session.shot_indices.tobytes()
         assert stream.times_ns.tobytes() == session.times_ns.tobytes()
         assert stream.metadata == session.metadata

@@ -244,6 +244,13 @@ class TestNonConvergence:
         assert not result.converged
         assert all(math.isnan(p.sigma) for p in result.parameters)
 
+    def test_singular_normal_matrix_gives_no_covariance(self):
+        # the width collapses far below the grid step, so the peak's Jacobian
+        # columns vanish together and the data determine no uncertainty
+        fit = fit_lorentzian(Spectrum(np.linspace(1, 2, 7), [2, 4, 3, 1, 6, 2, 2]))
+        assert fit.converged and fit.covariance is None
+        assert all(math.isnan(p.sigma) for p in fit.parameters)
+
     def test_damping_limit_reports_stalled(self):
         # no step lowers the cost long before the 200-iteration limit
         fit = fit_gaussian(Spectrum(np.linspace(0, 1, 7), [2, 4, 3, 1, 6, 2, 2]))
