@@ -47,7 +47,8 @@ def pulsed_g2(stream: ClickStream, max_offset: int) -> CorrelationHistogram:
     at each offset before normalizing to the nonzero-offset mean.
 
     Streams with fewer than two clicks (or no side coincidences) return a
-    histogram flagged ``is_empty`` rather than raising.
+    histogram flagged ``is_empty`` rather than raising.  A shot count too
+    large for one int64 count per shot raises InvalidParameterError.
     """
     _require(max_offset >= 1, "max_offset must be >= 1")
     n_shots = stream.sequence.n_shots
@@ -61,7 +62,10 @@ def pulsed_g2(stream: ClickStream, max_offset: int) -> CorrelationHistogram:
     shot_pairs = n_shots - np.abs(offsets).astype(np.int64)
     shot_pairs[k] = n_shots
     if len(stream) >= 2:
-        counts = np.bincount(stream.shot_indices, minlength=n_shots)
+        try:
+            counts = np.bincount(stream.shot_indices, minlength=n_shots)
+        except (MemoryError, ValueError) as exc:
+            raise InvalidParameterError(f"no memory to count clicks in {n_shots} shots") from exc
         # sum of c (c - 1) over shots, exact in int64 without temporaries
         coincidences[k] = int(np.dot(counts, counts)) - len(stream)
         for d in range(1, k + 1):

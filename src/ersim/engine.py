@@ -17,8 +17,9 @@ A lifetime run is point 0 of scan 0.  The block starting at global shot s
 draws from the counter-based substream keyed by (master_seed, 1 + s)
 (``rng.block_stream``).  Block starts are distinct global shot indices, so no
 key is reused.  Spectral diffusion draws from one sequential substream per
-emitter.  A stream is therefore a pure function of the config and seed,
-independent of the order in which blocks are sampled.
+emitter, advanced block by block in shot order (and by one step across each
+dwell gap); chained so, its draws are the same numbers as one draw over the
+whole scan.  A stream is therefore a pure function of the config and seed.
 
 Within a block of n shots the draws come in this column order:
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -322,20 +323,22 @@ def _sample_block(config: ExperimentConfig, laser_hz: float, offsets, n: int, rn
 
 
 def _run_shots(
-    config: ExperimentConfig,
-    laser: float,
-    offset_arrays: Sequence[np.ndarray],
-    global_start: int,
-    digest: str,
-) -> ClickStream:
-    n_shots = config.sequence.n_shots
+    config: ExperimentConfig, laser: float, states, diffusion_rngs, global_start: int, digest: str
+):
+    """One grid point and the diffusion states after it; each block draws its own offsets."""
+    emitters = config.resolved_emitters()
+    seq = config.sequence
     shots = []
     times = []
-    for first in range(0, n_shots, BLOCK_SHOTS):
-        stop = min(first + BLOCK_SHOTS, n_shots)
+    for first in range(0, seq.n_shots, BLOCK_SHOTS):
+        n = min(BLOCK_SHOTS, seq.n_shots - first)
+        paths = [
+            generate_trajectory(s, n, seq.t_rep, em.diffusion, d_rng)
+            for s, em, d_rng in zip(states, emitters, diffusion_rngs)
+        ]
+        states = [t.final for t in paths]
         rng = block_stream(config.master_seed, global_start + first)
-        block = [o[first:stop] for o in offset_arrays]
-        block_shots, block_times = _sample_block(config, laser, block, stop - first, rng)
+        block_shots, block_times = _sample_block(config, laser, [t.total() for t in paths], n, rng)
         shots.append(block_shots + first)
         times.append(block_times)
     metadata = {
@@ -344,7 +347,7 @@ def _run_shots(
         "global_shot_start": global_start,
         "stream_layout": STREAM_LAYOUT,
     }
-    return ClickStream(np.concatenate(shots), np.concatenate(times), config.sequence, metadata)
+    return ClickStream(np.concatenate(shots), np.concatenate(times), seq, metadata), states
 
 
 @dataclass(frozen=True)
@@ -390,20 +393,11 @@ def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
                 generate_trajectory(s, 1, config.scan_dwell, em.diffusion, rng).final
                 for s, em, rng in zip(states, emitters, rngs)
             ]
-        trajectories = [
-            generate_trajectory(s, len(grid) * n_per, config.sequence.t_rep, em.diffusion, rng)
-            for s, em, rng in zip(states, emitters, rngs)
-        ]
-        states = [t.final for t in trajectories]
-        offsets = [t.total() for t in trajectories]
         points = []
         for g, laser in enumerate(grid):
-            segment = [o[g * n_per : (g + 1) * n_per] for o in offsets]
             first = (repeat * len(grid) + g) * n_per
-            stream = _run_shots(config, float(laser), segment, first, digest)
+            stream, states = _run_shots(config, float(laser), states, rngs, first, digest)
             points.append(ScanPoint(float(laser), len(stream), stream))
-        # drop this scan's per-shot arrays before the next scan's are generated
-        del trajectories, offsets, segment
         yield ScanResult(tuple(points), tuple(states))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ersim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
@@ -363,6 +363,74 @@ class TestG2Command:
         write_clickstream(ClickStream([0, 3], [2000, 30_000], seq), late)
         code = main(["g2", "--in", str(late), "--max-offset", "2", "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_IO
+
+    def test_shot_count_beyond_memory_is_config_error(self, tmp_path, capsys):
+        # a valid stream with its second click at shot 2**61: numpy refuses the
+        # per-shot count array before it allocates anything
+        huge = tmp_path / "huge.ertt"
+        seq = PulseSequence(1e-6, 20e-6, 60e-6, 2**61 + 1)
+        write_clickstream(ClickStream([0, 2**61], [2000, 9000], seq), huge)
+        out = tmp_path / "c.csv"
+        code = main(["g2", "--in", str(huge), "--max-offset", "5", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert str(2**61 + 1) in capsys.readouterr().err
+        assert not out.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mutations=st.lists(
+            st.one_of(
+                st.builds(  # rewrite a header field: magic, version, t_rep, t_pulse, t_coll, count
+                    lambda field, v: (
+                        "put", field[0], (v % 256 ** field[1]).to_bytes(field[1], "little")
+                    ),
+                    st.sampled_from([(0, 4), (4, 2), (6, 8), (14, 8), (22, 8), (30, 8)]),
+                    st.one_of(st.integers(0, 64), st.integers(0, 2**64 - 1)),
+                ),
+                st.builds(  # flip bits in one byte of a record's time
+                    lambda record, byte, mask: ("xor", 46 + 16 * record + byte, mask),
+                    st.integers(0, 4), st.integers(0, 7), st.integers(1, 255),
+                ),
+                st.builds(  # rewrite a record's shot index
+                    lambda record, shot: ("put", 38 + 16 * record, shot.to_bytes(8, "little")),
+                    st.integers(0, 4),
+                    st.one_of(
+                        st.integers(0, 2**20 - 1),
+                        st.integers(2**60, 2**62 - 1),  # read, then too many shots to count
+                        st.integers(2**62, 2**64 - 1),  # beyond the reader's range
+                    ),
+                ),
+                st.tuples(st.just("truncate"), st.integers(0, 38 + 16 * 5 - 1), st.none()),
+                st.tuples(st.just("append"), st.none(), st.binary(min_size=1, max_size=40)),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        max_offset=st.integers(1, 8),
+    )
+    @example(mutations=[("put", 38 + 16 * 4, (2**60).to_bytes(8, "little"))], max_offset=5)
+    def test_mutated_stream_ends_in_a_documented_exit(self, mutations, max_offset):
+        # Shot indices in [2**20, 2**60) are left out: such a stream is valid
+        # and legitimately costs 8 bytes per shot.
+        seq = PulseSequence(1e-6, 20e-6, 60e-6, 10)
+        stream = ClickStream([0, 2, 2, 5, 9], [1500, 3000, 3600, 20_000, 7000], seq)
+        with tempfile.TemporaryDirectory() as workdir:
+            path = Path(workdir) / "m.ertt"
+            write_clickstream(stream, path)
+            data = bytearray(path.read_bytes())
+            for kind, at, value in mutations:
+                if kind == "put" and at + len(value) <= len(data):
+                    data[at : at + len(value)] = value
+                elif kind == "xor" and at < len(data):
+                    data[at] ^= value
+                elif kind == "truncate":
+                    del data[at:]
+                elif kind == "append":
+                    data += value
+            path.write_bytes(bytes(data))
+            out = Path(workdir) / "c.csv"
+            code = main(["g2", "--in", str(path), "--max-offset", str(max_offset), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO)
 
 
 class TestReport:

@@ -220,6 +220,23 @@ class TestRunLifetime:
             stream = run_lifetime(cfg)
             validate_click_stream(stream, cfg.detector.dead_time)
 
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            lambda n: dataclasses.replace(
+                scenarios.linewidth_session_config(repeats=1, n_shots=n, points=1),
+                laser_frequency=scenarios.NU0,
+            ),
+            lambda n: scenarios.background_g2_config(n_shots=n),
+        ],
+        ids=["diffusing", "two-emitter"],
+    )
+    def test_peak_memory_is_the_stream_plus_one_block(self, make_config):
+        # tracemalloc peak on 2e5 shots: the stream's blocks and their
+        # concatenation, plus one block's offsets and draws, whatever n_shots
+        stream, peak = scenarios.traced_peak(run_lifetime, make_config(200_000))
+        assert peak <= 2 * 16 * len(stream) + 128 * BLOCK_SHOTS
+
 
 class TestCavityDetuning:
     """Emitter half a cavity linewidth from the mode with p_peak = 2, so P = 1.
@@ -320,18 +337,21 @@ class TestDeterminism:
             firsts.append(first_shot)
             return block_stream(master_seed, first_shot)
 
-        steps = []
+        steps = {}  # emitter's diffusion stream -> n_steps of each call
+        dts = set()
 
-        def trajectory(state, n_steps, *args):
-            steps.append(n_steps)
-            return generate_trajectory(state, n_steps, *args)
+        def trajectory(state, n_steps, dt, params, rng):
+            steps.setdefault(id(rng), []).append(n_steps)
+            dts.add(dt)
+            return generate_trajectory(state, n_steps, dt, params, rng)
 
         monkeypatch.setattr(engine, "block_stream", recording)
         monkeypatch.setattr(engine, "generate_trajectory", trajectory)
         stream = run_lifetime(cfg)
         assert firsts == [0, BLOCK_SHOTS]
-        # one trajectory over the n shots per emitter, and no dwell step first
-        assert steps == [n] * len(cfg.resolved_emitters())
+        # per emitter one trajectory per block, and no dwell step first
+        assert list(steps.values()) == [[BLOCK_SHOTS, 7]] * len(cfg.resolved_emitters())
+        assert dts == {cfg.sequence.t_rep}
         assert stream.shot_indices.tobytes() == session.shot_indices.tobytes()
         assert stream.times_ns.tobytes() == session.times_ns.tobytes()
         assert stream.metadata == session.metadata
