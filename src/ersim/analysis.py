@@ -8,11 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ClickStream, ScanResult
+from .engine import _CHUNK, ClickStream, ScanResult
 from .errors import InvalidParameterError
 from .fitting import FitResult, fit_gaussian
 from .physics import _require, purcell_from_lifetimes
 from .records import CorrelationHistogram, DecayHistogram, Spectrum
+
+_G2_WINDOW = 2**16        # shots heading one pulsed_g2 window; K more shots follow each
+_FLOAT64_EXACT = 2**53    # float64 dots are exact while a window's records squared stay below
 
 
 def histogram_arrivals(stream: ClickStream, bin_width: float) -> DecayHistogram:
@@ -27,12 +30,19 @@ def histogram_arrivals(stream: ClickStream, bin_width: float) -> DecayHistogram:
     _require(bw_ns >= 1, "bin_width must be at least 1 ns")
     seq = stream.sequence
     n_bins = -(-seq.t_coll_ns // bw_ns)
-    # bin index ceil(delay / bw) - 1, computed in place on one array
-    idx = stream.times_ns - (seq.t_pulse_ns - bw_ns + 1)
-    idx //= bw_ns
-    idx -= 1
-    np.clip(idx, 0, None, out=idx)
-    counts = np.bincount(idx, minlength=n_bins)
+    # bin index ceil(delay / bw) - 1, in windows of _CHUNK clicks through one buffer
+    times = stream.times_ns
+    idx_buf = np.empty(min(len(times), _CHUNK), dtype=np.int64)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for lo in range(0, len(times), _CHUNK):
+        idx = idx_buf[: min(_CHUNK, len(times) - lo)]
+        np.subtract(times[lo : lo + len(idx)], seq.t_pulse_ns - bw_ns + 1, out=idx)
+        idx //= bw_ns
+        idx -= 1
+        np.clip(idx, 0, None, out=idx)
+        part = np.bincount(idx, minlength=n_bins)
+        _require(len(part) == n_bins, "click after the collection window")
+        counts += part
     edges = np.arange(n_bins + 1) * (bw_ns * 1e-9)
     return DecayHistogram(edges, counts.astype(float), total_shots=seq.n_shots)
 
@@ -46,14 +56,21 @@ def pulsed_g2(stream: ClickStream, max_offset: int) -> CorrelationHistogram:
     offset.  Rates are edge-corrected by the number of shot pairs available
     at each offset before normalizing to the nonzero-offset mean.
 
+    The stream's shot indices must be nondecreasing (the ``ClickStream``
+    contract); a decreasing shot column raises InvalidParameterError.  The
+    pass visits only occupied shots, in windows of W = ``_G2_WINDOW`` shots
+    plus K, so it costs O(clicks + windows * K * W) time and O(W + K) memory
+    beyond the records of one window.  The shot count sets no limit: the
+    clicks of a stream spanning 2**61 shots are counted as exactly as any.
+
     Streams with fewer than two clicks (or no side coincidences) return a
-    histogram flagged ``is_empty`` rather than raising.  A shot count too
-    large for one int64 count per shot raises InvalidParameterError.
+    histogram flagged ``is_empty`` rather than raising.
     """
     _require(max_offset >= 1, "max_offset must be >= 1")
     n_shots = stream.sequence.n_shots
     _require(max_offset < n_shots, "max_offset must be smaller than the shot count")
-    if len(stream) and (stream.shot_indices.min() < 0 or stream.shot_indices.max() >= n_shots):
+    shots = stream.shot_indices
+    if len(stream) and (shots[0] < 0 or shots[-1] >= n_shots):
         raise InvalidParameterError("stream shot indices exceed its declared shot count")
 
     k = max_offset
@@ -62,16 +79,9 @@ def pulsed_g2(stream: ClickStream, max_offset: int) -> CorrelationHistogram:
     shot_pairs = n_shots - np.abs(offsets).astype(np.int64)
     shot_pairs[k] = n_shots
     if len(stream) >= 2:
-        try:
-            counts = np.bincount(stream.shot_indices, minlength=n_shots)
-        except (MemoryError, ValueError) as exc:
-            raise InvalidParameterError(f"no memory to count clicks in {n_shots} shots") from exc
-        # sum of c (c - 1) over shots, exact in int64 without temporaries
-        coincidences[k] = int(np.dot(counts, counts)) - len(stream)
-        for d in range(1, k + 1):
-            v = int(np.dot(counts[:-d], counts[d:]))
-            coincidences[k + d] = v
-            coincidences[k - d] = v
+        coincidences[k:] = _pairs_by_offset(shots, k)
+        coincidences[k] -= len(stream)
+        coincidences[:k] = coincidences[: k : -1]
     side = coincidences[np.abs(offsets) >= 1] / shot_pairs[np.abs(offsets) >= 1]
     normalization = float(np.mean(side)) if len(stream) >= 2 else 0.0
     return CorrelationHistogram(
@@ -82,6 +92,38 @@ def pulsed_g2(stream: ClickStream, max_offset: int) -> CorrelationHistogram:
         stream.sequence.t_rep,
         n_clicks=len(stream),
     )
+
+
+def _pairs_by_offset(shots: np.ndarray, k: int) -> np.ndarray:
+    """Sum over shots s of c(s) c(s + d) for d = 0..k, c the clicks per shot.
+
+    A window counts the clicks of shots [a, a + W + k) from the next unvisited
+    occupied shot a; the shots [a, a + W) head it, so every occupied shot
+    heads exactly one.  Its m records bound every partial sum by m**2, which
+    picks float64 dots where they are exact and int64 beyond.
+    """
+    w = _G2_WINDOW
+    sums = np.zeros(k + 1, dtype=np.int64)
+    float_counts = np.empty(w + k)
+    last = int(shots[-1])
+    i = 0
+    while i < len(shots):
+        a = int(shots[i])
+        j = int(np.searchsorted(shots, min(a + w + k - 1, last), side="right"))
+        window = shots[i : j + 1]   # reaches into the next window: every adjacent pair is checked
+        if j <= i or (window[1:] < window[:-1]).any():
+            raise InvalidParameterError("stream shot indices decrease")
+        nxt = i + int(np.searchsorted(shots[i:j], a + w)) if a + w <= last else j
+        counts = np.bincount(shots[i:j] - a, minlength=w + k)
+        if (j - i) ** 2 < _FLOAT64_EXACT:
+            float_counts[:] = counts
+            counts = float_counts
+        head = int(shots[nxt - 1]) - a + 1     # shots up to the head's last click
+        span = int(shots[j - 1]) - a + 1       # shots up to the window's last click
+        for d in range(min(k + 1, span)):
+            sums[d] += int(np.dot(counts[:head], counts[d : d + head]))
+        i = nxt
+    return sums
 
 
 def dark_count_floor(

@@ -228,28 +228,36 @@ def validate_click_stream(stream: ClickStream, dead_time: float = 0.0) -> None:
         raise StreamInvariantError("click after the collection window")
     if hi > seq.t_rep_ns:
         raise StreamInvariantError("collection window extends past the repetition period")
-    # Ordering and dead time from adjacent differences, in windows of _CHUNK + 1
-    # records that overlap by one, through one reused buffer.  The time verdicts
-    # wait for the whole shot-ordering pass so that the messages keep their order.
+    # Ordering and dead time from comparisons of adjacent records, in windows of
+    # _CHUNK + 1 records that overlap by one, through reused buffers.  The time
+    # verdicts wait for the whole shot-ordering pass so that the messages keep
+    # their order.
     dead_ns = _to_ns(dead_time)
     n_pairs = len(stream) - 1
-    diff = np.empty(min(n_pairs, _CHUNK), dtype=np.int64)
+    size = min(n_pairs, _CHUNK)
+    flag_buf, same_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    gap_buf = np.empty(size, dtype=np.int64) if dead_ns > 0 else None
     times_unsorted = too_close = False
     for start in range(0, n_pairs, _CHUNK):
         stop = min(start + _CHUNK, n_pairs)
-        d = diff[: stop - start]
-        np.subtract(shots[start + 1 : stop + 1], shots[start:stop], out=d)
-        if d.min() < 0:
+        flag, same = flag_buf[: stop - start], same_buf[: stop - start]
+        shot, next_shot = shots[start:stop], shots[start + 1 : stop + 1]
+        if np.less(next_shot, shot, out=flag).any():
             raise StreamInvariantError("records not sorted by shot index")
-        new_shot = d > 0
-        np.subtract(times[start + 1 : stop + 1], times[start:stop], out=d)
-        np.copyto(d, np.iinfo(np.int64).max, where=new_shot)
-        closest = d.min()
-        times_unsorted |= closest < 0
-        too_close |= closest < dead_ns
+        np.equal(next_shot, shot, out=same)
+        t, next_t = times[start:stop], times[start + 1 : stop + 1]
+        np.less(next_t, t, out=flag)
+        flag &= same
+        times_unsorted |= flag.any()
+        if gap_buf is not None:
+            gap = gap_buf[: stop - start]
+            np.subtract(next_t, t, out=gap)
+            np.less(gap, dead_ns, out=flag)
+            flag &= same
+            too_close |= flag.any()
     if times_unsorted:
         raise StreamInvariantError("records not sorted by time within shot")
-    if dead_ns > 0 and too_close:
+    if too_close:
         raise StreamInvariantError("clicks closer than the detector dead time")
 
 

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scenarios
+import ersim.analysis
 from ersim.analysis import (
+    _G2_WINDOW,
     background_corrected_g2,
     dark_count_floor,
     histogram_arrivals,
@@ -14,7 +16,7 @@ from ersim.analysis import (
     purcell_report,
     spectral_diffusion_map,
 )
-from ersim.engine import ClickStream, ExperimentConfig, PulseSequence, run_lifetime
+from ersim.engine import _CHUNK, ClickStream, ExperimentConfig, PulseSequence, run_lifetime
 from ersim.errors import InvalidParameterError
 from ersim.fitting import FitParameter, FitResult, gaussian_peak
 from ersim.physics import DetectorModel
@@ -33,6 +35,44 @@ def stream_from_counts(counts_per_shot, rng, t_pulse_ns=1000, t_coll_ns=20000):
     order = np.lexsort((times, shots))
     seq = PulseSequence(t_pulse_ns * 1e-9, t_coll_ns * 1e-9, 60e-6, len(counts_per_shot))
     return ClickStream(shots[order], times[order], seq)
+
+
+def brute_force_pairs(counts, k):
+    """Oracle: sum over shots of c(s) c(s + d) for d = 0..k, by one int64 dot per offset.
+
+    The same-shot clicks themselves are taken out at d = 0, leaving ordered
+    pairs.  An offset by which no two occupied shots are apart is zero
+    without a dot.
+    """
+    occupied = np.flatnonzero(counts)
+    lags = np.unique(occupied[None, :] - occupied[:, None])
+    out = np.zeros(k + 1, dtype=np.int64)
+    for d in lags[(lags >= 0) & (lags <= k)]:
+        out[d] = np.dot(counts[: len(counts) - d], counts[d:])
+    out[0] -= counts.sum()
+    return out
+
+
+def seam_counts(k, rng):
+    """Clicks per shot that cross at least three pulsed_g2 windows for max offset k.
+
+    Gaps shorter than k, equal to k and longer than the window; a window head
+    a with one click at a + W - 1 and one at a + W + k - 1, the farthest pair
+    the window sees; 300 clicks in shot a.
+    """
+    w = _G2_WINDOW
+    occupied = [0]
+    for gap in (k - 1, k, w + 7):
+        if gap:
+            occupied.append(occupied[-1] + gap)
+    a = occupied[-1]
+    occupied += [a + w - 1, a + w + k - 1]
+    b = occupied[-1] + w + k + 11
+    occupied += [b, b + 1, b + 4]
+    counts = np.zeros(occupied[-1] + 6, dtype=np.int64)
+    counts[occupied] = rng.integers(1, 4, size=len(occupied))
+    counts[a] = 300
+    return counts
 
 
 def fit_summary(value, sigma, converged=True):
@@ -167,18 +207,31 @@ class TestPulsedG2:
         hist = pulsed_g2(stream_from_counts(counts, rng), 2)
         assert hist.coincidences[2] == int(np.sum(counts * (counts - 1)))
 
+    @pytest.mark.parametrize("exact_bound", [2**53, 0], ids=["float64", "int64"])
+    @pytest.mark.parametrize("k", [1, 30, _G2_WINDOW + 5])
+    def test_every_offset_matches_per_shot_dots_across_window_seams(
+        self, monkeypatch, k, exact_bound
+    ):
+        monkeypatch.setattr(ersim.analysis, "_FLOAT64_EXACT", exact_bound)
+        rng = np.random.default_rng(k)
+        counts = seam_counts(k, rng)
+        hist = pulsed_g2(stream_from_counts(counts, rng), k)
+        expected = brute_force_pairs(counts, k)
+        assert np.array_equal(hist.coincidences[k:], expected)
+        assert np.array_equal(hist.coincidences[: k + 1], expected[::-1])
+
+    def test_decreasing_shot_column_is_rejected(self):
+        for shots in ([0, 3, 2, 9], [0, 2**17, 5], [4, 0]):
+            stream = make_stream(shots, [2000] * len(shots), n_shots=2**18)
+            with pytest.raises(InvalidParameterError, match="decrease"):
+                pulsed_g2(stream, 2)
+
 
 class TestMemoryBounds:
-    """tracemalloc peaks on about 2e6 records: one array of the stream's or shots' length."""
+    """tracemalloc peaks on about 2e6 records, or on a few clicks over 2**40 shots."""
 
     N_RECORDS = 2_000_000
     MiB = 2**20
-
-    def test_histogram_holds_one_index_per_record(self):
-        stream = scenarios.paired_stream(self.N_RECORDS)
-        hist, peak = scenarios.traced_peak(histogram_arrivals, stream, 312e-9)
-        assert hist.counts.sum() == self.N_RECORDS
-        assert peak <= 8 * self.N_RECORDS + self.MiB
 
     def test_pulsed_g2_holds_one_count_per_shot(self):
         stream = scenarios.paired_stream(self.N_RECORDS)
@@ -187,6 +240,22 @@ class TestMemoryBounds:
         counts = np.bincount(stream.shot_indices)
         assert hist.coincidences[30] == int(np.sum(counts * (counts - 1)))
         assert peak <= 8 * n_shots + self.MiB
+
+    def test_histogram_holds_one_chunk_of_indices(self):
+        stream = scenarios.paired_stream(self.N_RECORDS)
+        hist, peak = scenarios.traced_peak(histogram_arrivals, stream, 312e-9)
+        assert hist.counts.sum() == self.N_RECORDS
+        assert peak <= 8 * _CHUNK + self.MiB
+
+    def test_pulsed_g2_memory_does_not_grow_with_the_shot_count(self):
+        k, n_shots = 30, 2**40
+        shots = np.array([0, 1, 5, 2**20, 2**39, n_shots - 2, n_shots - 1])
+        stream = make_stream(shots, np.full(len(shots), 2000), n_shots=n_shots)
+        hist, peak = scenarios.traced_peak(pulsed_g2, stream, k)
+        expected = np.zeros(k + 1, dtype=np.int64)
+        expected[[1, 4, 5]] = [2, 1, 1]   # (0, 1) and the last two shots; (1, 5); (0, 5)
+        assert np.array_equal(hist.coincidences[k:], expected)
+        assert peak <= self.MiB + 16 * (_G2_WINDOW + k)
 
 
 class TestDarkCountFloor:

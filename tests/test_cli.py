@@ -364,17 +364,23 @@ class TestG2Command:
         code = main(["g2", "--in", str(late), "--max-offset", "2", "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_IO
 
-    def test_shot_count_beyond_memory_is_config_error(self, tmp_path, capsys):
-        # a valid stream with its second click at shot 2**61: numpy refuses the
-        # per-shot count array before it allocates anything
-        huge = tmp_path / "huge.ertt"
-        seq = PulseSequence(1e-6, 20e-6, 60e-6, 2**61 + 1)
-        write_clickstream(ClickStream([0, 2**61], [2000, 9000], seq), huge)
+    def test_far_shot_count_gives_exact_zeros(self, tmp_path, capsys):
+        # a valid stream with its second click at shot 2**61: pulsed_g2 visits
+        # only the occupied shots, so the shot count costs nothing
+        far = tmp_path / "far.ertt"
+        n_shots = 2**61 + 1
+        seq = PulseSequence(1e-6, 20e-6, 60e-6, n_shots)
+        write_clickstream(ClickStream([0, 2**61], [2000, 9000], seq), far)
         out = tmp_path / "c.csv"
-        code = main(["g2", "--in", str(huge), "--max-offset", "5", "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert str(2**61 + 1) in capsys.readouterr().err
-        assert not out.exists()
+        code = main(["g2", "--in", str(far), "--max-offset", "5", "--out", str(out)])
+        assert code == EXIT_OK
+        assert "too few clicks" in capsys.readouterr().err
+        _, header, rows = _read_table(out)
+        column = {name: [int(r[header.index(name)]) for r in rows]
+                  for name in ("offset_shots", "coincidences", "shot_pairs")}
+        assert column["offset_shots"] == list(range(-5, 6))
+        assert column["coincidences"] == [0] * 11
+        assert column["shot_pairs"] == [n_shots - abs(d) for d in range(-5, 6)]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -396,7 +402,7 @@ class TestG2Command:
                     st.integers(0, 4),
                     st.one_of(
                         st.integers(0, 2**20 - 1),
-                        st.integers(2**60, 2**62 - 1),  # read, then too many shots to count
+                        st.integers(2**20, 2**62 - 1),
                         st.integers(2**62, 2**64 - 1),  # beyond the reader's range
                     ),
                 ),
@@ -410,8 +416,6 @@ class TestG2Command:
     )
     @example(mutations=[("put", 38 + 16 * 4, (2**60).to_bytes(8, "little"))], max_offset=5)
     def test_mutated_stream_ends_in_a_documented_exit(self, mutations, max_offset):
-        # Shot indices in [2**20, 2**60) are left out: such a stream is valid
-        # and legitimately costs 8 bytes per shot.
         seq = PulseSequence(1e-6, 20e-6, 60e-6, 10)
         stream = ClickStream([0, 2, 2, 5, 9], [1500, 3000, 3600, 20_000, 7000], seq)
         with tempfile.TemporaryDirectory() as workdir:
