@@ -6,7 +6,7 @@ route the photon to the detector through the cavity channel, superimpose
 Poisson dark counts inside the collection window, and apply dead-time
 filtering.  Click times are quantized to integer nanoseconds at creation, by
 truncation toward zero, so streams round-trip bit-exactly through the binary
-file format.
+file format.  Every ``ClickStream`` is validated when it is made.
 
 Randomness contract, stream layout 2 (``STREAM_LAYOUT``): shots are sampled in
 blocks of ``BLOCK_SHOTS`` = 2**14.  A session of R scans over a grid of G
@@ -79,9 +79,11 @@ class PulseSequence:
         _require(self.t_pulse > 0, "t_pulse must be > 0")
         _require(self.t_coll > 0, "t_coll must be > 0")
         _require(
-            self.t_pulse + self.t_coll <= self.t_rep,
+            self.t_pulse + self.t_coll <= self.t_rep
+            and self.t_pulse_ns + self.t_coll_ns <= self.t_rep_ns,
             "pulse plus collection window must fit inside the repetition period",
         )
+        _require(self.t_coll_ns >= 1, "t_coll must be at least 1 ns")
         _require(self.n_shots >= 1, "n_shots must be >= 1")
 
     @property
@@ -189,76 +191,86 @@ def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(serialize_config(config).encode()).hexdigest()[:16]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClickStream:
     """Time-tagged detector clicks, ordered by (shot index, time within shot).
 
-    Times are integer nanoseconds from the start of the shot.
+    Times are integer nanoseconds from the start of the shot.  A stream is
+    checked with ``validate_click_stream`` when it is made, so no invalid one
+    exists.  Its fields are frozen and its columns are read-only int64 views
+    of the arrays passed in, which are not copied and stay writeable.
     """
 
-    shot_indices: np.ndarray     # int64, nondecreasing
+    shot_indices: np.ndarray     # int64, nondecreasing, within [0, n_shots)
     times_ns: np.ndarray         # int64, within [t_pulse, t_pulse + t_coll)
     sequence: PulseSequence
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.shot_indices = np.asarray(self.shot_indices, dtype=np.int64)
-        self.times_ns = np.asarray(self.times_ns, dtype=np.int64)
+        for name in ("shot_indices", "times_ns"):
+            column = np.asarray(getattr(self, name), dtype=np.int64).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         if self.shot_indices.shape != self.times_ns.shape:
             raise InvalidParameterError("shot_indices and times_ns must have equal length")
+        validate_click_stream(self)
 
     def __len__(self) -> int:
         return len(self.times_ns)
 
 
 def validate_click_stream(stream: ClickStream, dead_time: float = 0.0) -> None:
-    """Raise StreamInvariantError unless gating, ordering and dead time hold."""
+    """Raise StreamInvariantError unless gating, ordering and dead time hold.
+
+    One pass over adjacent records in windows of ``_CHUNK``, through reused
+    buffers, also takes each window's time extremes.  Sorted shots have their
+    extremes at the ends; whole-column extremes are taken only when the shot
+    order fails, so that the messages keep their order.
+    """
     seq = stream.sequence
-    shots = stream.shot_indices
-    times = stream.times_ns
-    if len(stream) == 0:
+    shots, times, n = stream.shot_indices, stream.times_ns, len(stream)
+    if n == 0:
         return
-    if shots.min() < 0 or shots.max() >= seq.n_shots:
-        raise StreamInvariantError("shot index outside [0, n_shots)")
-    lo = seq.t_pulse_ns
-    hi = seq.t_pulse_ns + seq.t_coll_ns
-    if times.min() < lo:
-        raise StreamInvariantError("click inside the excitation pulse window")
-    if times.max() >= hi:
-        raise StreamInvariantError("click after the collection window")
-    if hi > seq.t_rep_ns:
-        raise StreamInvariantError("collection window extends past the repetition period")
-    # Ordering and dead time from comparisons of adjacent records, in windows of
-    # _CHUNK + 1 records that overlap by one, through reused buffers.  The time
-    # verdicts wait for the whole shot-ordering pass so that the messages keep
-    # their order.
     dead_ns = _to_ns(dead_time)
-    n_pairs = len(stream) - 1
-    size = min(n_pairs, _CHUNK)
+    size = min(n, _CHUNK)
     flag_buf, same_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     gap_buf = np.empty(size, dtype=np.int64) if dead_ns > 0 else None
-    times_unsorted = too_close = False
-    for start in range(0, n_pairs, _CHUNK):
-        stop = min(start + _CHUNK, n_pairs)
-        flag, same = flag_buf[: stop - start], same_buf[: stop - start]
-        shot, next_shot = shots[start:stop], shots[start + 1 : stop + 1]
+    t_min = t_max = int(times[0])
+    shots_unsorted = times_unsorted = too_close = False
+    for start in range(0, n, _CHUNK):
+        window = times[start : start + _CHUNK]
+        t_min, t_max = min(t_min, int(window.min())), max(t_max, int(window.max()))
+        m = min(start + _CHUNK, n - 1) - start    # the pairs (i, i + 1), i in [start, start + m)
+        flag, same = flag_buf[:m], same_buf[:m]
+        shot, next_shot = shots[start : start + m], shots[start + 1 : start + m + 1]
         if np.less(next_shot, shot, out=flag).any():
-            raise StreamInvariantError("records not sorted by shot index")
+            shots_unsorted = True
+            break
         np.equal(next_shot, shot, out=same)
-        t, next_t = times[start:stop], times[start + 1 : stop + 1]
+        t, next_t = times[start : start + m], times[start + 1 : start + m + 1]
         np.less(next_t, t, out=flag)
         flag &= same
         times_unsorted |= flag.any()
         if gap_buf is not None:
-            gap = gap_buf[: stop - start]
+            gap = gap_buf[:m]
             np.subtract(next_t, t, out=gap)
             np.less(gap, dead_ns, out=flag)
             flag &= same
             too_close |= flag.any()
-    if times_unsorted:
-        raise StreamInvariantError("records not sorted by time within shot")
-    if too_close:
-        raise StreamInvariantError("clicks closer than the detector dead time")
+    if shots_unsorted:
+        s_min, s_max, t_min, t_max = shots.min(), shots.max(), times.min(), times.max()
+    else:
+        s_min, s_max = shots[0], shots[-1]
+    for broken, message in (
+        (s_min < 0 or s_max >= seq.n_shots, "shot index outside [0, n_shots)"),
+        (t_min < seq.t_pulse_ns, "click inside the excitation pulse window"),
+        (t_max >= seq.t_pulse_ns + seq.t_coll_ns, "click after the collection window"),
+        (shots_unsorted, "records not sorted by shot index"),
+        (times_unsorted, "records not sorted by time within shot"),
+        (too_close, "clicks closer than the detector dead time"),
+    ):
+        if broken:
+            raise StreamInvariantError(message)
 
 
 def _apply_dead_time(shots: np.ndarray, times: np.ndarray, dead_ns: int):

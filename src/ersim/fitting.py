@@ -181,6 +181,14 @@ def _to_natural(u, log_mask):
     return np.array([math.exp(v) if m else v for v, m in zip(u, log_mask)], dtype=float)
 
 
+def _equilibrated(J):
+    """``J.T @ J`` scaled to a unit diagonal, and the scale (1 for a zero column)."""
+    A = J.T @ J
+    d = np.sqrt(np.diag(A))
+    d[d <= 0] = 1.0
+    return A / np.outer(d, d), d
+
+
 def levenberg_marquardt(
     model,
     jacobian,
@@ -226,14 +234,9 @@ def levenberg_marquardt(
     status = "max_iterations"
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        A = J.T @ J
-        g = J.T @ r
-        d = np.sqrt(np.diag(A))
-        d[d <= 0] = 1.0
-        A_hat = A / np.outer(d, d)
-        g_hat = g / d
+        A_hat, d = _equilibrated(J)
         try:
-            step_hat = np.linalg.solve(A_hat + lam * np.eye(m), -g_hat)
+            step_hat = np.linalg.solve(A_hat + lam * np.eye(m), -(J.T @ r) / d)
         except np.linalg.LinAlgError:
             return _to_natural(u, log_mask), None, cost, iterations, "singular"
         step = step_hat / d
@@ -260,10 +263,7 @@ def levenberg_marquardt(
     cov = None
     if status == "ok":
         n_dof = len(y) - m
-        A = J.T @ J
-        d = np.sqrt(np.diag(A))
-        d[d <= 0] = 1.0
-        A_hat = A / np.outer(d, d)
+        A_hat, d = _equilibrated(J)
         if np.linalg.cond(A_hat) * np.finfo(float).eps < 1.0:
             cov_u = np.linalg.inv(A_hat) / np.outer(d, d)
             scale = cost / n_dof if n_dof > 0 else 0.0

@@ -15,7 +15,8 @@ Records are sorted by (shot_index, time).  Reading a file and writing it back
 reproduces the bytes exactly; sub-nanosecond in-memory times do not occur
 because the engine quantizes click tags at creation.  The shot count is not
 part of the format, so it is inferred on read as max(shot_index) + 1.  The
-reader checks the records with ``engine.validate_click_stream``.
+reader checks only the format; the records are checked, as every
+``ClickStream`` is, when the stream is made.
 
 Records are read and written in chunks of 2**20 (16 MiB) through one reused
 buffer, so a stream costs about the 16 bytes per record of its two int64
@@ -30,7 +31,7 @@ import struct
 
 import numpy as np
 
-from .engine import _CHUNK, ClickStream, PulseSequence, validate_click_stream
+from .engine import _CHUNK, ClickStream, PulseSequence
 from .errors import InvalidParameterError, StreamFormatError, StreamInvariantError
 
 MAGIC = b"ERTT"
@@ -46,8 +47,6 @@ def write_clickstream(stream: ClickStream, path) -> None:
             raise StreamFormatError(f"{name} is not an integer number of nanoseconds")
     shots, times = stream.shot_indices, stream.times_ns
     count = len(stream)
-    if count and (shots.min() < 0 or times.min() < 0):
-        raise StreamFormatError("negative shot index or time tag")
     header = _HEADER.pack(MAGIC, VERSION, seq.t_rep_ns, seq.t_pulse_ns, seq.t_coll_ns, count)
     buf = np.empty((min(count, _CHUNK), 2), dtype="<u8")
     with open(path, "wb") as fh:
@@ -76,12 +75,12 @@ def _read_records(fh, count: int):
 
 
 def read_clickstream(path) -> ClickStream:
-    """Read a click-stream file and check it with ``validate_click_stream``.
+    """Read a click-stream file.
 
     Raises StreamFormatError for bad magic, unsupported version, truncated or
     oversized record sections, field values beyond 2**62, an invalid pulse
-    sequence, and records that break the stream invariants (unsorted, or time
-    tags outside ``[t_pulse, t_pulse + t_coll)``).
+    sequence, and records that break the ``ClickStream`` invariants (unsorted,
+    or time tags outside ``[t_pulse, t_pulse + t_coll)``).
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -105,11 +104,8 @@ def read_clickstream(path) -> ClickStream:
             t_rep=t_rep_ns * 1e-9,
             n_shots=int(shots.max()) + 1 if count else 1,
         )
+        return ClickStream(shots, times, sequence)
     except InvalidParameterError as exc:
         raise StreamFormatError(f"invalid pulse sequence in header: {exc}") from exc
-    stream = ClickStream(shots, times, sequence, metadata={})
-    try:
-        validate_click_stream(stream)
     except StreamInvariantError as exc:
         raise StreamFormatError(str(exc)) from exc
-    return stream

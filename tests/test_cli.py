@@ -151,6 +151,24 @@ class TestSimulate:
         code = main(["simulate", "g2", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("experiment", ["g2", "ple"])
+    @pytest.mark.parametrize(
+        "timing",
+        ["t_pulse_s = 1.6e-9\nt_coll_s = 1.6e-9\nt_rep_s = 3.2e-9\n", "t_coll_s = 0.4e-9\n"],
+        ids=["window_past_period_in_ns", "empty_window_in_ns"],
+    )
+    def test_window_that_breaks_in_nanoseconds_is_config_error(
+        self, tmp_path, capsys, experiment, timing
+    ):
+        # both fit in seconds; click tags are integer nanoseconds, where they do not
+        scan = "[scan]\ncenter_thz = 195.6\nspan_mhz = 250\npoints = 3\n"
+        cfg = tmp_path / "ns.ini"
+        cfg.write_text("[sequence]\nn_shots = 100\n" + timing + (scan if experiment == "ple" else ""))
+        code = main(["simulate", experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "configuration error: [sequence]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -360,7 +378,10 @@ class TestG2Command:
     def test_click_after_collection_window_is_io_error(self, tmp_path):
         late = tmp_path / "late.ertt"
         seq = PulseSequence(1e-6, 20e-6, 60e-6, 4)
-        write_clickstream(ClickStream([0, 3], [2000, 30_000], seq), late)
+        write_clickstream(ClickStream([0, 3], [2000, 9000], seq), late)
+        data = bytearray(late.read_bytes())
+        data[62:70] = (30_000).to_bytes(8, "little")  # time field of record 1
+        late.write_bytes(bytes(data))
         code = main(["g2", "--in", str(late), "--max-offset", "2", "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_IO
 

@@ -71,6 +71,16 @@ class TestPulseSequence:
         seq = PulseSequence(**scenarios.PULSE_TIMING, n_shots=5)
         assert (seq.t_pulse_ns, seq.t_coll_ns, seq.t_rep_ns) == (1000, 20000, 60000)
 
+    def test_window_must_fit_in_nanoseconds(self):
+        # fits in seconds, but 2 ns + 2 ns > 3 ns once rounded
+        with pytest.raises(InvalidParameterError, match="repetition period"):
+            PulseSequence(t_pulse=1.6e-9, t_coll=1.6e-9, t_rep=3.2e-9, n_shots=1)
+
+    def test_collection_window_of_at_least_one_nanosecond(self):
+        with pytest.raises(InvalidParameterError, match="1 ns"):
+            PulseSequence(t_pulse=1e-6, t_coll=0.4e-9, t_rep=60e-6, n_shots=1)
+        assert PulseSequence(t_pulse=1e-6, t_coll=0.6e-9, t_rep=60e-6, n_shots=1).t_coll_ns == 1
+
 
 class TestExperimentConfig:
     def test_grid_must_increase(self):
@@ -439,6 +449,38 @@ class TestValidator:
         with pytest.raises(StreamInvariantError):
             validate_click_stream(ClickStream([100], [2000], self.seq))
 
+    def test_messages_keep_their_order(self):
+        # a shot out of range outranks the late click and the unsorted shots
+        with pytest.raises(StreamInvariantError, match="outside"):
+            ClickStream([5, 100, 4], [2000, 30_000, 2000], self.seq)
+        with pytest.raises(StreamInvariantError, match="after the collection window"):
+            ClickStream([5, 4, 9], [2000, 30_000, 2000], self.seq)
+        with pytest.raises(StreamInvariantError, match="outside"):
+            ClickStream([-1, 4], [2000, 2000], self.seq)
+
+
+class TestFrozenStream:
+    def setup_method(self):
+        self.seq = PulseSequence(**scenarios.PULSE_TIMING, n_shots=100)
+        self.shots = np.array([1, 1, 7])
+        self.times = np.array([2000, 3000, 2500])
+        self.stream = ClickStream(self.shots, self.times, self.seq)
+
+    @pytest.mark.parametrize("column", ["shot_indices", "times_ns"])
+    def test_column_cannot_be_written(self, column):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(self.stream, column)[0] = 0
+
+    @pytest.mark.parametrize("field", ["shot_indices", "times_ns", "sequence", "metadata"])
+    def test_field_cannot_be_reassigned(self, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.stream, field, getattr(self.stream, field))
+
+    def test_columns_are_views_of_the_callers_writeable_arrays(self):
+        assert np.shares_memory(self.stream.shot_indices, self.shots)
+        assert np.shares_memory(self.stream.times_ns, self.times)
+        assert self.shots.flags.writeable and self.times.flags.writeable
+
 
 class TestValidatorWindows:
     """The validator's 2**20-pair windows overlap by one record."""
@@ -478,6 +520,13 @@ class TestValidatorWindows:
         shots[2**20 - 1] += 1           # a window later, through the overlap
         with pytest.raises(StreamInvariantError, match="not sorted by shot"):
             validate_click_stream(ClickStream(shots, times, seq))
+
+    def test_late_tag_a_window_after_a_shot_break_reported_first(self):
+        shots, times, seq = self.columns()
+        shots[[0, 1]] = shots[[1, 0]]   # shot 1 before shot 0, in the first window
+        times[-1] = 21_000              # after the collection window, in the last
+        with pytest.raises(StreamInvariantError, match="after the collection window"):
+            ClickStream(shots, times, seq)
 
     def test_tag_past_the_window_in_the_final_record_rejected(self):
         shots, times, seq = self.columns()

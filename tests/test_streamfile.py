@@ -151,7 +151,10 @@ class TestRejection:
         # 30 us lies inside t_rep = 60 us but after the 1 us + 20 us window
         seq = PulseSequence(1e-6, 20e-6, 60e-6, 50)
         path = tmp_path / "late.ertt"
-        write_clickstream(ClickStream([3], [30_000], seq), path)
+        write_clickstream(ClickStream([3], [2000], seq), path)
+        data = bytearray(path.read_bytes())
+        data[46:54] = (30_000).to_bytes(8, "little")  # time field of record 0
+        path.write_bytes(bytes(data))
         with pytest.raises(StreamFormatError, match="after the collection window"):
             read_clickstream(path)
 
