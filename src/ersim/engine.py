@@ -59,7 +59,8 @@ from .rng import block_stream, diffusion_stream
 
 STREAM_LAYOUT = 2         # version of the random-stream layout described above
 BLOCK_SHOTS = 2**14       # shots per sampling block; fixed by the layout
-_CHUNK = 1 << 20          # records per pass window over a click stream (here and in streamfile)
+_CHUNK = 1 << 20          # records per pass window over a click stream
+_POISSON_MAX = 2.0**63 - 10 * 2.0**31.5  # numpy's Poisson limit: int64 max - 10 sqrt(int64 max)
 
 
 def _to_ns(t_seconds: float) -> int:
@@ -68,7 +69,11 @@ def _to_ns(t_seconds: float) -> int:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Pulsed excitation timing: pulse, collection window, repetition period."""
+    """Pulsed excitation timing: pulse, collection window, repetition period.
+
+    Each time is a whole number of nanoseconds (to 1e-3 ns), as the ERTT
+    header stores it, and the window fits the period in nanoseconds.
+    """
 
     t_pulse: float           # excitation pulse duration (s)
     t_coll: float            # collection window duration (s)
@@ -76,14 +81,15 @@ class PulseSequence:
     n_shots: int             # number of repetitions
 
     def __post_init__(self):
-        _require(self.t_pulse > 0, "t_pulse must be > 0")
-        _require(self.t_coll > 0, "t_coll must be > 0")
+        for name in ("t_pulse", "t_coll", "t_rep"):
+            ns = getattr(self, name) * 1e9   # within 1e-3 of a whole number; NaN and inf fail
+            _require(min(ns % 1, -ns % 1) <= 1e-3, f"{name} must be a whole number of nanoseconds")
+        _require(self.t_pulse_ns >= 1, "t_pulse must be at least 1 ns")
+        _require(self.t_coll_ns >= 1, "t_coll must be at least 1 ns")
         _require(
-            self.t_pulse + self.t_coll <= self.t_rep
-            and self.t_pulse_ns + self.t_coll_ns <= self.t_rep_ns,
+            self.t_pulse_ns + self.t_coll_ns <= self.t_rep_ns,
             "pulse plus collection window must fit inside the repetition period",
         )
-        _require(self.t_coll_ns >= 1, "t_coll must be at least 1 ns")
         _require(self.n_shots >= 1, "n_shots must be >= 1")
 
     @property
@@ -122,6 +128,7 @@ class Poissonian:
 
     def __post_init__(self):
         _require(self.rate_per_shot >= 0, "rate_per_shot must be >= 0")
+        _require(self.rate_per_shot <= _POISSON_MAX, "rate_per_shot exceeds numpy's Poisson limit")
 
 
 SourceKind = Union[SingleEmitter, NEmitters, Poissonian]
@@ -145,6 +152,8 @@ class ExperimentConfig:
         _require(0 <= self.master_seed < 2**64, "master_seed must fit in 64 bits")
         _require(self.scan_repeats >= 1, "scan_repeats must be >= 1")
         _require(self.scan_dwell >= 0, "scan_dwell must be >= 0")
+        dark_mean = self.detector.dark_rate * self.sequence.t_coll   # as _sample_block draws it
+        _require(dark_mean <= _POISSON_MAX, "dark_rate times t_coll exceeds numpy's Poisson limit")
         if isinstance(self.emitter, (list, tuple)):
             object.__setattr__(self, "emitter", tuple(self.emitter))
             _require(len(self.emitter) >= 1, "emitter list must be nonempty")
@@ -195,35 +204,47 @@ def config_digest(config: ExperimentConfig) -> str:
 class ClickStream:
     """Time-tagged detector clicks, ordered by (shot index, time within shot).
 
-    Times are integer nanoseconds from the start of the shot.  A stream is
-    checked with ``validate_click_stream`` when it is made, so no invalid one
-    exists.  Its fields are frozen and its columns are read-only int64 views
-    of the arrays passed in, which are not copied and stay writeable.
+    ``records`` is a C-contiguous ``(n, 2)`` int64 array whose rows are the
+    (shot index, time in ns from the start of the shot) records of an ERTT
+    file, and ``shot_indices`` and ``times_ns`` are views of its columns.  An
+    int64 C-contiguous array that owns its data is adopted without a copy and
+    made read-only in place; anything else is copied first.  The stream is
+    then checked with ``validate_click_stream``, so no invalid one exists.
+    Its fields are frozen; only a view of an adopted array taken before the
+    stream was made keeps its own writeable flag.
     """
 
-    shot_indices: np.ndarray     # int64, nondecreasing, within [0, n_shots)
-    times_ns: np.ndarray         # int64, within [t_pulse, t_pulse + t_coll)
-    sequence: PulseSequence
+    records: np.ndarray          # (n, 2) int64: shots nondecreasing in [0, n_shots),
+    sequence: PulseSequence      # times in [t_pulse, t_pulse + t_coll)
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("shot_indices", "times_ns"):
-            column = np.asarray(getattr(self, name), dtype=np.int64).view()
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        if self.shot_indices.shape != self.times_ns.shape:
-            raise InvalidParameterError("shot_indices and times_ns must have equal length")
+        records = np.require(self.records, np.int64, ["C_CONTIGUOUS", "OWNDATA"])  # adopt or copy
+        if records.ndim != 2 or records.shape[1] != 2:
+            raise InvalidParameterError("records must be an (n, 2) array of (shot, time) rows")
+        records.flags.writeable = False
+        object.__setattr__(self, "records", records)
         validate_click_stream(self)
 
+    @property
+    def shot_indices(self) -> np.ndarray:
+        return self.records[:, 0]
+
+    @property
+    def times_ns(self) -> np.ndarray:
+        return self.records[:, 1]
+
     def __len__(self) -> int:
-        return len(self.times_ns)
+        return len(self.records)
 
 
 def validate_click_stream(stream: ClickStream, dead_time: float = 0.0) -> None:
     """Raise StreamInvariantError unless gating, ordering and dead time hold.
 
-    One pass over adjacent records in windows of ``_CHUNK``, through reused
-    buffers, also takes each window's time extremes.  Sorted shots have their
+    One pass over adjacent records in windows of ``_CHUNK``, reading the
+    columns of ``stream.records`` in place and writing only two reused bool
+    buffers (and an int64 one for a dead time), also takes each window's time
+    extremes.  Sorted shots have their
     extremes at the ends; whole-column extremes are taken only when the shot
     order fails, so that the messages keep their order.
     """
@@ -273,13 +294,14 @@ def validate_click_stream(stream: ClickStream, dead_time: float = 0.0) -> None:
             raise StreamInvariantError(message)
 
 
-def _apply_dead_time(shots: np.ndarray, times: np.ndarray, dead_ns: int):
-    """Greedy dead-time filter over clicks sorted by (shot, time).
+def _apply_dead_time(records: np.ndarray, dead_ns: int) -> np.ndarray:
+    """Greedy dead-time filter over (shot, time) records in that order.
 
     A click is kept when it comes at least ``dead_ns`` after the last kept
     click of its shot.  Only shots with two or more clicks are visited, one
     click rank at a time across all of them.
     """
+    shots, times = records[:, 0], records[:, 1]
     starts = np.flatnonzero(np.r_[True, shots[1:] != shots[:-1]])
     sizes = np.diff(np.r_[starts, len(shots)])
     multi = sizes >= 2
@@ -292,11 +314,11 @@ def _apply_dead_time(shots: np.ndarray, times: np.ndarray, dead_ns: int):
         ok = times[idx] - last[live] >= dead_ns
         keep[idx] = ok
         last[live] = np.where(ok, times[idx], last[live])
-    return shots[keep], times[keep]
+    return records[keep]
 
 
 def _sample_block(config: ExperimentConfig, laser_hz: float, offsets, n: int, rng):
-    """Clicks of one block of n shots as (block-local shot, time ns) arrays.
+    """Clicks of one block of n shots as (block-local shot, time ns) records.
 
     Sorted by (shot, time) with dead time applied; see the module docstring
     for the column order of the draws.
@@ -334,12 +356,11 @@ def _sample_block(config: ExperimentConfig, laser_hz: float, offsets, n: int, rn
     _require(BLOCK_SHOTS * end < 2**63, "collection window too long for the block sort")
     key = np.concatenate(shots) * end + np.concatenate(times)
     key.sort()
-    shots = key // end
-    times = key - shots * end
+    records = np.column_stack(np.divmod(key, end))
     dead_ns = _to_ns(detector.dead_time)
     if dead_ns > 0 and len(key) > 1:
-        return _apply_dead_time(shots, times, dead_ns)
-    return shots, times
+        return _apply_dead_time(records, dead_ns)
+    return records
 
 
 def _run_shots(
@@ -348,8 +369,7 @@ def _run_shots(
     """One grid point and the diffusion states after it; each block draws its own offsets."""
     emitters = config.resolved_emitters()
     seq = config.sequence
-    shots = []
-    times = []
+    blocks = []
     for first in range(0, seq.n_shots, BLOCK_SHOTS):
         n = min(BLOCK_SHOTS, seq.n_shots - first)
         paths = [
@@ -358,16 +378,16 @@ def _run_shots(
         ]
         states = [t.final for t in paths]
         rng = block_stream(config.master_seed, global_start + first)
-        block_shots, block_times = _sample_block(config, laser, [t.total() for t in paths], n, rng)
-        shots.append(block_shots + first)
-        times.append(block_times)
+        records = _sample_block(config, laser, [t.total() for t in paths], n, rng)
+        records[:, 0] += first
+        blocks.append(records)
     metadata = {
         "config_digest": digest,
         "laser_frequency_hz": laser,
         "global_shot_start": global_start,
         "stream_layout": STREAM_LAYOUT,
     }
-    return ClickStream(np.concatenate(shots), np.concatenate(times), seq, metadata), states
+    return ClickStream(np.concatenate(blocks), seq, metadata), states
 
 
 @dataclass(frozen=True)

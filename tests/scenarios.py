@@ -136,7 +136,7 @@ def paired_stream(n_records):
     shots = (i + 1) // 2
     times = 1000 + (shots * 7919) % 19_000 + ((i + 1) % 2) * 500
     seq = PulseSequence(**PULSE_TIMING, n_shots=int(shots[-1]) + 1)
-    return ClickStream(shots, times, seq)
+    return ClickStream(np.column_stack((shots, times)), seq)
 
 
 def traced_peak(fn, *args):

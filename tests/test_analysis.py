@@ -25,7 +25,7 @@ from ersim.records import Spectrum
 
 def make_stream(shots, times_ns, n_shots=100, t_pulse=1e-6, t_coll=20e-6, t_rep=60e-6):
     seq = PulseSequence(t_pulse, t_coll, t_rep, n_shots)
-    return ClickStream(np.asarray(shots), np.asarray(times_ns), seq)
+    return ClickStream(np.column_stack((shots, times_ns)), seq)
 
 
 def stream_from_counts(counts_per_shot, rng, t_pulse_ns=1000, t_coll_ns=20000):
@@ -34,7 +34,7 @@ def stream_from_counts(counts_per_shot, rng, t_pulse_ns=1000, t_coll_ns=20000):
     times = t_pulse_ns + rng.integers(0, t_coll_ns, size=shots.shape[0])
     order = np.lexsort((times, shots))
     seq = PulseSequence(t_pulse_ns * 1e-9, t_coll_ns * 1e-9, 60e-6, len(counts_per_shot))
-    return ClickStream(shots[order], times[order], seq)
+    return ClickStream(np.column_stack((shots[order], times[order])), seq)
 
 
 def brute_force_pairs(counts, k):

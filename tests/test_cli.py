@@ -154,19 +154,56 @@ class TestSimulate:
     @pytest.mark.parametrize("experiment", ["g2", "ple"])
     @pytest.mark.parametrize(
         "timing",
-        ["t_pulse_s = 1.6e-9\nt_coll_s = 1.6e-9\nt_rep_s = 3.2e-9\n", "t_coll_s = 0.4e-9\n"],
-        ids=["window_past_period_in_ns", "empty_window_in_ns"],
+        [
+            "t_pulse_s = 1.6e-9\nt_coll_s = 1.6e-9\nt_rep_s = 3.2e-9\n",
+            "t_coll_s = 0.4e-9\n",
+            "t_rep_s = 60.0004e-6\n",
+        ],
+        ids=["window_past_period_in_ns", "empty_window_in_ns", "fractional_ns_period"],
     )
     def test_window_that_breaks_in_nanoseconds_is_config_error(
         self, tmp_path, capsys, experiment, timing
     ):
-        # both fit in seconds; click tags are integer nanoseconds, where they do not
+        # each fits in seconds, but the stream header holds whole nanoseconds
         scan = "[scan]\ncenter_thz = 195.6\nspan_mhz = 250\npoints = 3\n"
         cfg = tmp_path / "ns.ini"
         cfg.write_text("[sequence]\nn_shots = 100\n" + timing + (scan if experiment == "ple" else ""))
         code = main(["simulate", experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "configuration error: [sequence]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "timing",
+        [
+            "t_pulse_us = 1\nt_coll_us = 2\nt_rep_us = 3\n",
+            "t_pulse_s = 1e-6\nt_coll_s = 20e-6\nt_rep_s = 21e-6\n",
+        ],
+        ids=["microseconds", "seconds"],
+    )
+    def test_window_that_fills_the_period_round_trips(self, tmp_path, timing):
+        # whole nanoseconds that fill the period, though the sum differs in float seconds
+        cfg = tmp_path / "full.ini"
+        cfg.write_text("[sequence]\nn_shots = 500\n" + timing + "[detector]\ndark_rate_per_s = 1e5\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "g2", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        g2 = ["g2", "--in", str(out / "clicks.ertt"), "--max-offset", "2", "--out", str(out / "g2.csv")]
+        assert main(g2) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[source]\nkind = poissonian\nrate_per_shot = 9e90\n",
+            "[detector]\ndark_rate_per_s = 9e90\n",
+        ],
+        ids=["rate_per_shot", "dark_rate_per_s"],
+    )
+    def test_poisson_mean_beyond_the_sampler_is_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text("[sequence]\nn_shots = 100\n" + text)
+        code = main(["simulate", "g2", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "Poisson limit" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -362,7 +399,7 @@ class TestG2Command:
         # two clicks in 200 shots: no side coincidences, so no corrected g2 is computed
         sparse = tmp_path / "sparse.ertt"
         seq = PulseSequence(1e-6, 20e-6, 60e-6, 200)
-        write_clickstream(ClickStream([3, 150], [2000, 9000], seq), sparse)
+        write_clickstream(ClickStream(np.column_stack(([3, 150], [2000, 9000])), seq), sparse)
         out = tmp_path / "c.csv"
         code = main(["g2", "--in", str(sparse), "--max-offset", "5", "--rho", rho, "--out", str(out)])
         assert code == EXIT_CONFIG
@@ -378,7 +415,7 @@ class TestG2Command:
     def test_click_after_collection_window_is_io_error(self, tmp_path):
         late = tmp_path / "late.ertt"
         seq = PulseSequence(1e-6, 20e-6, 60e-6, 4)
-        write_clickstream(ClickStream([0, 3], [2000, 9000], seq), late)
+        write_clickstream(ClickStream(np.column_stack(([0, 3], [2000, 9000])), seq), late)
         data = bytearray(late.read_bytes())
         data[62:70] = (30_000).to_bytes(8, "little")  # time field of record 1
         late.write_bytes(bytes(data))
@@ -391,7 +428,7 @@ class TestG2Command:
         far = tmp_path / "far.ertt"
         n_shots = 2**61 + 1
         seq = PulseSequence(1e-6, 20e-6, 60e-6, n_shots)
-        write_clickstream(ClickStream([0, 2**61], [2000, 9000], seq), far)
+        write_clickstream(ClickStream(np.column_stack(([0, 2**61], [2000, 9000])), seq), far)
         out = tmp_path / "c.csv"
         code = main(["g2", "--in", str(far), "--max-offset", "5", "--out", str(out)])
         assert code == EXIT_OK
@@ -438,7 +475,9 @@ class TestG2Command:
     @example(mutations=[("put", 38 + 16 * 4, (2**60).to_bytes(8, "little"))], max_offset=5)
     def test_mutated_stream_ends_in_a_documented_exit(self, mutations, max_offset):
         seq = PulseSequence(1e-6, 20e-6, 60e-6, 10)
-        stream = ClickStream([0, 2, 2, 5, 9], [1500, 3000, 3600, 20_000, 7000], seq)
+        stream = ClickStream(
+            np.column_stack(([0, 2, 2, 5, 9], [1500, 3000, 3600, 20_000, 7000])), seq
+        )
         with tempfile.TemporaryDirectory() as workdir:
             path = Path(workdir) / "m.ertt"
             write_clickstream(stream, path)
@@ -619,14 +658,16 @@ class TestTableDigests:
         )
 
     def test_correlation(self, tmp_path):
-        stream = ClickStream([0, 0, 2, 3, 7], [2000, 3000, 2500, 4000, 1500], self.SEQ)
+        stream = ClickStream(
+            np.column_stack(([0, 0, 2, 3, 7], [2000, 3000, 2500, 4000, 1500])), self.SEQ
+        )
         write_correlation_csv(pulsed_g2(stream, 3), tmp_path / "c.csv", rho=0.8)
         assert sha(tmp_path / "c.csv") == (
             "ea2d73a051925c4336905b50fda653d8ceb8d17d8e08ebd8fa504f016fd38be7"
         )
 
     def test_empty_correlation(self, tmp_path):
-        stream = ClickStream([4], [2000], self.SEQ)
+        stream = ClickStream(np.column_stack(([4], [2000])), self.SEQ)
         write_correlation_csv(pulsed_g2(stream, 2), tmp_path / "c.csv")
         assert sha(tmp_path / "c.csv") == (
             "b716d64d09deb77ee41c210254108dee5f7a8042aa799f5538ec0f88b6c66a93"

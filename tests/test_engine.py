@@ -72,14 +72,41 @@ class TestPulseSequence:
         assert (seq.t_pulse_ns, seq.t_coll_ns, seq.t_rep_ns) == (1000, 20000, 60000)
 
     def test_window_must_fit_in_nanoseconds(self):
-        # fits in seconds, but 2 ns + 2 ns > 3 ns once rounded
         with pytest.raises(InvalidParameterError, match="repetition period"):
-            PulseSequence(t_pulse=1.6e-9, t_coll=1.6e-9, t_rep=3.2e-9, n_shots=1)
+            PulseSequence(t_pulse=2e-9, t_coll=2e-9, t_rep=3e-9, n_shots=1)
+        # 1e-6 + 20e-6 > 21e-6 in floats, but 1000 + 20000 == 21000 ns
+        assert PulseSequence(1e-6, 20e-6, 21e-6, 1).t_rep_ns == 21_000
 
     def test_collection_window_of_at_least_one_nanosecond(self):
         with pytest.raises(InvalidParameterError, match="1 ns"):
-            PulseSequence(t_pulse=1e-6, t_coll=0.4e-9, t_rep=60e-6, n_shots=1)
-        assert PulseSequence(t_pulse=1e-6, t_coll=0.6e-9, t_rep=60e-6, n_shots=1).t_coll_ns == 1
+            PulseSequence(t_pulse=1e-6, t_coll=0.0, t_rep=60e-6, n_shots=1)
+        with pytest.raises(InvalidParameterError, match="1 ns"):
+            PulseSequence(t_pulse=-1e-6, t_coll=1e-6, t_rep=60e-6, n_shots=1)
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            (1e-6, 0.6e-9, 60e-6),
+            (1.6e-9, 1.6e-9, 3.2e-9),
+            (1e-6, 20e-6, 60.0004e-6),
+            (math.nan, 1e-6, 1e-5),
+        ],
+    )
+    def test_times_must_be_whole_nanoseconds(self, times):
+        with pytest.raises(InvalidParameterError, match="whole number of nanoseconds"):
+            PulseSequence(*times, n_shots=1)
+
+
+class TestPoissonLimit:
+    def test_limit_is_numpys(self):
+        rng = np.random.default_rng(0)
+        beyond = np.nextafter(engine._POISSON_MAX, np.inf)
+        rng.poisson(engine._POISSON_MAX)
+        Poissonian(engine._POISSON_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(beyond)
+        with pytest.raises(InvalidParameterError, match="Poisson limit"):
+            Poissonian(beyond)
 
 
 class TestExperimentConfig:
@@ -313,7 +340,7 @@ class TestDeterminism:
                 # static emitters: the run's diffusion offsets are all zero
                 offsets = [np.zeros(size) for _ in cfg.resolved_emitters()]
                 rng = block_stream(cfg.master_seed, first)
-                shots, times = engine._sample_block(cfg, laser, offsets, size, rng)
+                shots, times = engine._sample_block(cfg, laser, offsets, size, rng).T
                 rows = (full.shot_indices >= first) & (full.shot_indices < first + size)
                 assert len(shots) > 0
                 assert np.array_equal(shots, full.shot_indices[rows] - first)
@@ -416,7 +443,7 @@ class TestDeadTime:
 
     def test_validator_flags_dead_time_violation(self):
         seq = PulseSequence(**scenarios.PULSE_TIMING, n_shots=10)
-        stream = ClickStream([1, 1], [2000, 2100], seq)
+        stream = ClickStream(np.column_stack(([1, 1], [2000, 2100])), seq)
         validate_click_stream(stream)  # fine without dead time
         with pytest.raises(StreamInvariantError):
             validate_click_stream(stream, dead_time=200e-9)
@@ -427,59 +454,91 @@ class TestValidator:
         self.seq = PulseSequence(**scenarios.PULSE_TIMING, n_shots=100)
 
     def test_accepts_empty(self):
-        validate_click_stream(ClickStream([], [], self.seq))
+        validate_click_stream(ClickStream(np.column_stack(([], [])), self.seq))
 
     def test_rejects_click_during_pulse(self):
         with pytest.raises(StreamInvariantError):
-            validate_click_stream(ClickStream([0], [999], self.seq))
+            validate_click_stream(ClickStream(np.column_stack(([0], [999])), self.seq))
 
     def test_rejects_click_after_window(self):
         with pytest.raises(StreamInvariantError):
-            validate_click_stream(ClickStream([0], [21_000], self.seq))
+            validate_click_stream(ClickStream(np.column_stack(([0], [21_000])), self.seq))
 
     def test_rejects_unsorted_shots(self):
         with pytest.raises(StreamInvariantError):
-            validate_click_stream(ClickStream([5, 4], [2000, 2000], self.seq))
+            validate_click_stream(ClickStream(np.column_stack(([5, 4], [2000, 2000])), self.seq))
 
     def test_rejects_unsorted_times(self):
         with pytest.raises(StreamInvariantError):
-            validate_click_stream(ClickStream([5, 5], [3000, 2000], self.seq))
+            validate_click_stream(ClickStream(np.column_stack(([5, 5], [3000, 2000])), self.seq))
 
     def test_rejects_shot_out_of_range(self):
         with pytest.raises(StreamInvariantError):
-            validate_click_stream(ClickStream([100], [2000], self.seq))
+            validate_click_stream(ClickStream(np.column_stack(([100], [2000])), self.seq))
 
     def test_messages_keep_their_order(self):
         # a shot out of range outranks the late click and the unsorted shots
         with pytest.raises(StreamInvariantError, match="outside"):
-            ClickStream([5, 100, 4], [2000, 30_000, 2000], self.seq)
+            ClickStream(np.column_stack(([5, 100, 4], [2000, 30_000, 2000])), self.seq)
         with pytest.raises(StreamInvariantError, match="after the collection window"):
-            ClickStream([5, 4, 9], [2000, 30_000, 2000], self.seq)
+            ClickStream(np.column_stack(([5, 4, 9], [2000, 30_000, 2000])), self.seq)
         with pytest.raises(StreamInvariantError, match="outside"):
-            ClickStream([-1, 4], [2000, 2000], self.seq)
+            ClickStream(np.column_stack(([-1, 4], [2000, 2000])), self.seq)
 
 
 class TestFrozenStream:
     def setup_method(self):
         self.seq = PulseSequence(**scenarios.PULSE_TIMING, n_shots=100)
-        self.shots = np.array([1, 1, 7])
-        self.times = np.array([2000, 3000, 2500])
-        self.stream = ClickStream(self.shots, self.times, self.seq)
+        self.records = np.array([[1, 2000], [1, 3000], [7, 2500]])
+        self.stream = ClickStream(self.records, self.seq)
 
-    @pytest.mark.parametrize("column", ["shot_indices", "times_ns"])
+    @pytest.mark.parametrize("column", ["records", "shot_indices", "times_ns"])
     def test_column_cannot_be_written(self, column):
         with pytest.raises(ValueError, match="read-only"):
             getattr(self.stream, column)[0] = 0
 
-    @pytest.mark.parametrize("field", ["shot_indices", "times_ns", "sequence", "metadata"])
+    @pytest.mark.parametrize(
+        "field", ["records", "shot_indices", "times_ns", "sequence", "metadata"]
+    )
     def test_field_cannot_be_reassigned(self, field):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(self.stream, field, getattr(self.stream, field))
 
-    def test_columns_are_views_of_the_callers_writeable_arrays(self):
-        assert np.shares_memory(self.stream.shot_indices, self.shots)
-        assert np.shares_memory(self.stream.times_ns, self.times)
-        assert self.shots.flags.writeable and self.times.flags.writeable
+    def test_columns_are_views_of_the_records(self):
+        assert self.stream.records.shape == (3, 2) and self.stream.records.dtype == np.int64
+        assert self.stream.records.flags.c_contiguous
+        assert np.shares_memory(self.stream.shot_indices, self.stream.records)
+        assert np.shares_memory(self.stream.times_ns, self.stream.records)
+
+    def test_adopted_array_is_frozen_in_place(self):
+        assert self.stream.records is self.records
+        with pytest.raises(ValueError, match="read-only"):
+            self.records[0, 0] = 9
+        assert self.stream.shot_indices.tolist() == [1, 1, 7]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rows: rows.tolist(),                     # a list
+            lambda rows: rows.T.copy().T,                   # a Fortran-ordered array
+            lambda rows: rows.astype(np.int32),             # another dtype
+            lambda rows: np.vstack([rows, rows])[:3],       # a view of another array
+        ],
+    )
+    def test_stream_from_a_copy_does_not_follow_its_source(self, make):
+        source = make(self.records.copy())
+        stream = ClickStream(source, self.seq)
+        if isinstance(source, list):
+            source[0][0] = 9
+        else:
+            assert source.flags.writeable
+            source[0, 0] = 9
+        assert stream.shot_indices.tolist() == [1, 1, 7]
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (0,)])
+    def test_records_must_be_rows_of_two(self, shape):
+        with pytest.raises(InvalidParameterError, match=r"\(n, 2\)"):
+            ClickStream(np.ones(shape, dtype=np.int64), self.seq)
 
 
 class TestValidatorWindows:
@@ -498,41 +557,42 @@ class TestValidatorWindows:
         shots, times, seq = self.columns()
         shots[2**20 - 1] += 1   # shot k + 1 before shot k
         with pytest.raises(StreamInvariantError, match="not sorted by shot"):
-            validate_click_stream(ClickStream(shots, times, seq))
+            validate_click_stream(ClickStream(np.column_stack((shots, times)), seq))
 
     def test_time_break_across_the_window_boundary_rejected(self):
         shots, times, seq = self.columns()
         assert shots[2**20 - 1] == shots[2**20]
         times[[2**20 - 1, 2**20]] = times[[2**20, 2**20 - 1]]
         with pytest.raises(StreamInvariantError, match="not sorted by time"):
-            validate_click_stream(ClickStream(shots, times, seq))
+            validate_click_stream(ClickStream(np.column_stack((shots, times)), seq))
 
     def test_dead_time_across_the_window_boundary_rejected(self):
         shots, times, seq = self.columns()
         times[2**20] = times[2**20 - 1] + 100   # every other pair is 500 ns apart
-        validate_click_stream(ClickStream(shots, times, seq), dead_time=100e-9)
+        stream = ClickStream(np.column_stack((shots, times)), seq)
+        validate_click_stream(stream, dead_time=100e-9)
         with pytest.raises(StreamInvariantError, match="dead time"):
-            validate_click_stream(ClickStream(shots, times, seq), dead_time=200e-9)
+            validate_click_stream(stream, dead_time=200e-9)
 
     def test_shot_break_reported_before_an_earlier_time_break(self):
         shots, times, seq = self.columns()
         times[[1, 2]] = times[[2, 1]]   # in the first window
         shots[2**20 - 1] += 1           # a window later, through the overlap
         with pytest.raises(StreamInvariantError, match="not sorted by shot"):
-            validate_click_stream(ClickStream(shots, times, seq))
+            validate_click_stream(ClickStream(np.column_stack((shots, times)), seq))
 
     def test_late_tag_a_window_after_a_shot_break_reported_first(self):
         shots, times, seq = self.columns()
         shots[[0, 1]] = shots[[1, 0]]   # shot 1 before shot 0, in the first window
         times[-1] = 21_000              # after the collection window, in the last
         with pytest.raises(StreamInvariantError, match="after the collection window"):
-            ClickStream(shots, times, seq)
+            ClickStream(np.column_stack((shots, times)), seq)
 
     def test_tag_past_the_window_in_the_final_record_rejected(self):
         shots, times, seq = self.columns()
         times[-1] = 21_000
         with pytest.raises(StreamInvariantError, match="after the collection window"):
-            validate_click_stream(ClickStream(shots, times, seq))
+            validate_click_stream(ClickStream(np.column_stack((shots, times)), seq))
 
 
 class TestPleScan:

@@ -1,5 +1,5 @@
 import hashlib
-import io
+import os
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import scenarios
 from ersim.engine import ClickStream, PulseSequence, run_lifetime, validate_click_stream
-from ersim.errors import StreamFormatError
-from ersim.streamfile import _read_records, read_clickstream, write_clickstream
+from ersim.errors import InvalidParameterError, StreamFormatError
+from ersim.streamfile import read_clickstream, write_clickstream
 
 
 def sample_stream(n_shots=200, seed=3, mean=0.7):
@@ -19,7 +19,7 @@ def sample_stream(n_shots=200, seed=3, mean=0.7):
     times = 1000 + rng.integers(0, 20_000, size=len(shots))
     order = np.lexsort((times, shots))
     seq = PulseSequence(1e-6, 20e-6, 60e-6, n_shots)
-    return ClickStream(shots[order], times[order], seq)
+    return ClickStream(np.column_stack((shots[order], times[order])), seq)
 
 
 def digest(path):
@@ -30,7 +30,7 @@ class TestRoundTrip:
     def test_empty_stream(self, tmp_path):
         seq = PulseSequence(1e-6, 20e-6, 60e-6, 1)
         path = tmp_path / "empty.ertt"
-        write_clickstream(ClickStream([], [], seq), path)
+        write_clickstream(ClickStream(np.column_stack(([], [])), seq), path)
         back = read_clickstream(path)
         assert len(back) == 0
         assert back.sequence.t_rep_ns == 60_000
@@ -75,9 +75,16 @@ class TestRoundTrip:
         assert np.array_equal(back.times_ns, stream.times_ns)
         validate_click_stream(back)
 
+    def test_hour_scale_period_reads_back(self, tmp_path):
+        # 9554173266933 * 1e-9 * 1e9 is more than 1e-3 from a whole number; / 1e9 is not
+        seq = PulseSequence(1e-6, 20e-6, 9554.173266933, 3)
+        path = tmp_path / "long.ertt"
+        write_clickstream(ClickStream(np.column_stack(([2], [2000])), seq), path)
+        assert read_clickstream(path).sequence.t_rep_ns == 9_554_173_266_933
+
     def test_shot_count_inferred_from_last_record(self, tmp_path):
         seq = PulseSequence(1e-6, 20e-6, 60e-6, 50)
-        stream = ClickStream([0, 7], [2000, 2500], seq)
+        stream = ClickStream(np.column_stack(([0, 7], [2000, 2500])), seq)
         path = tmp_path / "trail.ertt"
         write_clickstream(stream, path)
         assert read_clickstream(path).sequence.n_shots == 8
@@ -126,7 +133,7 @@ class TestRejection:
 
     def test_unsorted_records(self, tmp_path):
         seq = PulseSequence(1e-6, 20e-6, 60e-6, 50)
-        good = ClickStream([3, 7], [2000, 2500], seq)
+        good = ClickStream(np.column_stack(([3, 7], [2000, 2500])), seq)
         path = tmp_path / "u.ertt"
         write_clickstream(good, path)
         data = bytearray(path.read_bytes())
@@ -138,7 +145,7 @@ class TestRejection:
 
     def test_time_beyond_repetition_period(self, tmp_path):
         seq = PulseSequence(1e-6, 20e-6, 60e-6, 50)
-        stream = ClickStream([3], [2000], seq)
+        stream = ClickStream(np.column_stack(([3], [2000])), seq)
         path = tmp_path / "t.ertt"
         write_clickstream(stream, path)
         data = bytearray(path.read_bytes())
@@ -151,22 +158,33 @@ class TestRejection:
         # 30 us lies inside t_rep = 60 us but after the 1 us + 20 us window
         seq = PulseSequence(1e-6, 20e-6, 60e-6, 50)
         path = tmp_path / "late.ertt"
-        write_clickstream(ClickStream([3], [2000], seq), path)
+        write_clickstream(ClickStream(np.column_stack(([3], [2000])), seq), path)
         data = bytearray(path.read_bytes())
         data[46:54] = (30_000).to_bytes(8, "little")  # time field of record 0
         path.write_bytes(bytes(data))
         with pytest.raises(StreamFormatError, match="after the collection window"):
             read_clickstream(path)
 
-    def test_short_read_of_the_records_rejected(self):
-        # a file that shrinks after its size was checked
-        with pytest.raises(StreamFormatError, match="truncated"):
-            _read_records(io.BytesIO(bytes(16 * 3 - 1)), 3)
+    def test_short_read_of_the_records_rejected(self, tmp_path, monkeypatch):
+        # a file that shrinks after its size was checked: fstat reports one record more
+        path = self.make_file(tmp_path)
+        real_fstat = os.fstat
 
-    def test_unwritable_sequence_rejected(self, tmp_path):
-        seq = PulseSequence(1e-6, 20e-6, 60e-6 + 0.4e-9, 5)
-        with pytest.raises(StreamFormatError, match="nanosecond"):
-            write_clickstream(ClickStream([], [], seq), tmp_path / "x.ertt")
+        def grown(fd):
+            st = real_fstat(fd)
+            return os.stat_result((*st[:6], st.st_size + 16, *st[7:]))
+
+        monkeypatch.setattr(os, "fstat", grown)
+        data = bytearray(path.read_bytes())
+        data[30:38] = (int.from_bytes(data[30:38], "little") + 1).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(StreamFormatError, match="shrank while read"):
+            read_clickstream(path)
+
+    def test_unwritable_sequence_rejected(self):
+        # the header holds whole nanoseconds, so no sequence it cannot hold is made
+        with pytest.raises(InvalidParameterError, match="whole number of nanoseconds"):
+            PulseSequence(1e-6, 20e-6, 60e-6 + 0.4e-9, 5)
 
 
 class TestFuzzing:
@@ -200,7 +218,7 @@ class TestFuzzing:
             pass
 
 
-CHUNK = 2**20           # records per I/O chunk and validator window
+CHUNK = 2**20           # records per validator window
 BOUNDARY_RECORDS = CHUNK + 3
 MiB = 2**20
 
@@ -261,18 +279,19 @@ class TestChunkBoundaries:
 
 
 class TestMemoryBounds:
-    """tracemalloc peaks on about 2e6 records: the columns plus bounded buffers."""
+    """tracemalloc peaks on 2e6 records: the records, read in place, and no copy of them."""
 
     N_RECORDS = 2_000_000
 
-    def test_read_holds_the_columns_and_at_most_two_chunk_buffers(self, tmp_path):
+    def test_read_holds_the_records_and_the_validator_buffers(self, tmp_path):
         path = tmp_path / "m.ertt"
         write_clickstream(scenarios.paired_stream(self.N_RECORDS), path)
         stream, peak = scenarios.traced_peak(read_clickstream, path)
         assert len(stream) == self.N_RECORDS
-        assert peak <= 16 * self.N_RECORDS + 2 * 16 * CHUNK
+        # the validator's two bool buffers of one window each, and 1 MiB to spare
+        assert peak <= 16 * self.N_RECORDS + 3 * MiB
 
-    def test_write_holds_at_most_one_chunk_buffer(self, tmp_path):
+    def test_write_allocates_no_copy_of_the_records(self, tmp_path):
         stream = scenarios.paired_stream(self.N_RECORDS)
         _, peak = scenarios.traced_peak(write_clickstream, stream, tmp_path / "m.ertt")
-        assert peak <= 16 * CHUNK + MiB
+        assert peak <= MiB
