@@ -5,7 +5,7 @@ dt (Gillespie, Phys. Rev. E 54, 2084, 1996), the slow one a Gaussian random
 walk.  ``generate_trajectory`` is the only update: each step draws two
 standard normals (fast, then slow) even when a component is off, so split
 segments chain bit for bit, and the gap between segments is one step.  A
-static emitter (both components off) draws nothing; only its wall time moves.
+static emitter (both components off) draws nothing and keeps its offsets.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from .physics import SpectralDiffusionParams
 
 @dataclass(frozen=True)
 class DiffusionState:
-    """Instantaneous frequency offsets of one emitter plus elapsed wall time."""
+    """Instantaneous frequency offsets of one emitter."""
 
     nu_offset_fast: float = 0.0
     nu_offset_slow: float = 0.0
-    wall_time: float = 0.0
 
 
 def _ou_coefficients(dt: float, params: SpectralDiffusionParams) -> tuple[float, float]:
@@ -76,12 +75,9 @@ def generate_trajectory(
         raise InvalidParameterError("dt must be >= 0")
     if n_steps == 0:
         return DiffusionTrajectory(np.empty(0), np.empty(0), state)
-    walls_next = np.cumsum(np.concatenate(([state.wall_time], np.full(n_steps, dt))))[1:]
     if params.is_static:
-        final = DiffusionState(state.nu_offset_fast, state.nu_offset_slow, float(walls_next[-1]))
-        return DiffusionTrajectory(
-            np.full(n_steps, state.nu_offset_fast), np.full(n_steps, state.nu_offset_slow), final
-        )
+        fast, slow = np.full(n_steps, state.nu_offset_fast), np.full(n_steps, state.nu_offset_slow)
+        return DiffusionTrajectory(fast, slow, state)
     draws = rng.standard_normal(2 * n_steps).reshape(n_steps, 2)
     a, c = _ou_coefficients(dt, params)
     # AR(1) recurrence x[k] = a x[k-1] + c z[k]; lfilter reproduces the serial
@@ -94,5 +90,5 @@ def generate_trajectory(
 
     fast = np.concatenate(([state.nu_offset_fast], fast_next[:-1]))
     slow = np.concatenate(([state.nu_offset_slow], slow_next[:-1]))
-    final = DiffusionState(float(fast_next[-1]), float(slow_next[-1]), float(walls_next[-1]))
+    final = DiffusionState(float(fast_next[-1]), float(slow_next[-1]))
     return DiffusionTrajectory(fast, slow, final)

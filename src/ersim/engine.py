@@ -38,6 +38,7 @@ kept click of its shot; only shots with two or more clicks are filtered.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -71,8 +72,11 @@ def _to_ns(t_seconds: float) -> int:
 class PulseSequence:
     """Pulsed excitation timing: pulse, collection window, repetition period.
 
-    Each time is a whole number of nanoseconds (to 1e-3 ns), as the ERTT
-    header stores it, and the window fits the period in nanoseconds.
+    Each time is a whole number of nanoseconds below 2**48 (about 3.3 days),
+    as the ERTT header stores it: within 1e-3 ns or four ulps, whichever is
+    larger, so that a header count N read as N / 1e9 passes.  The bound keeps
+    that under 0.125 ns and the block sort key below 2**62.  The window fits
+    the period in nanoseconds.
     """
 
     t_pulse: float           # excitation pulse duration (s)
@@ -82,8 +86,10 @@ class PulseSequence:
 
     def __post_init__(self):
         for name in ("t_pulse", "t_coll", "t_rep"):
-            ns = getattr(self, name) * 1e9   # within 1e-3 of a whole number; NaN and inf fail
-            _require(min(ns % 1, -ns % 1) <= 1e-3, f"{name} must be a whole number of nanoseconds")
+            ns = getattr(self, name) * 1e9
+            whole = math.isfinite(ns) and abs(ns - round(ns)) <= max(1e-3, 4 * math.ulp(ns))
+            _require(whole, f"{name} must be a whole number of nanoseconds")
+            _require(ns < 2**48, f"{name} must be below 2**48 ns")
         _require(self.t_pulse_ns >= 1, "t_pulse must be at least 1 ns")
         _require(self.t_coll_ns >= 1, "t_coll must be at least 1 ns")
         _require(
@@ -353,7 +359,6 @@ def _sample_block(config: ExperimentConfig, laser_hz: float, offsets, n: int, rn
         times.append(t_pulse_ns + (u_t * t_coll_ns).astype(np.int64))
     # one sort of (shot, time) packed into an int64 key; times lie below `end`
     end = t_pulse_ns + t_coll_ns
-    _require(BLOCK_SHOTS * end < 2**63, "collection window too long for the block sort")
     key = np.concatenate(shots) * end + np.concatenate(times)
     key.sort()
     records = np.column_stack(np.divmod(key, end))
@@ -399,10 +404,9 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """One pass over the laser grid and the diffusion states after it."""
+    """One pass over the laser grid."""
 
     points: tuple
-    diffusion_states: tuple
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -438,7 +442,7 @@ def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
             first = (repeat * len(grid) + g) * n_per
             stream, states = _run_shots(config, float(laser), states, rngs, first, digest)
             points.append(ScanPoint(float(laser), len(stream), stream))
-        yield ScanResult(tuple(points), tuple(states))
+        yield ScanResult(tuple(points))
 
 
 def run_lifetime(config: ExperimentConfig) -> ClickStream:

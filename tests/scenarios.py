@@ -1,133 +1,77 @@
-"""Shared simulation scenarios, calibrated constants and stream fixtures for the test suite."""
+"""The paper's experiments as configs/*.ini describes them, with the overrides a test asks for.
 
+Each builder parses its shipped file and applies only the overrides its caller
+passes; an override left None keeps the file's value.  Also stream fixtures.
+"""
+
+import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
-from ersim.engine import (
-    ClickStream,
-    ExperimentConfig,
-    NEmitters,
-    Poissonian,
-    PulseSequence,
-    SingleEmitter,
-)
-from ersim.physics import CavityModel, DetectorModel, EmitterModel, SpectralDiffusionParams
+from ersim.config import parse_config_file
+from ersim.engine import ClickStream
 
-NU0 = 195.6e12
-Q_FACTOR = 4.14e4
-P_PEAK = 460.0
-T1_REFERENCE = 1.12e-3          # cavity-free lifetime set by gamma_0
-GAMMA_0 = 1.0 / T1_REFERENCE
-T1_ENHANCED = 1.0 / (GAMMA_0 * (1.0 + P_PEAK))   # ~2.4295 us on resonance
-BETA = P_PEAK / (P_PEAK + 1.0)
-
-ACCEPTANCE_SEED = 20260809
-
-# produced by scripts/calibrate_linewidth.py at ACCEPTANCE_SEED
-SIGMA_FAST_HZ = 7.078497e7
-SIGMA_SLOW_RATE_HZ2_PER_S = 3.168819e11
-TAU_FAST_S = 1e-3
-GAMMA_H_HZ = 10e6
-
-PULSE_TIMING = dict(t_pulse=1e-6, t_coll=20e-6, t_rep=60e-6)
-
-# signal fraction solving corrected = (raw - (1 - rho^2)) / rho^2 for the
-# (0.29, 0.04) pair; the residual same-shot signal correlation 0.04 is
-# produced by a weak second emitter at this rate ratio
-RHO_SIGNAL_FRACTION = 0.861
-PARASITE_RATIO = 0.020845
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def emitter(p_max=0.5, nu=NU0, diffusion=None, gamma_h=GAMMA_H_HZ, gamma_0=GAMMA_0):
-    return EmitterModel(
-        nu_ion_0=nu,
-        gamma_0=gamma_0,
-        gamma_h=gamma_h,
-        p_max=p_max,
-        diffusion=diffusion or SpectralDiffusionParams(),
+def shipped(name):
+    """The experiment ``configs/<name>.ini`` describes, as parsed."""
+    return parse_config_file(CONFIGS / f"{name}.ini")
+
+
+def _replace(obj, **changes):
+    """``dataclasses.replace`` with only the changes that are not None."""
+    changes = {key: value for key, value in changes.items() if value is not None}
+    return dataclasses.replace(obj, **changes) if changes else obj
+
+
+def override(config, seed=None, n_shots=None, p_max=None, dark_rate=None, diffusion=None, **fields):
+    """``config`` with the given overrides in place.
+
+    ``p_max`` and ``diffusion`` change the emitter of a one-emitter config;
+    ``fields`` are ``ExperimentConfig`` fields such as ``source`` or ``scan_dwell``.
+    """
+    return _replace(
+        config,
+        emitter=_replace(config.emitter, p_max=p_max, diffusion=diffusion),
+        detector=_replace(config.detector, dark_rate=dark_rate),
+        sequence=_replace(config.sequence, n_shots=n_shots),
+        master_seed=seed,
+        **fields,
     )
 
 
-def cavity(nu=NU0, q=Q_FACTOR, p_peak=P_PEAK):
-    return CavityModel(nu_cav=nu, q_factor=q, p_peak=p_peak)
+def lifetime_config(enhanced=True, **overrides):
+    """``lifetime_cavity.ini``, or ``lifetime_reference.ini`` unless ``enhanced``."""
+    return override(shipped("lifetime_cavity" if enhanced else "lifetime_reference"), **overrides)
 
 
-def lifetime_config(seed=1, n_shots=100_000, p_max=0.8, enhanced=True):
-    """Fixed-frequency run recovering either the enhanced or reference lifetime."""
-    if enhanced:
-        cav = cavity()
-        seq = PulseSequence(n_shots=n_shots, **PULSE_TIMING)
-        gamma_0 = GAMMA_0
-    else:
-        # reference lifetime: rate set so 1/Gamma = T1_REFERENCE with a modest
-        # enhancement, keeping the cavity-channel branching fraction high
-        cav = cavity(p_peak=9.0)
-        seq = PulseSequence(t_pulse=1e-6, t_coll=6e-3, t_rep=8e-3, n_shots=n_shots)
-        gamma_0 = 1.0 / (10.0 * T1_REFERENCE)
-    em = emitter(p_max=p_max, gamma_0=gamma_0)
-    return ExperimentConfig(em, cav, DetectorModel(), seq, NU0, seed)
+def g2_config(source=None, **overrides):
+    """``g2_single.ini`` with, optionally, another source."""
+    return override(shipped("g2_single"), source=source, **overrides)
 
 
-def g2_config(source, seed=2, n_shots=1_000_000, p_max=0.3, dark_rate=0.0):
-    em = emitter(p_max=p_max)
-    seq = PulseSequence(n_shots=n_shots, **PULSE_TIMING)
-    return ExperimentConfig(
-        em, cavity(), DetectorModel(dark_rate=dark_rate), seq, NU0, seed, source
-    )
+def background_g2_config(**overrides):
+    """``g2_background.ini``: two emitters and dark counts, raw g2(0) near 0.29."""
+    return override(shipped("g2_background"), **overrides)
 
 
-def background_g2_config(seed=3, n_shots=1_000_000, p_main=0.25):
-    """Two-emitter plus dark-count scenario hitting the 0.29 -> 0.04 pair."""
-    capture = 1.0 - np.exp(-PULSE_TIMING["t_coll"] / T1_ENHANCED)
-    signal = p_main * (1.0 + PARASITE_RATIO) * BETA * capture
-    dark_mean = signal * (1.0 - RHO_SIGNAL_FRACTION) / RHO_SIGNAL_FRACTION
-    dark_rate = dark_mean / PULSE_TIMING["t_coll"]
-    emitters = (emitter(p_max=p_main), emitter(p_max=p_main * PARASITE_RATIO))
-    seq = PulseSequence(n_shots=n_shots, **PULSE_TIMING)
-    return ExperimentConfig(
-        emitters,
-        cavity(),
-        DetectorModel(dark_rate=dark_rate),
-        seq,
-        NU0,
-        seed,
-        NEmitters(2),
-    )
-
-
-def linewidth_session_config(
-    seed=ACCEPTANCE_SEED,
-    repeats=25,
-    n_shots=6000,
-    points=41,
-    span=820e6,
-    sigma_fast=SIGMA_FAST_HZ,
-    sigma_slow_rate=SIGMA_SLOW_RATE_HZ2_PER_S,
-):
-    """Repeated-PLE session covering ~3.5 simulated hours."""
-    scan_time = points * n_shots * PULSE_TIMING["t_rep"]
-    dwell = (3.5 * 3600.0 - repeats * scan_time) / max(repeats - 1, 1)
-    em = emitter(
-        p_max=1.0,
-        diffusion=SpectralDiffusionParams(sigma_fast, TAU_FAST_S, sigma_slow_rate),
-    )
-    grid = tuple(NU0 + np.linspace(-0.5 * span, 0.5 * span, points))
-    seq = PulseSequence(n_shots=n_shots, **PULSE_TIMING)
-    return ExperimentConfig(
-        em,
-        cavity(),
-        DetectorModel(),
-        seq,
-        grid,
-        seed,
-        scan_repeats=repeats,
-        scan_dwell=dwell,
-    )
+def linewidth_session_config(points=None, span=None, **overrides):
+    """``ple_session.ini``; ``points`` or ``span`` rebuild its grid about the same centre."""
+    config = shipped("ple_session")
+    if points is not None or span is not None:
+        grid = config.laser_grid()
+        points = points or len(grid)
+        span = span or grid[-1] - grid[0]
+        offsets = np.linspace(-0.5 * span, 0.5 * span, points)
+        overrides["laser_frequency"] = tuple(0.5 * (grid[0] + grid[-1]) + offsets)
+    return override(config, **overrides)
 
 
 def paired_stream(n_records):
-    """A valid stream of n_records clicks in the PULSE_TIMING window, two per shot.
+    """A valid stream of n_records clicks in the shipped 1 us + 20 us window, two per shot.
 
     Record 0 is alone in shot 0; records 2k - 1 and 2k share shot k, the
     second 500 ns after the first.  So records 2**20 - 1 and 2**20 share a shot.
@@ -135,7 +79,7 @@ def paired_stream(n_records):
     i = np.arange(n_records)
     shots = (i + 1) // 2
     times = 1000 + (shots * 7919) % 19_000 + ((i + 1) % 2) * 500
-    seq = PulseSequence(**PULSE_TIMING, n_shots=int(shots[-1]) + 1)
+    seq = lifetime_config(n_shots=int(shots[-1]) + 1).sequence
     return ClickStream(np.column_stack((shots, times)), seq)
 
 

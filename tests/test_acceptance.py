@@ -37,25 +37,32 @@ from ersim.reporting import generate_report, write_fit_csv
 from ersim.streamfile import read_clickstream, write_clickstream
 
 
+# seed of the checks that simulate no shipped experiment
+ACCEPTANCE_SEED = 20260809
+# signal fraction S/(S+B) of configs/g2_background.ini, as scripts/reproduce_results.py passes it
+RHO_SIGNAL_FRACTION = 0.861
+
+
 def check(criterion, ok, detail):
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     assert ok, line
 
 
+# The fixtures simulate the shipped configs as written: the streams that
+# scripts/reproduce_results.py simulates.
 @pytest.fixture(scope="module")
 def lifetime_runs():
     runs = {}
-    for label, enhanced, t1_target, bin_width in (
-        ("enhanced", True, scenarios.T1_ENHANCED, 0.25e-6),
-        ("reference", False, scenarios.T1_REFERENCE, 0.1e-3),
+    for label, name, bin_width in (
+        ("enhanced", "lifetime_cavity", 0.25e-6),
+        ("reference", "lifetime_reference", 0.1e-3),
     ):
-        cfg = scenarios.lifetime_config(
-            seed=scenarios.ACCEPTANCE_SEED, n_shots=100_000, enhanced=enhanced
-        )
+        cfg = scenarios.shipped(name)
         stream = run_lifetime(cfg)
         fit = fit_exponential(histogram_arrivals(stream, bin_width))
-        runs[label] = dict(config=cfg, stream=stream, fit=fit, target=t1_target)
+        target = 1.0 / (cfg.emitter.gamma_0 * (1.0 + cfg.cavity.p_peak))
+        runs[label] = dict(config=cfg, stream=stream, fit=fit, target=target)
     return runs
 
 
@@ -67,7 +74,7 @@ def g2_oracles():
         ("pair", NEmitters(2)),
         ("poissonian", Poissonian(0.5)),
     ):
-        cfg = scenarios.g2_config(source, seed=scenarios.ACCEPTANCE_SEED, n_shots=1_000_000)
+        cfg = scenarios.g2_config(source)
         stream = run_lifetime(cfg)
         oracles[label] = dict(config=cfg, stream=stream, hist=pulsed_g2(stream, 30))
     return oracles
@@ -75,24 +82,24 @@ def g2_oracles():
 
 @pytest.fixture(scope="module")
 def background_g2():
-    cfg = scenarios.background_g2_config(seed=scenarios.ACCEPTANCE_SEED, n_shots=1_000_000)
+    cfg = scenarios.shipped("g2_background")
     stream = run_lifetime(cfg)
     hist = pulsed_g2(stream, 30)
     raw = hist.g2_at(0)
-    corrected = background_corrected_g2(raw, scenarios.RHO_SIGNAL_FRACTION)
+    corrected = background_corrected_g2(raw, RHO_SIGNAL_FRACTION)
     return dict(config=cfg, stream=stream, hist=hist, raw=raw, corrected=corrected)
 
 
 @pytest.fixture(scope="module")
 def linewidth_session():
-    cfg = scenarios.linewidth_session_config(seed=scenarios.ACCEPTANCE_SEED)
+    cfg = scenarios.shipped("ple_session")
     scans = run_scan_session(cfg)
     spectra = [spectrum_from_scan(s, label=f"scan {i}") for i, s in enumerate(scans)]
     sd_map = spectral_diffusion_map(spectra)
     extra = []
     for seed in (1311, 277231):
         small = scenarios.linewidth_session_config(
-            seed=seed, repeats=8, n_shots=2500, points=31, span=700e6
+            seed=seed, scan_repeats=8, n_shots=2500, points=31, span=700e6
         )
         small_spectra = [spectrum_from_scan(s) for s in run_scan_session(small)]
         extra.append(spectral_diffusion_map(small_spectra))
@@ -122,7 +129,7 @@ def test_criterion_2_cavity_lorentzian_refit():
     nu0 = SPEED_OF_LIGHT / 1532.8e-9
     q_true = 4.14e4
     fwhm_true = nu0 / q_true
-    rng = np.random.default_rng(scenarios.ACCEPTANCE_SEED)
+    rng = np.random.default_rng(ACCEPTANCE_SEED)
     x = np.linspace(nu0 - 4 * fwhm_true, nu0 + 4 * fwhm_true, 200)
     dip = lorentzian_peak(x, (nu0, fwhm_true, -0.8, 1.0))
     noisy = dip * (1.0 + 0.01 * rng.standard_normal(len(x)))
@@ -175,7 +182,7 @@ def test_criterion_5_background_g2_reproduction(background_g2):
         "5 (background-corrected g2)",
         ok,
         f"raw g2(0) = {raw:.4f} (0.29 +- 0.03), corrected = {corrected:.4f} (0.04 +- 0.03) "
-        f"at rho = {scenarios.RHO_SIGNAL_FRACTION}",
+        f"at rho = {RHO_SIGNAL_FRACTION}",
     )
 
 
@@ -276,7 +283,7 @@ def test_criterion_8_property_suites(g2_oracles, background_g2, lifetime_runs, t
     cfg_text = (
         "[emitter]\np_max = 0.5\n[sequence]\nn_shots = 20000\n"
         "[detector]\ndark_rate_per_s = 3000\n[seed]\nmaster_seed = momentum\n"
-    ).replace("momentum", str(scenarios.ACCEPTANCE_SEED))
+    ).replace("momentum", str(ACCEPTANCE_SEED))
     cfg_path = tmp_path / "cli.ini"
     cfg_path.write_text(cfg_text)
     outs = []

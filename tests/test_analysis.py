@@ -16,10 +16,9 @@ from ersim.analysis import (
     purcell_report,
     spectral_diffusion_map,
 )
-from ersim.engine import _CHUNK, ClickStream, ExperimentConfig, PulseSequence, run_lifetime
+from ersim.engine import _CHUNK, ClickStream, PulseSequence, run_lifetime
 from ersim.errors import InvalidParameterError, StreamInvariantError
 from ersim.fitting import FitParameter, FitResult, gaussian_peak
-from ersim.physics import DetectorModel
 from ersim.records import Spectrum
 
 
@@ -113,7 +112,7 @@ class TestHistogramArrivals:
         stream = run_lifetime(cfg)
         bw = 1e-6
         hist = histogram_arrivals(stream, bw)
-        gamma = scenarios.GAMMA_0 * (1.0 + scenarios.P_PEAK)
+        gamma = cfg.emitter.gamma_0 * (1.0 + cfg.cavity.p_peak)
         edges = hist.bin_edges
         expected_fraction = (np.exp(-gamma * edges[:-1]) - np.exp(-gamma * edges[1:])) / (
             1.0 - np.exp(-gamma * cfg.sequence.t_coll)
@@ -265,14 +264,7 @@ class TestDarkCountFloor:
 
     def test_matches_monte_carlo_dark_stream(self):
         rate = 12_500.0  # 0.25 clicks per 20 us window
-        cfg = ExperimentConfig(
-            emitter=scenarios.emitter(p_max=0.0),
-            cavity=scenarios.cavity(),
-            detector=DetectorModel(dark_rate=rate),
-            sequence=PulseSequence(**scenarios.PULSE_TIMING, n_shots=1_000_000),
-            laser_frequency=scenarios.NU0,
-            master_seed=61,
-        )
+        cfg = scenarios.lifetime_config(seed=61, n_shots=1_000_000, p_max=0.0, dark_rate=rate)
         stream = run_lifetime(cfg)
         hist = pulsed_g2(stream, 30)
         predicted = dark_count_floor(0.0, rate, cfg.sequence.t_coll, cfg.sequence.n_shots)

@@ -158,13 +158,21 @@ class TestSimulate:
             "t_pulse_s = 1.6e-9\nt_coll_s = 1.6e-9\nt_rep_s = 3.2e-9\n",
             "t_coll_s = 0.4e-9\n",
             "t_rep_s = 60.0004e-6\n",
+            "t_coll_s = 6e5\nt_rep_s = 7e5\n",
+            "t_rep_s = 281474.976710656\n",
         ],
-        ids=["window_past_period_in_ns", "empty_window_in_ns", "fractional_ns_period"],
+        ids=[
+            "window_past_period_in_ns",
+            "empty_window_in_ns",
+            "fractional_ns_period",
+            "window_of_a_week",
+            "period_of_2_48_ns",
+        ],
     )
     def test_window_that_breaks_in_nanoseconds_is_config_error(
         self, tmp_path, capsys, experiment, timing
     ):
-        # each fits in seconds, but the stream header holds whole nanoseconds
+        # each fits in seconds, but the stream header holds whole nanoseconds below 2**48
         scan = "[scan]\ncenter_thz = 195.6\nspan_mhz = 250\npoints = 3\n"
         cfg = tmp_path / "ns.ini"
         cfg.write_text("[sequence]\nn_shots = 100\n" + timing + (scan if experiment == "ple" else ""))
@@ -421,6 +429,19 @@ class TestG2Command:
         late.write_bytes(bytes(data))
         code = main(["g2", "--in", str(late), "--max-offset", "2", "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "t_rep_ns, exit_code", [(2**48 - 1, EXIT_OK), (2**48, EXIT_IO)], ids=["below", "at"]
+    )
+    def test_period_at_the_header_bound(self, tmp_path, t_rep_ns, exit_code):
+        path = tmp_path / "long.ertt"
+        seq = PulseSequence(1e-6, 20e-6, 60e-6, 4)
+        write_clickstream(ClickStream(np.column_stack(([0, 3], [2000, 9000])), seq), path)
+        data = bytearray(path.read_bytes())
+        data[6:14] = t_rep_ns.to_bytes(8, "little")  # t_rep field of the header
+        path.write_bytes(bytes(data))
+        code = main(["g2", "--in", str(path), "--max-offset", "2", "--out", str(tmp_path / "c.csv")])
+        assert code == exit_code
 
     def test_far_shot_count_gives_exact_zeros(self, tmp_path, capsys):
         # a valid stream with its second click at shot 2**61: pulsed_g2 visits

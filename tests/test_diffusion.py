@@ -18,25 +18,23 @@ def evolve_diffusion(state, dt, params, rng):
     a, c = _ou_coefficients(dt, params)
     fast = a * state.nu_offset_fast + c * z_fast
     slow = state.nu_offset_slow + math.sqrt(params.sigma_slow_rate * dt) * z_slow
-    return DiffusionState(fast, slow, state.wall_time + dt)
+    return DiffusionState(fast, slow)
 
 
-def test_zero_params_only_advance_wall_time():
-    state = DiffusionState(3.0, -2.0, 1.5)
+def test_zero_params_keep_offsets():
+    state = DiffusionState(3.0, -2.0)
     rng = diffusion_stream(0, 0)
     out = evolve_diffusion(state, 0.25, SpectralDiffusionParams(), rng)
     assert out.nu_offset_fast == 3.0
     assert out.nu_offset_slow == -2.0
-    assert out.wall_time == 1.75
 
 
 def test_zero_dt_preserves_offsets():
-    state = DiffusionState(1.0, 2.0, 0.0)
+    state = DiffusionState(1.0, 2.0)
     params = SpectralDiffusionParams(sigma_fast=5e6, tau_fast=1e-3, sigma_slow_rate=1e12)
     out = evolve_diffusion(state, 0.0, params, diffusion_stream(1, 0))
     assert out.nu_offset_fast == 1.0
     assert out.nu_offset_slow == 2.0
-    assert out.wall_time == 0.0
 
 
 def test_negative_dt_rejected():
@@ -63,21 +61,11 @@ def test_trajectory_rejects_negative_dt():
 @pytest.mark.parametrize("dt", [0.0, 60e-6, 509.65])
 def test_one_step_trajectory_is_one_serial_step(params, dt):
     # the dwell gap between scans is a one-step trajectory
-    start = DiffusionState(1.5e6, -2.5e6, 3.0)
+    start = DiffusionState(1.5e6, -2.5e6)
     traj = generate_trajectory(start, 1, dt, params, diffusion_stream(12, 0))
     assert traj.fast[0] == start.nu_offset_fast
     assert traj.slow[0] == start.nu_offset_slow
     assert traj.final == evolve_diffusion(start, dt, params, diffusion_stream(12, 0))
-
-
-def test_wall_time_nondecreasing():
-    params = SpectralDiffusionParams(1e6, 1e-3, 1e10)
-    rng = diffusion_stream(3, 0)
-    state = DiffusionState()
-    for dt in [0.0, 1e-6, 5.0, 0.0, 2e-3]:
-        new = evolve_diffusion(state, dt, params, rng)
-        assert new.wall_time >= state.wall_time
-        state = new
 
 
 def test_fast_component_reaches_stationary_std():
@@ -153,17 +141,17 @@ def test_trajectory_segments_chain_like_one_run():
 
 def test_empty_trajectory():
     traj = generate_trajectory(
-        DiffusionState(1.0, 2.0, 3.0), 0, 1e-3, SpectralDiffusionParams(), diffusion_stream(0, 0)
+        DiffusionState(1.0, 2.0), 0, 1e-3, SpectralDiffusionParams(), diffusion_stream(0, 0)
     )
     assert len(traj.fast) == 0
-    assert traj.final == DiffusionState(1.0, 2.0, 3.0)
+    assert traj.final == DiffusionState(1.0, 2.0)
 
 
 def test_static_trajectory_equals_serial_evolution_without_draws():
     params = SpectralDiffusionParams()
     n = 1000
-    dt = 60e-6  # wall time accumulates rounding, so the fold order shows
-    start = DiffusionState(3.0, -2.0, 1.5)
+    dt = 60e-6
+    start = DiffusionState(3.0, -2.0)
     rng = diffusion_stream(4, 0)
     traj = generate_trajectory(start, n, dt, params, rng)
     state = start
@@ -173,6 +161,5 @@ def test_static_trajectory_equals_serial_evolution_without_draws():
         assert traj.slow[k] == state.nu_offset_slow
         state = evolve_diffusion(state, dt, params, serial_rng)
     assert traj.final == state
-    assert state.wall_time != 1.5 + n * dt  # a different fold would not match
     # nothing was drawn: the stream is where a fresh one starts
     assert rng.standard_normal() == diffusion_stream(4, 0).standard_normal()

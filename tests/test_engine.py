@@ -12,7 +12,7 @@ import scenarios
 from ersim import engine
 from ersim.analysis import histogram_arrivals, pulsed_g2, spectrum_from_scan
 from ersim.config import parse_config_file
-from ersim.diffusion import generate_trajectory
+from ersim.diffusion import DiffusionState, generate_trajectory
 from ersim.engine import (
     BLOCK_SHOTS,
     STREAM_LAYOUT,
@@ -29,7 +29,7 @@ from ersim.engine import (
 )
 from ersim.errors import InvalidParameterError, StreamInvariantError
 from ersim.fitting import fit_exponential, fit_gaussian, fit_lorentzian
-from ersim.physics import DetectorModel
+from ersim.physics import CavityModel, DetectorModel
 from ersim.rng import block_stream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -42,6 +42,11 @@ def with_shots(config, n_shots, **detector):
         sequence=dataclasses.replace(config.sequence, n_shots=n_shots),
         detector=dataclasses.replace(config.detector, **detector),
     )
+
+
+def at_line(config):
+    """``config`` with its laser on the emitter's line."""
+    return dataclasses.replace(config, laser_frequency=config.emitter.nu_ion_0)
 
 
 def expected_clicks_per_shot(config):
@@ -68,7 +73,7 @@ class TestPulseSequence:
             PulseSequence(t_pulse=1e-6, t_coll=1e-6, t_rep=1e-5, n_shots=0)
 
     def test_nanosecond_values(self):
-        seq = PulseSequence(**scenarios.PULSE_TIMING, n_shots=5)
+        seq = scenarios.lifetime_config().sequence
         assert (seq.t_pulse_ns, seq.t_coll_ns, seq.t_rep_ns) == (1000, 20000, 60000)
 
     def test_window_must_fit_in_nanoseconds(self):
@@ -90,11 +95,17 @@ class TestPulseSequence:
             (1.6e-9, 1.6e-9, 3.2e-9),
             (1e-6, 20e-6, 60.0004e-6),
             (math.nan, 1e-6, 1e-5),
+            (1e-6, 20e-6, (2**48 - 1.5) / 1e9),   # near the bound the tolerance stays tight
         ],
     )
     def test_times_must_be_whole_nanoseconds(self, times):
         with pytest.raises(InvalidParameterError, match="whole number of nanoseconds"):
             PulseSequence(*times, n_shots=1)
+
+    def test_times_below_two_to_the_48_nanoseconds(self):
+        assert PulseSequence(1e-6, 20e-6, (2**48 - 1) / 1e9, 1).t_rep_ns == 2**48 - 1
+        with pytest.raises(InvalidParameterError, match=r"t_rep must be below 2\*\*48 ns"):
+            PulseSequence(1e-6, 20e-6, 2**48 / 1e9, 1)
 
 
 class TestPoissonLimit:
@@ -112,24 +123,12 @@ class TestPoissonLimit:
 class TestExperimentConfig:
     def test_grid_must_increase(self):
         with pytest.raises(InvalidParameterError):
-            scenarios.lifetime_config().__class__(
-                emitter=scenarios.emitter(),
-                cavity=scenarios.cavity(),
-                detector=DetectorModel(),
-                sequence=PulseSequence(**scenarios.PULSE_TIMING, n_shots=1),
-                laser_frequency=(2.0e14, 1.0e14),
-            )
+            dataclasses.replace(scenarios.lifetime_config(), laser_frequency=(2.0e14, 1.0e14))
 
     def test_emitter_count_must_match_source(self):
+        cfg = scenarios.lifetime_config()
         with pytest.raises(InvalidParameterError):
-            ExperimentConfig(
-                emitter=(scenarios.emitter(), scenarios.emitter()),
-                cavity=scenarios.cavity(),
-                detector=DetectorModel(),
-                sequence=PulseSequence(**scenarios.PULSE_TIMING, n_shots=1),
-                laser_frequency=scenarios.NU0,
-                source=NEmitters(3),
-            )
+            dataclasses.replace(cfg, emitter=(cfg.emitter, cfg.emitter), source=NEmitters(3))
 
     def test_single_emitter_replicated_for_n_emitters(self):
         cfg = scenarios.g2_config(NEmitters(4), n_shots=1)
@@ -144,15 +143,7 @@ class TestExperimentConfig:
 
 class TestSampleShot:
     def test_switched_off_emitter_and_no_darks_gives_no_clicks(self):
-        cfg = scenarios.lifetime_config(n_shots=1000)
-        cfg = ExperimentConfig(
-            emitter=scenarios.emitter(p_max=0.0),
-            cavity=cfg.cavity,
-            detector=cfg.detector,
-            sequence=cfg.sequence,
-            laser_frequency=cfg.laser_frequency,
-            master_seed=cfg.master_seed,
-        )
+        cfg = scenarios.lifetime_config(n_shots=1000, p_max=0.0)
         assert len(run_lifetime(cfg)) == 0
 
     def test_mean_clicks_matches_bernoulli_oracle(self):
@@ -166,14 +157,7 @@ class TestSampleShot:
 
     def test_dark_only_rate_matches_poisson_oracle(self):
         rate = 5000.0
-        cfg = ExperimentConfig(
-            emitter=scenarios.emitter(p_max=0.0),
-            cavity=scenarios.cavity(),
-            detector=DetectorModel(dark_rate=rate),
-            sequence=PulseSequence(**scenarios.PULSE_TIMING, n_shots=1_000_000),
-            laser_frequency=scenarios.NU0,
-            master_seed=55,
-        )
+        cfg = scenarios.lifetime_config(seed=55, n_shots=1_000_000, p_max=0.0, dark_rate=rate)
         stream = run_lifetime(cfg)
         expected = rate * cfg.sequence.t_coll
         assert len(stream) / cfg.sequence.n_shots == pytest.approx(expected, rel=0.02)
@@ -217,39 +201,34 @@ class TestSampleShot:
 
 class TestRunLifetime:
     def test_zero_excitation_gives_empty_stream(self):
-        cfg = ExperimentConfig(
-            emitter=scenarios.emitter(p_max=0.0),
-            cavity=scenarios.cavity(),
-            detector=DetectorModel(),
-            sequence=PulseSequence(**scenarios.PULSE_TIMING, n_shots=5000),
-            laser_frequency=scenarios.NU0,
-            master_seed=4,
-        )
+        cfg = scenarios.lifetime_config(seed=4, n_shots=5000, p_max=0.0)
         assert len(run_lifetime(cfg)) == 0
 
     def test_emission_delays_pass_ks_against_exponential(self):
-        t1 = scenarios.T1_ENHANCED
-        cfg = ExperimentConfig(
-            emitter=scenarios.emitter(p_max=1.0),
-            cavity=scenarios.cavity(),
-            detector=DetectorModel(),
+        cfg = dataclasses.replace(
+            scenarios.lifetime_config(seed=13, p_max=1.0),
             sequence=PulseSequence(t_pulse=1e-6, t_coll=73e-6, t_rep=80e-6, n_shots=100_000),
-            laser_frequency=scenarios.NU0,
-            master_seed=13,
         )
         stream = run_lifetime(cfg)
         delays = (stream.times_ns - stream.sequence.t_pulse_ns) * 1e-9
         assert len(delays) > 90_000
-        gamma = scenarios.GAMMA_0 * (1.0 + scenarios.P_PEAK)
-        result = scipy.stats.kstest(delays, "expon", args=(0.0, 1.0 / gamma))
+        t1 = 1.0 / (cfg.emitter.gamma_0 * (1.0 + cfg.cavity.p_peak))
+        result = scipy.stats.kstest(delays, "expon", args=(0.0, t1))
         assert result.pvalue > 0.01
         assert abs(np.mean(delays) - t1) / t1 < 0.02
 
     def test_window_too_long_for_block_sort_rejected(self):
-        seq = PulseSequence(t_pulse=1e-6, t_coll=6e5, t_rep=7e5, n_shots=1)
-        cfg = dataclasses.replace(scenarios.lifetime_config(n_shots=1), sequence=seq)
-        with pytest.raises(InvalidParameterError):
-            run_lifetime(cfg)
+        with pytest.raises(InvalidParameterError, match=r"2\*\*48"):
+            PulseSequence(t_pulse=1e-6, t_coll=6e5, t_rep=7e5, n_shots=1)
+
+    def test_longest_window_sorts_without_overflow(self):
+        # a full block whose shot times reach 2**48 ns: its sort key stays in int64
+        seq = PulseSequence(1e-6, (2**48 - 2001) * 1e-9, (2**48 - 1) * 1e-9, BLOCK_SHOTS)
+        assert seq.t_rep_ns == 2**48 - 1
+        cfg = dataclasses.replace(scenarios.lifetime_config(seed=7, dark_rate=2e-5), sequence=seq)
+        stream = run_lifetime(cfg)
+        assert stream.shot_indices[-1] > BLOCK_SHOTS - 10
+        assert stream.times_ns.max() > 2**47
 
     def test_streams_validate(self):
         for enhanced in (True, False):
@@ -260,10 +239,7 @@ class TestRunLifetime:
     @pytest.mark.parametrize(
         "make_config",
         [
-            lambda n: dataclasses.replace(
-                scenarios.linewidth_session_config(repeats=1, n_shots=n, points=1),
-                laser_frequency=scenarios.NU0,
-            ),
+            lambda n: at_line(scenarios.linewidth_session_config(scan_repeats=1, n_shots=n)),
             lambda n: scenarios.background_g2_config(n_shots=n),
         ],
         ids=["diffusing", "two-emitter"],
@@ -287,13 +263,12 @@ class TestCavityDetuning:
     """
 
     def run(self):
-        cfg = ExperimentConfig(
-            emitter=scenarios.emitter(p_max=0.5, nu=195.602e12, gamma_0=1e5),
-            cavity=scenarios.cavity(nu=195.6e12, q=48900.0, p_peak=2.0),
-            detector=DetectorModel(),
-            sequence=PulseSequence(**scenarios.PULSE_TIMING, n_shots=200_000),
+        cfg = scenarios.lifetime_config(seed=31, n_shots=200_000, p_max=0.5)
+        cfg = dataclasses.replace(
+            cfg,
+            emitter=dataclasses.replace(cfg.emitter, nu_ion_0=195.602e12, gamma_0=1e5),
+            cavity=CavityModel(nu_cav=195.6e12, q_factor=48900.0, p_peak=2.0),
             laser_frequency=195.602e12,
-            master_seed=31,
         )
         return run_lifetime(cfg)
 
@@ -355,17 +330,14 @@ class TestDeterminism:
 
         monkeypatch.setattr(engine, "block_stream", recording)
         n = BLOCK_SHOTS + 7
-        cfg = scenarios.linewidth_session_config(repeats=3, n_shots=n, points=4)
+        cfg = scenarios.linewidth_session_config(scan_repeats=3, n_shots=n, points=4)
         run_scan_session(cfg)
         # 3 scans x 4 points, two blocks per point, shots counted globally
         assert firsts == [c * n + o for c in range(12) for o in (0, BLOCK_SHOTS)]
 
     def test_lifetime_is_first_point_of_session(self, monkeypatch):
         n = BLOCK_SHOTS + 7
-        cfg = dataclasses.replace(
-            scenarios.linewidth_session_config(repeats=3, n_shots=n, points=4),
-            laser_frequency=scenarios.NU0,
-        )
+        cfg = at_line(scenarios.linewidth_session_config(scan_repeats=3, n_shots=n))
         assert not cfg.resolved_emitters()[0].diffusion.is_static
         session = run_scan_session(cfg)[0].points[0].stream
         firsts = []
@@ -403,14 +375,8 @@ class TestDeterminism:
 class TestDeadTime:
     def test_dead_time_enforced_in_stream(self):
         dead = 500e-9
-        cfg = ExperimentConfig(
-            emitter=scenarios.emitter(p_max=0.0),
-            cavity=scenarios.cavity(),
-            detector=DetectorModel(dark_rate=300_000.0, dead_time=dead),
-            sequence=PulseSequence(**scenarios.PULSE_TIMING, n_shots=20_000),
-            laser_frequency=scenarios.NU0,
-            master_seed=8,
-        )
+        base = scenarios.lifetime_config(seed=8, p_max=0.0)
+        cfg = with_shots(base, 20_000, dark_rate=300_000.0, dead_time=dead)
         stream = run_lifetime(cfg)
         validate_click_stream(stream, dead)
         same = np.diff(stream.shot_indices) == 0
@@ -422,13 +388,8 @@ class TestDeadTime:
         # dead time draws no randomness, so the run without it gives the
         # clicks before the filter
         dead_ns = 500
-        cfg = ExperimentConfig(
-            emitter=scenarios.emitter(p_max=0.5),
-            cavity=scenarios.cavity(),
-            detector=DetectorModel(dark_rate=300_000.0),
-            sequence=PulseSequence(**scenarios.PULSE_TIMING, n_shots=2 * BLOCK_SHOTS + 3),
-            laser_frequency=scenarios.NU0,
-            master_seed=8,
+        cfg = scenarios.lifetime_config(
+            seed=8, n_shots=2 * BLOCK_SHOTS + 3, p_max=0.5, dark_rate=300_000.0
         )
         raw = run_lifetime(cfg)
         filtered = run_lifetime(with_shots(cfg, cfg.sequence.n_shots, dead_time=dead_ns * 1e-9))
@@ -442,7 +403,7 @@ class TestDeadTime:
         assert got == expected
 
     def test_validator_flags_dead_time_violation(self):
-        seq = PulseSequence(**scenarios.PULSE_TIMING, n_shots=10)
+        seq = scenarios.lifetime_config(n_shots=10).sequence
         stream = ClickStream(np.column_stack(([1, 1], [2000, 2100])), seq)
         validate_click_stream(stream)  # fine without dead time
         with pytest.raises(StreamInvariantError):
@@ -451,7 +412,7 @@ class TestDeadTime:
 
 class TestValidator:
     def setup_method(self):
-        self.seq = PulseSequence(**scenarios.PULSE_TIMING, n_shots=100)
+        self.seq = scenarios.lifetime_config(n_shots=100).sequence
 
     def test_accepts_empty(self):
         validate_click_stream(ClickStream(np.column_stack(([], [])), self.seq))
@@ -488,7 +449,7 @@ class TestValidator:
 
 class TestFrozenStream:
     def setup_method(self):
-        self.seq = PulseSequence(**scenarios.PULSE_TIMING, n_shots=100)
+        self.seq = scenarios.lifetime_config(n_shots=100).sequence
         self.records = np.array([[1, 2000], [1, 3000], [7, 2500]])
         self.stream = ClickStream(self.records, self.seq)
 
@@ -598,14 +559,11 @@ class TestValidatorWindows:
 class TestPleScan:
     def test_static_lorentzian_linewidth_recovered(self):
         gamma_h = 50e6
-        grid = tuple(scenarios.NU0 + np.linspace(-125e6, 125e6, 41))
-        cfg = ExperimentConfig(
-            emitter=scenarios.emitter(p_max=0.8, gamma_h=gamma_h),
-            cavity=scenarios.cavity(),
-            detector=DetectorModel(),
-            sequence=PulseSequence(**scenarios.PULSE_TIMING, n_shots=800),
-            laser_frequency=grid,
-            master_seed=17,
+        cfg = scenarios.lifetime_config(seed=17, n_shots=800, p_max=0.8)
+        cfg = dataclasses.replace(
+            cfg,
+            emitter=dataclasses.replace(cfg.emitter, gamma_h=gamma_h),
+            laser_frequency=tuple(cfg.laser_frequency + np.linspace(-125e6, 125e6, 41)),
         )
         (scan,) = run_scan_session(cfg)
         fit = fit_lorentzian(spectrum_from_scan(scan))
@@ -613,15 +571,16 @@ class TestPleScan:
         assert fit.value("fwhm") == pytest.approx(gamma_h, rel=0.05)
 
     def test_counts_match_stream_lengths(self):
-        cfg = scenarios.linewidth_session_config(repeats=1, n_shots=200, points=7)
+        cfg = scenarios.linewidth_session_config(scan_repeats=1, n_shots=200, points=7)
         (scan,) = run_scan_session(cfg)
         for point in scan.points:
             assert point.counts == len(point.stream)
             validate_click_stream(point.stream)
 
     def test_calibrated_fast_jitter_gives_gaussian_line(self):
-        cfg = scenarios.linewidth_session_config(
-            repeats=1, n_shots=6000, sigma_slow_rate=0.0
+        base = scenarios.linewidth_session_config(scan_repeats=1)
+        cfg = scenarios.override(
+            base, diffusion=dataclasses.replace(base.emitter.diffusion, sigma_slow_rate=0.0)
         )
         (scan,) = run_scan_session(cfg)
         fit = fit_gaussian(spectrum_from_scan(scan))
@@ -630,11 +589,7 @@ class TestPleScan:
 
     def test_slow_walk_broadens_time_average(self):
         cfg = scenarios.linewidth_session_config(
-            seed=31,
-            repeats=6,
-            n_shots=2500,
-            points=31,
-            span=700e6,
+            seed=31, scan_repeats=6, n_shots=2500, points=31, span=700e6
         )
         scans = run_scan_session(cfg)
         fits = [fit_gaussian(spectrum_from_scan(s)) for s in scans]
@@ -645,15 +600,25 @@ class TestPleScan:
         avg_fit = fit_gaussian(Spectrum(scans[0].frequencies, average))
         assert avg_fit.value("fwhm") > singles.mean()
 
-    def test_diffusion_state_persists_across_scans(self):
-        cfg = scenarios.linewidth_session_config(repeats=3, n_shots=50, points=5)
-        scans = run_scan_session(cfg)
-        walls = [s.diffusion_states[0].wall_time for s in scans]
-        assert walls[0] > 0
-        assert walls[1] > walls[0]
-        assert walls[2] > walls[1]
-        # dwell gaps included: total session time spans hours
-        assert walls[-1] > 2 * 3600.0
+    def test_diffusion_state_persists_across_scans(self, monkeypatch):
+        cfg = scenarios.linewidth_session_config(scan_repeats=3, n_shots=50, points=5)
+        calls = []  # (n_steps, dt, incoming state, final state) of each trajectory, in order
+
+        def trajectory(state, n_steps, dt, params, rng):
+            path = generate_trajectory(state, n_steps, dt, params, rng)
+            calls.append((n_steps, dt, state, path.final))
+            return path
+
+        monkeypatch.setattr(engine, "generate_trajectory", trajectory)
+        run_scan_session(cfg)
+        # per scan one t_rep trajectory per point; one scan_dwell step before each later scan
+        t_rep, dwell = cfg.sequence.t_rep, cfg.scan_dwell
+        scan = [(50, t_rep)] * 5
+        assert [call[:2] for call in calls] == scan + [(1, dwell)] + scan + [(1, dwell)] + scan
+        # each trajectory starts from the state the one before it left
+        assert calls[0][2] == DiffusionState()
+        for before, after in zip(calls, calls[1:]):
+            assert after[2] is before[3]
 
     def test_scan_requires_grid(self):
         cfg = scenarios.lifetime_config(n_shots=10)
@@ -704,13 +669,7 @@ class TestRunG2:
     dark_rate=st.sampled_from([0.0, 1e4, 1e5]),
 )
 def test_any_small_run_satisfies_stream_invariants(n_shots, seed, dark_rate):
-    cfg = ExperimentConfig(
-        emitter=scenarios.emitter(p_max=0.9),
-        cavity=scenarios.cavity(),
-        detector=DetectorModel(dark_rate=dark_rate, dead_time=100e-9),
-        sequence=PulseSequence(**scenarios.PULSE_TIMING, n_shots=n_shots),
-        laser_frequency=scenarios.NU0,
-        master_seed=seed,
-    )
+    base = scenarios.lifetime_config(seed=seed, p_max=0.9)
+    cfg = with_shots(base, n_shots, dark_rate=dark_rate, dead_time=100e-9)
     stream = run_lifetime(cfg)
     validate_click_stream(stream, cfg.detector.dead_time)

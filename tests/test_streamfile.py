@@ -82,6 +82,26 @@ class TestRoundTrip:
         write_clickstream(ClickStream(np.column_stack(([2], [2000])), seq), path)
         assert read_clickstream(path).sequence.t_rep_ns == 9_554_173_266_933
 
+    def test_long_period_headers_read_back_and_rewrite(self, tmp_path):
+        # whole-ns times with periods log-uniform in [1e13, 2**48) ns, where a
+        # 1e-3 ns tolerance would be finer than float64 resolution
+        rng = np.random.default_rng(48)
+        rep = np.exp(rng.uniform(np.log(1e13), np.log(2**48), 20_000)).astype(np.int64)
+        rep = np.minimum(rep, 2**48 - 1)
+        rep[:3] = 10**13, 2**47, 2**48 - 1
+        coll = rng.integers(1, rep)
+        pulse = rng.integers(1, rep - coll + 1)
+        first, second = tmp_path / "a.ertt", tmp_path / "b.ertt"
+        for k, (p, c, r) in enumerate(zip(pulse.tolist(), coll.tolist(), rep.tolist())):
+            seq = PulseSequence(p / 1e9, c / 1e9, r / 1e9, 1)   # as the reader builds it
+            assert (seq.t_pulse_ns, seq.t_coll_ns, seq.t_rep_ns) == (p, c, r)
+            if k < 200:
+                write_clickstream(ClickStream(np.array([[0, p]]), seq), first)
+                back = read_clickstream(first)
+                write_clickstream(back, second)
+                assert back.sequence == seq
+                assert first.read_bytes() == second.read_bytes()
+
     def test_shot_count_inferred_from_last_record(self, tmp_path):
         seq = PulseSequence(1e-6, 20e-6, 60e-6, 50)
         stream = ClickStream(np.column_stack(([0, 7], [2000, 2500])), seq)
