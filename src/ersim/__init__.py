@@ -12,7 +12,6 @@ from .analysis import (
     spectrum_from_scan,
 )
 from .config import parse_config, parse_config_file, serialize_config
-from .diffusion import DiffusionState, generate_trajectory
 from .engine import (
     ClickStream,
     ExperimentConfig,
@@ -39,12 +38,7 @@ from .physics import (
     DetectorModel,
     EmitterModel,
     SpectralDiffusionParams,
-    cavity_branching_fraction,
-    enhanced_decay_rate,
-    excitation_probability,
-    lorentzian,
     purcell_from_lifetimes,
-    purcell_profile,
     radiative_linewidth,
 )
 from .records import CorrelationHistogram, DecayHistogram, Spectrum

@@ -211,7 +211,6 @@ def purcell_report(t1_fit: FitResult, t1_0_fit: FitResult) -> PurcellReport:
         raise InvalidParameterError("purcell_report requires converged lifetime fits")
     t1 = t1_fit.value("t1")
     t1_0 = t1_0_fit.value("t1")
-    _require(t1 > 0 and t1_0 > 0, "lifetimes must be positive")
     p = purcell_from_lifetimes(t1, t1_0)
     s1 = t1_fit.sigma("t1")
     s0 = t1_0_fit.sigma("t1")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import InvalidParameterError
 from .physics import SpectralDiffusionParams
 
 
@@ -67,12 +66,9 @@ def generate_trajectory(
 
     Shot k of the segment uses the state after k steps (shot 0 sees the
     incoming state unchanged); ``final`` is the state after the last step, so
-    consecutive segments chain exactly like one long segment.
+    consecutive segments chain exactly like one long segment.  The engine
+    passes n_steps >= 1 and ``t_rep`` or ``scan_dwell``, each checked >= 0.
     """
-    if n_steps < 0:
-        raise InvalidParameterError("n_steps must be >= 0")
-    if dt < 0:
-        raise InvalidParameterError("dt must be >= 0")
     if n_steps == 0:
         return DiffusionTrajectory(np.empty(0), np.empty(0), state)
     if params.is_static:

@@ -76,7 +76,8 @@ class PulseSequence:
     as the ERTT header stores it: within 1e-3 ns or four ulps, whichever is
     larger, so that a header count N read as N / 1e9 passes.  The bound keeps
     that under 0.125 ns and the block sort key below 2**62.  The window fits
-    the period in nanoseconds.
+    the period in nanoseconds.  At most 2**62 shots keep every shot index of
+    a stream, and so every ERTT record field, below 2**62.
     """
 
     t_pulse: float           # excitation pulse duration (s)
@@ -96,7 +97,7 @@ class PulseSequence:
             self.t_pulse_ns + self.t_coll_ns <= self.t_rep_ns,
             "pulse plus collection window must fit inside the repetition period",
         )
-        _require(self.n_shots >= 1, "n_shots must be >= 1")
+        _require(1 <= self.n_shots <= 2**62, "n_shots must lie in [1, 2**62]")
 
     @property
     def t_pulse_ns(self) -> int:
@@ -171,6 +172,7 @@ class ExperimentConfig:
                 "laser grid must be strictly increasing",
             )
             object.__setattr__(self, "laser_frequency", grid)
+        _require((self.laser_grid() > 0).all(), "laser frequencies must be > 0")
         self.resolved_emitters()  # raises on emitter/source mismatch
 
     def resolved_emitters(self) -> tuple:

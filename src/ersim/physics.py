@@ -3,7 +3,8 @@
 All functions are pure and operate in SI units: frequencies in Hz, rates in
 1/s, times in s.  Frequencies are absolute; conversion to wavelength or
 detuning happens only in the reporting layer.  Each relation is defined once
-here: the engine samples through them and the fits use ``lorentzian``.
+here.  The engine samples through them with fields the model types check,
+and the fits use ``lorentzian``; only relations fed by CSV values check.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class CavityModel:
         _require(self.nu_cav > 0, "nu_cav must be > 0")
         _require(self.q_factor > 0, "q_factor must be > 0")
         _require(self.p_peak >= 0, "p_peak must be >= 0")
+        _require(self.fwhm > 0, "nu_cav / q_factor must be > 0")
 
     @property
     def fwhm(self) -> float:
@@ -104,7 +106,6 @@ def lorentzian(nu, center, fwhm, amplitude=1.0, baseline=0.0):
 
     Accepts scalars or numpy arrays for ``nu``.
     """
-    _require(fwhm > 0, "fwhm must be > 0")
     half = 0.5 * fwhm
     return baseline + amplitude * half**2 / ((np.asarray(nu) - center) ** 2 + half**2)
 
@@ -115,15 +116,11 @@ def purcell_profile(delta, p_peak: float, kappa: float):
     Lorentzian roll-off of the on-resonance value: P(delta) =
     p_peak / (1 + (2 delta / kappa)^2).
     """
-    _require(kappa > 0, "kappa must be > 0")
-    _require(p_peak >= 0, "p_peak must be >= 0")
     return p_peak / (1.0 + (2.0 * np.asarray(delta) / kappa) ** 2)
 
 
 def enhanced_decay_rate(gamma_0: float, p) -> float:
     """Total decay rate gamma_0 * (1 + P) for Purcell factor P."""
-    _require(gamma_0 > 0, "gamma_0 must be > 0")
-    _require((np.asarray(p) >= 0).all(), "purcell factor must be >= 0")
     return gamma_0 * (1.0 + p)
 
 
@@ -146,8 +143,6 @@ def excitation_probability(delta_laser_ion, gamma_h: float, p_max: float):
     Saturating Lorentzian with FWHM gamma_h and peak value p_max; incoherent
     (no Rabi dynamics).  p_max = 0 is the switched-off emitter.
     """
-    _require(gamma_h > 0, "gamma_h must be > 0")
-    _require(0 <= p_max <= 1, "p_max must lie in [0, 1]")
     half = 0.5 * gamma_h
     # unit-bounded shape factor first so the result never exceeds p_max
     return half**2 / (half**2 + np.asarray(delta_laser_ion) ** 2) * p_max
@@ -155,8 +150,6 @@ def excitation_probability(delta_laser_ion, gamma_h: float, p_max: float):
 
 def cavity_branching_fraction(p) -> float:
     """Fraction P / (P + 1) of enhanced emission routed into the cavity channel."""
-    p = np.asarray(p, dtype=float)
-    _require((p >= 0).all(), "purcell factor must be >= 0")
     return p / (p + 1.0)
 
 

@@ -64,19 +64,27 @@ def _read_table(path) -> tuple[dict, list, list]:
     return comments, header, rows
 
 
-def _number(path, name: str, text, kind=float):
-    """``kind(text)``; InvalidParameterError names the file and the column or key."""
+def _number(path, name: str, text, kind=float, finite=True):
+    """``kind(text)``; InvalidParameterError names the file and the column or key.
+
+    The value must be finite unless ``finite`` is false, as for an estimate
+    (a sigma, a g2 value) that a writer leaves undefined as nan.
+    """
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise InvalidParameterError(f"{path}: {name} is not a number: {text!r}") from None
+    if finite and kind is float and not math.isfinite(value):
+        raise InvalidParameterError(f"{path}: {name} is not a finite number: {text!r}")
+    return value
 
 
-def _float_columns(path, header: list, rows: list, names) -> list:
+def _float_columns(path, header: list, rows: list, names, finite=True) -> list:
     """The named columns as float arrays.
 
     A missing or empty column, a short or long row, or a cell that is not a
-    number raises InvalidParameterError naming the file and the column.
+    number (or not finite, where ``finite``) raises InvalidParameterError
+    naming the file and the column.
     """
     for row in rows:
         if len(row) != len(header):
@@ -88,7 +96,7 @@ def _float_columns(path, header: list, rows: list, names) -> list:
         if not rows:
             raise InvalidParameterError(f"{path} has no values in column {name}")
         j = header.index(name)
-        columns.append(np.array([_number(path, name, row[j]) for row in rows]))
+        columns.append(np.array([_number(path, name, row[j], finite=finite) for row in rows]))
     return columns
 
 
@@ -186,11 +194,11 @@ def read_fit_csv(path) -> FitResult:
         if column.endswith("_sigma") or column in _FIT_SCALARS:
             continue
         name = inverse.get(column, column)
-        sigma = _number(path, column + "_sigma", cells.get(column + "_sigma", "nan"))
+        sigma = _number(path, column + "_sigma", cells.get(column + "_sigma", "nan"), finite=False)
         parameters.append(FitParameter(name, _number(path, column, cells[column]), sigma))
     return FitResult(
         tuple(parameters),
-        _number(path, "rss", cells.get("rss", "nan")),
+        _number(path, "rss", cells.get("rss", "nan"), finite=False),
         _number(path, "iterations", cells.get("iterations", 0), int),
         cells.get("converged", "false") == "true",
         cells.get("status", ""),
@@ -255,13 +263,13 @@ def generate_report(in_dir, out_dir) -> dict:
     for path in sorted(in_dir.glob("g2*.csv")):
         comments, header, rows = _read_table(path)
         offsets, raw, corrected, rho = _float_columns(
-            path, header, rows, ("offset_shots", "g2", "g2_corrected", "rho")
+            path, header, rows, ("offset_shots", "g2", "g2_corrected", "rho"), finite=False
         )
         zero = np.flatnonzero(offsets == 0)
         if len(zero) == 0:
             continue
         i = zero[-1]
-        sigma = _number(path, "g2_zero_sigma", comments.get("g2_zero_sigma", "nan"))
+        sigma = _number(path, "g2_zero_sigma", comments.get("g2_zero_sigma", "nan"), finite=False)
         summary["g2_zero_raw"] = raw[i]
         summary["g2_zero_raw_sigma"] = sigma
         summary["g2_zero_corrected"] = corrected[i]

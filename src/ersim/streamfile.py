@@ -19,7 +19,8 @@ it back reproduces the bytes exactly; every time is a whole nanosecond, as the
 engine quantizes click tags at creation and ``PulseSequence`` holds whole
 nanoseconds.  The shot count is not part of the format, so it is inferred on
 read as max(shot_index) + 1.  The reader checks only the format; the records
-are checked, as every ``ClickStream`` is, when the stream is made.  The file is
+are checked, as every ``ClickStream`` is, when the stream is made, and the
+shot count is bounded, as in every ``PulseSequence``, by 2**62.  The file is
 not memory-mapped: mapped pages count in the resident set just as a copy would.
 """
 
@@ -51,9 +52,10 @@ def read_clickstream(path) -> ClickStream:
     """Read a click-stream file.
 
     Raises StreamFormatError for bad magic, unsupported version, truncated or
-    oversized record sections, field values beyond 2**62, an invalid pulse
-    sequence, and records that break the ``ClickStream`` invariants (unsorted,
-    or time tags outside ``[t_pulse, t_pulse + t_coll)``).
+    oversized record sections, an invalid pulse sequence (a last shot at or
+    beyond 2**62 gives more shots than ``PulseSequence`` allows), and records
+    that break the ``ClickStream`` invariants (unsorted, negative shots, or
+    time tags outside ``[t_pulse, t_pulse + t_coll)``).
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -72,9 +74,6 @@ def read_clickstream(path) -> ClickStream:
         records = np.empty((count, 2), dtype="<i8")
         if fh.readinto(records) != records.nbytes:
             raise StreamFormatError("truncated record section: the file shrank while read")
-    # as uint64, a negative field is as far out of range as one beyond 2**62
-    if count and records.view("<u8").max() >= 2**62:
-        raise StreamFormatError("record field exceeds the supported range")
     try:
         sequence = PulseSequence(
             t_pulse=t_pulse_ns / 1e9,   # a division gives back whole ns where * 1e-9 may not
@@ -83,7 +82,5 @@ def read_clickstream(path) -> ClickStream:
             n_shots=int(records[:, 0].max()) + 1 if count else 1,
         )
         return ClickStream(records, sequence)
-    except InvalidParameterError as exc:
-        raise StreamFormatError(f"invalid pulse sequence in header: {exc}") from exc
-    except StreamInvariantError as exc:
-        raise StreamFormatError(str(exc)) from exc
+    except (InvalidParameterError, StreamInvariantError) as exc:
+        raise StreamFormatError(f"invalid stream: {exc}") from exc

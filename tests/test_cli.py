@@ -215,6 +215,24 @@ class TestSimulate:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "experiment, text, message",
+        [
+            ("ple", "[scan]\ngrid_hz = -1e6, 0, 1e6\n", "laser frequencies must be > 0"),
+            ("g2", "[cavity]\nnu_cav_hz = 1e-300\nq_factor = 1e300\n", "nu_cav / q_factor must be > 0"),
+            ("g2", "[sequence]\nn_shots = 4611686018427387905\n", "n_shots must lie in [1, 2**62]"),
+        ],
+        ids=["nonpositive_laser_grid", "cavity_linewidth_underflow", "shots_beyond_2_62"],
+    )
+    def test_bound_of_a_model_type_is_config_error(self, tmp_path, capsys, experiment, text, message):
+        # each bound is checked when its type is made, so the run never starts
+        cfg = tmp_path / "bound.ini"
+        cfg.write_text(text)
+        code = main(["simulate", experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "text",
         [
             "[sequence]\nn_shots = 1000\nt_rep_s = inf\n",
@@ -263,12 +281,13 @@ class TestFit:
         y = gaussian_peak(x, (195.6e12, 173.6e6, 200.0, 1.0))
         write_spectrum_csv(Spectrum(x, y), tmp_path / "spec.csv")
         lines = (tmp_path / "spec.csv").read_text().splitlines()
-        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",abc"
-        (tmp_path / "spec.csv").write_text("\n".join(lines) + "\n")
-        code = main(["fit", "gaussian", "--in", str(tmp_path / "spec.csv"), "--out", str(tmp_path / "f.csv")])
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "spec.csv" in err and "counts" in err
+        for cell in ("abc", "inf", "-inf", "nan"):
+            lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + cell
+            (tmp_path / "spec.csv").write_text("\n".join(lines) + "\n")
+            code = main(["fit", "gaussian", "--in", str(tmp_path / "spec.csv"), "--out", str(tmp_path / "f.csv")])
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "spec.csv" in err and "counts" in err
 
 
 FIT_STATUSES = {"ok", "max_iterations", "stalled", "singular", "degenerate"}

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from ersim.diffusion import DiffusionState, _ou_coefficients, generate_trajectory
-from ersim.errors import InvalidParameterError
 from ersim.physics import SpectralDiffusionParams
 from ersim.rng import diffusion_stream
 
 
 def evolve_diffusion(state, dt, params, rng):
     """Serial oracle: one step by dt from two draws, the update written out."""
-    if dt < 0:
-        raise InvalidParameterError("dt must be >= 0")
     z_fast = rng.standard_normal()
     z_slow = rng.standard_normal()
     a, c = _ou_coefficients(dt, params)
@@ -35,18 +32,6 @@ def test_zero_dt_preserves_offsets():
     out = evolve_diffusion(state, 0.0, params, diffusion_stream(1, 0))
     assert out.nu_offset_fast == 1.0
     assert out.nu_offset_slow == 2.0
-
-
-def test_negative_dt_rejected():
-    with pytest.raises(InvalidParameterError):
-        evolve_diffusion(DiffusionState(), -1.0, SpectralDiffusionParams(), diffusion_stream(0, 0))
-
-
-def test_trajectory_rejects_negative_dt():
-    with pytest.raises(InvalidParameterError):
-        generate_trajectory(
-            DiffusionState(), 1, -1.0, SpectralDiffusionParams(), diffusion_stream(0, 0)
-        )
 
 
 @pytest.mark.parametrize(

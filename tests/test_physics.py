@@ -33,12 +33,6 @@ class TestLorentzian:
         for sign in (+1, -1):
             assert lorentzian(5.0 + sign * 1.0, 5.0, 2.0, 1.0, 0.0) == pytest.approx(0.5)
 
-    def test_rejects_nonpositive_fwhm(self):
-        with pytest.raises(InvalidParameterError):
-            lorentzian(0.0, 0.0, 0.0)
-        with pytest.raises(InvalidParameterError):
-            lorentzian(0.0, 0.0, -1.0)
-
     def test_grid_roundtrip_recovers_cavity_quality_factor(self):
         center = 195.59e12
         fwhm = 4.724e9
@@ -100,10 +94,6 @@ class TestPurcellProfile:
     def test_one_linewidth_detuning(self):
         kappa = 4.7e9
         assert purcell_profile(kappa, 460.0, kappa) == pytest.approx(92.0)
-
-    def test_rejects_bad_kappa(self):
-        with pytest.raises(InvalidParameterError):
-            purcell_profile(0.0, 1.0, 0.0)
 
     @given(delta=st.floats(-1e12, 1e12), p=st.floats(0, 1e4), kappa=st.floats(1e3, 1e12))
     def test_even_in_detuning(self, delta, p, kappa):
@@ -190,12 +180,6 @@ class TestExcitationProbability:
     def test_switched_off_emitter(self):
         assert excitation_probability(0.0, 10e6, 0.0) == 0.0
 
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            excitation_probability(0.0, 0.0, 0.5)
-        with pytest.raises(InvalidParameterError):
-            excitation_probability(0.0, 1e6, 1.5)
-
     @given(delta=st.floats(-1e12, 1e12), gamma_h=st.floats(1.0, 1e10), p=st.floats(0, 1))
     def test_bounded_by_peak(self, delta, gamma_h, p):
         value = excitation_probability(delta, gamma_h, p)
@@ -224,8 +208,11 @@ class TestModelInvariants:
         cav = CavityModel(nu_cav=1e14, q_factor=1e4, p_peak=0.0)
         assert cav.fwhm == 1e10
 
+    def test_cavity_rejects_a_linewidth_that_underflows(self):
+        # both fields are positive, but nu_cav / q_factor rounds to zero
+        with pytest.raises(InvalidParameterError, match="nu_cav / q_factor"):
+            CavityModel(nu_cav=1e-300, q_factor=1e300, p_peak=1.0)
+
     def test_branching_fraction(self):
         assert cavity_branching_fraction(0.0) == 0.0
         assert cavity_branching_fraction(460.0) == pytest.approx(460.0 / 461.0)
-        with pytest.raises(InvalidParameterError):
-            cavity_branching_fraction(-1.0)

@@ -1,7 +1,5 @@
 import numpy as np
-import pytest
 
-from ersim.errors import InvalidParameterError
 from ersim.rng import block_stream, diffusion_stream
 
 
@@ -32,17 +30,6 @@ def test_diffusion_stream_separate_from_shots():
     assert d != _draws(block_stream(42, 0))
     assert d == _draws(diffusion_stream(42, 0))
     assert d != _draws(diffusion_stream(42, 1))
-
-
-def test_bounds_checked():
-    with pytest.raises(InvalidParameterError):
-        block_stream(-1, 0)
-    with pytest.raises(InvalidParameterError):
-        block_stream(2**64, 0)
-    with pytest.raises(InvalidParameterError):
-        block_stream(1, -1)
-    with pytest.raises(InvalidParameterError):
-        diffusion_stream(1, -2)
 
 
 def test_uniformity_smoke():

@@ -109,6 +109,18 @@ class TestRoundTrip:
         write_clickstream(stream, path)
         assert read_clickstream(path).sequence.n_shots == 8
 
+    def test_last_shot_below_two_to_the_62_reads_back(self, tmp_path):
+        # PulseSequence allows at most 2**62 shots, so the last index is 2**62 - 1
+        seq = PulseSequence(1e-6, 20e-6, 60e-6, 2**62)
+        path = tmp_path / "far.ertt"
+        write_clickstream(ClickStream(np.array([[0, 2000], [2**62 - 1, 2500]]), seq), path)
+        assert read_clickstream(path).sequence.n_shots == 2**62
+        data = bytearray(path.read_bytes())
+        data[54:62] = (2**62).to_bytes(8, "little")  # shot field of record 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(StreamFormatError, match="n_shots"):
+            read_clickstream(path)
+
 
 class TestRejection:
     def make_file(self, tmp_path, name="v.ertt"):
@@ -286,7 +298,7 @@ class TestChunkBoundaries:
             a = record_offset(BOUNDARY_RECORDS - 1)
             data[a : a + 8] = (2**62).to_bytes(8, "little")
 
-        with pytest.raises(StreamFormatError, match="supported range"):
+        with pytest.raises(StreamFormatError, match="n_shots"):
             read_clickstream(self.patched(boundary_file, tmp_path, huge_last_shot))
 
     def test_tag_past_the_window_in_the_final_record_rejected(self, boundary_file, tmp_path):
