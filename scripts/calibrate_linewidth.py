@@ -31,9 +31,9 @@ AVERAGED_FWHM = 209.4e6
 
 def session_config(session, sigma_fast, sigma_slow_rate, **scan):
     """``session`` with these diffusion values; ``scan`` replaces its repeats or dwell."""
-    emitter = session.emitter
+    (emitter,) = session.emitters
     diffusion = replace(emitter.diffusion, sigma_fast=sigma_fast, sigma_slow_rate=sigma_slow_rate)
-    return replace(session, emitter=replace(emitter, diffusion=diffusion), **scan)
+    return replace(session, emitters=(replace(emitter, diffusion=diffusion),), **scan)
 
 
 def measure(session, sigma_fast, rate):
@@ -62,7 +62,7 @@ def main():
 
     # stage 2: slow walk against the full session, refining both jointly
     scans, seq = session.scan_repeats, session.sequence
-    seconds = scans * len(session.laser_grid()) * seq.n_shots * seq.t_rep
+    seconds = scans * len(session.laser_frequency) * seq.n_shots * seq.t_rep
     seconds += (scans - 1) * session.scan_dwell
     rate = 6.0 * ((AVERAGED_FWHM**2 - SINGLE_SCAN_FWHM**2) / (2.355**2)) / seconds
     for iteration in range(6):

@@ -77,7 +77,7 @@ def _cmd_simulate(args) -> int:
         config = replace(config, master_seed=args.seed)
     if args.experiment != "ple":
         config.single_frequency()
-    elif not isinstance(config.laser_frequency, tuple) or len(config.laser_frequency) < 2:
+    elif len(config.laser_frequency) < 2:
         raise ConfigError("simulate ple requires a [scan] grid with at least 2 points")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -85,9 +85,10 @@ def _cmd_simulate(args) -> int:
 
     if args.experiment == "ple":
         scans = run_scan_session(config)
+        width = max(3, len(str(len(scans) - 1)))  # names sort as their numbers do
         for i, scan in enumerate(scans):
             spectrum = spectrum_from_scan(scan, label=f"scan {i}")
-            write_spectrum_csv(spectrum, out / f"scan_{i:03d}.csv")
+            write_spectrum_csv(spectrum, out / f"scan_{i:0{width}d}.csv")
         print(f"wrote {len(scans)} scan(s) to {out}")
         return EXIT_OK
 

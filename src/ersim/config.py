@@ -211,7 +211,7 @@ def _build_scan(values: dict, default_center: float):
             section="scan",
         )
     if "frequency_hz" in values:
-        return _value("scan", values, "frequency_hz")
+        return (_value("scan", values, "frequency_hz"),)
     if "grid_hz" in values:
         line = _line(values, "grid_hz")
         try:
@@ -224,7 +224,7 @@ def _build_scan(values: dict, default_center: float):
             raise ConfigError("value for 'grid_hz' is not a finite number", section="scan", line=line)
         return grid
     if not window:
-        return default_center
+        return (default_center,)
     if window != _WINDOW:
         raise ConfigError(
             f"scan window needs center, span and points (missing {sorted(_WINDOW - window)})",
@@ -237,7 +237,7 @@ def _build_scan(values: dict, default_center: float):
     if span <= 0:
         raise ConfigError("scan span must be > 0", section="scan", line=_line(values, "span_hz"))
     grid = _value("scan", values, "center_hz") + np.linspace(-0.5 * span, 0.5 * span, points)
-    return tuple(float(g) for g in grid)
+    return grid
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -274,7 +274,8 @@ def parse_config(text: str) -> ExperimentConfig:
         )
     source = _build("source", cls, *params)
 
-    numbered = sorted(k for k in emitter_sections if k != "emitter")
+    # by number, so that [emitter.10] follows [emitter.9]
+    numbered = sorted((k for k in emitter_sections if k != "emitter"), key=lambda k: int(k[8:]))
     if numbered:
         if not isinstance(source, NEmitters):
             raise ConfigError(
@@ -304,7 +305,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return _build(
         None,
         ExperimentConfig,
-        emitter=tuple(emitters) if numbered else emitters[0],
+        emitters=emitters,
         **models,
         laser_frequency=laser,
         master_seed=master_seed,
@@ -340,17 +341,13 @@ def _lines(section: str, values) -> list:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Render a configuration as canonical SI-unit text (parses back exactly)."""
-    emitters = config.emitter if isinstance(config.emitter, tuple) else (config.emitter,)
     lines: list = []
-    for i, em in enumerate(emitters, start=1):
+    for i, em in enumerate(config.emitters, start=1):
         lines += _lines("emitter" if i == 1 else f"emitter.{i}", _flat(em))
     for name in _MODELS:
         lines += _lines(name, _flat(getattr(config, name)))
-    laser = config.laser_frequency
-    if isinstance(laser, tuple):
-        form = (None, ", ".join(repr(f) for f in laser))  # grid_hz
-    else:
-        form = (laser, None)  # frequency_hz
+    grid = config.laser_frequency  # frequency_hz for one point, grid_hz otherwise
+    form = (grid[0], None) if len(grid) == 1 else (None, ", ".join(map(repr, grid)))
     lines += _lines("scan", (*form, None, None, None, config.scan_repeats, config.scan_dwell))
     lines += _lines("seed", (config.master_seed,))
     kind = next(k for k, cls in _SOURCE_KINDS.items() if isinstance(config.source, cls))

@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -138,20 +138,17 @@ class Poissonian:
         _require(self.rate_per_shot <= _POISSON_MAX, "rate_per_shot exceeds numpy's Poisson limit")
 
 
-SourceKind = Union[SingleEmitter, NEmitters, Poissonian]
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one simulated experiment."""
+    """Complete description of one simulated experiment; sequences given are kept as tuples."""
 
-    emitter: Union[EmitterModel, tuple]
+    emitters: tuple[EmitterModel, ...]     # one per [emitter] section, in order; nonempty
     cavity: CavityModel
     detector: DetectorModel
     sequence: PulseSequence
-    laser_frequency: Union[float, tuple]   # single frequency or scan grid (Hz)
+    laser_frequency: tuple[float, ...]     # grid (Hz), strictly increasing; one point if fixed
     master_seed: int = 0
-    source: SourceKind = field(default_factory=SingleEmitter)
+    source: SingleEmitter | NEmitters | Poissonian = field(default_factory=SingleEmitter)
     scan_repeats: int = 1                  # repeated scans for diffusion maps
     scan_dwell: float = 0.0                # idle time between repeated scans (s)
 
@@ -161,44 +158,31 @@ class ExperimentConfig:
         _require(self.scan_dwell >= 0, "scan_dwell must be >= 0")
         dark_mean = self.detector.dark_rate * self.sequence.t_coll   # as _sample_block draws it
         _require(dark_mean <= _POISSON_MAX, "dark_rate times t_coll exceeds numpy's Poisson limit")
-        if isinstance(self.emitter, (list, tuple)):
-            object.__setattr__(self, "emitter", tuple(self.emitter))
-            _require(len(self.emitter) >= 1, "emitter list must be nonempty")
-        if isinstance(self.laser_frequency, (list, tuple, np.ndarray)):
-            grid = tuple(float(f) for f in self.laser_frequency)
-            _require(len(grid) >= 1, "laser grid must be nonempty")
-            _require(
-                all(b > a for a, b in zip(grid, grid[1:])),
-                "laser grid must be strictly increasing",
-            )
-            object.__setattr__(self, "laser_frequency", grid)
-        _require((self.laser_grid() > 0).all(), "laser frequencies must be > 0")
+        object.__setattr__(self, "emitters", tuple(self.emitters))
+        _require(len(self.emitters) >= 1, "emitter list must be nonempty")
+        grid = tuple(float(f) for f in self.laser_frequency)
+        object.__setattr__(self, "laser_frequency", grid)
+        _require(len(grid) >= 1, "laser grid must be nonempty")
+        _require(np.all(np.diff(grid) > 0), "laser grid must be strictly increasing")
+        _require(grid[0] > 0, "laser frequencies must be > 0")
         self.resolved_emitters()  # raises on emitter/source mismatch
 
     def resolved_emitters(self) -> tuple:
         """Emitters actually simulated, expanded according to the source kind."""
-        given = self.emitter if isinstance(self.emitter, tuple) else (self.emitter,)
         if isinstance(self.source, Poissonian):
             return ()
         if isinstance(self.source, SingleEmitter):
-            _require(len(given) == 1, "SingleEmitter source requires exactly one emitter")
-            return given
+            _require(len(self.emitters) == 1, "SingleEmitter source requires exactly one emitter")
+            return self.emitters
         k = self.source.n
-        if len(given) == 1:
-            return given * k
-        _require(len(given) == k, "emitter list length must match NEmitters count")
-        return given
-
-    def laser_grid(self) -> np.ndarray:
-        if isinstance(self.laser_frequency, tuple):
-            return np.asarray(self.laser_frequency, dtype=float)
-        return np.asarray([self.laser_frequency], dtype=float)
+        if len(self.emitters) == 1:
+            return self.emitters * k
+        _require(len(self.emitters) == k, "emitter list length must match NEmitters count")
+        return self.emitters
 
     def single_frequency(self) -> float:
-        if isinstance(self.laser_frequency, tuple):
-            _require(len(self.laser_frequency) == 1, "operation requires a single laser frequency")
-            return self.laser_frequency[0]
-        return float(self.laser_frequency)
+        _require(len(self.laser_frequency) == 1, "operation requires a single laser frequency")
+        return self.laser_frequency[0]
 
 
 def config_digest(config: ExperimentConfig) -> str:
@@ -430,7 +414,7 @@ def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
     emitters = config.resolved_emitters()
     rngs = [diffusion_stream(config.master_seed, i) for i in range(len(emitters))]
     states = [DiffusionState() for _ in emitters]
-    grid = config.laser_grid()
+    grid = config.laser_frequency
     n_per = config.sequence.n_shots
     digest = config_digest(config)
     for repeat in range(config.scan_repeats):
@@ -442,8 +426,8 @@ def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
         points = []
         for g, laser in enumerate(grid):
             first = (repeat * len(grid) + g) * n_per
-            stream, states = _run_shots(config, float(laser), states, rngs, first, digest)
-            points.append(ScanPoint(float(laser), len(stream), stream))
+            stream, states = _run_shots(config, laser, states, rngs, first, digest)
+            points.append(ScanPoint(laser, len(stream), stream))
         yield ScanResult(tuple(points))
 
 

@@ -24,6 +24,7 @@ _FTOL = 1e-12   # convergence: relative decrease of the cost
 # Jacobian squares (x - center)**2 + (fwhm/2)**2), so a parameter of magnitude
 # within exp(+-_LOG_LIMIT) keeps them finite: exp(4 * 175) is a normal double.
 _LOG_LIMIT = 175.0
+_VALUE_LIMIT = math.exp(_LOG_LIMIT)  # bound on a non-log parameter, so on a count to fit
 
 
 def lorentzian_peak(x, params):
@@ -219,7 +220,7 @@ def levenberg_marquardt(
     if log_mask is None:
         log_mask = (False,) * m
     sw = np.ones_like(y) if weights is None else np.sqrt(np.asarray(weights, dtype=float))
-    limit = np.where(log_mask, _LOG_LIMIT, math.exp(_LOG_LIMIT))
+    limit = np.where(log_mask, _LOG_LIMIT, _VALUE_LIMIT)
 
     def residual_and_jac(u):
         """Weighted residuals, Jacobian in u, and dp/du (p for a log parameter)."""
@@ -284,6 +285,7 @@ def _build_result(names, p, cov, rss, iterations, status):
 
 def _fit_peak(kind: str, spectrum: Spectrum) -> FitResult:
     _require(len(spectrum) >= 5, "peak fits need at least 5 points")
+    _require(spectrum.counts.max() < _VALUE_LIMIT, "counts must be below exp(175)")
     model, jac, names, log_mask = MODELS[kind]
     x = spectrum.frequencies
     y = spectrum.counts
@@ -323,6 +325,7 @@ def fit_exponential(histogram: DecayHistogram) -> FitResult:
     """Poisson-weighted fit of amplitude * exp(-t/t1) + baseline to a decay histogram."""
     nonempty = int(np.count_nonzero(histogram.counts))
     _require(nonempty >= 4, "exponential fits need at least 4 nonempty bins")
+    _require(histogram.counts.max() < _VALUE_LIMIT, "counts must be below exp(175)")
     model, jac, names, log_mask = MODELS["exponential"]
     t = histogram.centers
     y = histogram.counts

@@ -30,12 +30,12 @@ def _replace(obj, **changes):
 def override(config, seed=None, n_shots=None, p_max=None, dark_rate=None, diffusion=None, **fields):
     """``config`` with the given overrides in place.
 
-    ``p_max`` and ``diffusion`` change the emitter of a one-emitter config;
+    ``p_max`` and ``diffusion`` change every emitter of the config;
     ``fields`` are ``ExperimentConfig`` fields such as ``source`` or ``scan_dwell``.
     """
     return _replace(
         config,
-        emitter=_replace(config.emitter, p_max=p_max, diffusion=diffusion),
+        emitters=tuple(_replace(em, p_max=p_max, diffusion=diffusion) for em in config.emitters),
         detector=_replace(config.detector, dark_rate=dark_rate),
         sequence=_replace(config.sequence, n_shots=n_shots),
         master_seed=seed,
@@ -62,7 +62,7 @@ def linewidth_session_config(points=None, span=None, **overrides):
     """``ple_session.ini``; ``points`` or ``span`` rebuild its grid about the same centre."""
     config = shipped("ple_session")
     if points is not None or span is not None:
-        grid = config.laser_grid()
+        grid = config.laser_frequency
         points = points or len(grid)
         span = span or grid[-1] - grid[0]
         offsets = np.linspace(-0.5 * span, 0.5 * span, points)

@@ -61,7 +61,7 @@ def lifetime_runs():
         cfg = scenarios.shipped(name)
         stream = run_lifetime(cfg)
         fit = fit_exponential(histogram_arrivals(stream, bin_width))
-        target = 1.0 / (cfg.emitter.gamma_0 * (1.0 + cfg.cavity.p_peak))
+        target = 1.0 / (cfg.emitters[0].gamma_0 * (1.0 + cfg.cavity.p_peak))
         runs[label] = dict(config=cfg, stream=stream, fit=fit, target=target)
     return runs
 

@@ -112,7 +112,7 @@ class TestHistogramArrivals:
         stream = run_lifetime(cfg)
         bw = 1e-6
         hist = histogram_arrivals(stream, bw)
-        gamma = cfg.emitter.gamma_0 * (1.0 + cfg.cavity.p_peak)
+        gamma = cfg.emitters[0].gamma_0 * (1.0 + cfg.cavity.p_peak)
         edges = hist.bin_edges
         expected_fraction = (np.exp(-gamma * edges[:-1]) - np.exp(-gamma * edges[1:])) / (
             1.0 - np.exp(-gamma * cfg.sequence.t_coll)

@@ -141,6 +141,14 @@ class TestSimulate:
         assert main(["simulate", "ple", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert (out / "scan_000.csv").exists() and (out / "scan_001.csv").exists()
 
+    def test_scan_files_sort_in_numeric_order(self, tmp_path):
+        cfg = tmp_path / "ple.ini"
+        cfg.write_text("[sequence]\nn_shots = 1\n[scan]\ngrid_hz = 1e14, 2e14\nrepeats = 1001\n")
+        out = tmp_path / "scan"
+        assert main(["simulate", "ple", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        names = [p.name for p in sorted(out.glob("scan_*.csv"))]  # the order report reads them in
+        assert names == [f"scan_{i:04d}.csv" for i in range(1001)]
+
     def test_missing_config_is_io_error(self, tmp_path):
         code = main(["simulate", "g2", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
         assert code == EXIT_IO
@@ -358,6 +366,24 @@ class TestFitDomain:
         fit = check_fit_output(code, out)
         assert all(math.isfinite(p.value) for p in fit.parameters)
         assert fit.value("fwhm") > 0
+
+    @pytest.mark.parametrize("model", ["gaussian", "lorentzian", "exponential"])
+    @pytest.mark.parametrize("peak", [9e75, 1e160])
+    def test_huge_counts_converge_or_are_config_errors(self, tmp_path, capsys, model, peak):
+        # no fit can start on a count beyond exp(175), the bound on a non-log parameter
+        if model == "exponential":
+            x = np.arange(21) * 1e-6
+            counts = peak * np.exp(-x / 5e-6) + 1.0
+        else:
+            x = 1.956e14 + np.linspace(-1e9, 1e9, 21)
+            counts = peak * np.exp(-(((x - 1.956e14) / 3e8) ** 2)) + 1.0
+        code, out = fit_cli(tmp_path, model, x, counts)
+        if peak < math.exp(175):
+            assert code == EXIT_OK
+            check_fit_output(code, out)
+        else:
+            assert code == EXIT_CONFIG and not out.exists()
+            assert "counts must be below exp(175)" in capsys.readouterr().err
 
     @settings(max_examples=150)
     @given(

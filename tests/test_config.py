@@ -7,7 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ersim.config import parse_config, parse_config_file, serialize_config
-from ersim.engine import ExperimentConfig, NEmitters, Poissonian, PulseSequence, SingleEmitter
+from ersim.engine import (
+    ExperimentConfig,
+    NEmitters,
+    Poissonian,
+    PulseSequence,
+    SingleEmitter,
+    config_digest,
+)
 from ersim.errors import ConfigError
 from ersim.physics import CavityModel, DetectorModel, EmitterModel, SpectralDiffusionParams
 
@@ -22,7 +29,7 @@ class TestDefaults:
         assert isinstance(cfg.source, SingleEmitter)
         assert cfg.master_seed == 0
         assert cfg.sequence.n_shots == 10_000
-        assert cfg.laser_frequency == cfg.resolved_emitters()[0].nu_ion_0
+        assert cfg.laser_frequency == (cfg.resolved_emitters()[0].nu_ion_0,)
 
     def test_minimal_document(self):
         cfg = parse_config(doc("""
@@ -132,7 +139,7 @@ class TestDiagnostics:
 class TestScanForms:
     def test_single_frequency(self):
         cfg = parse_config("[scan]\nfrequency_thz = 195.2\n")
-        assert cfg.laser_frequency == 195.2e12
+        assert cfg.laser_frequency == (195.2e12,)
 
     def test_window_form(self):
         cfg = parse_config(doc("""
@@ -206,6 +213,21 @@ class TestSources:
                 n = 3
             """))
 
+    def test_numbered_sections_in_numeric_order(self):
+        sections = [f"[emitter.{i}]\np_max = {i / 100!r}\n" for i in range(12, 1, -1)]
+        cfg = parse_config("".join(sections) + "[source]\nkind = n_emitters\nn = 12\n")
+        assert [em.p_max for em in cfg.emitters] == [0.5] + [i / 100 for i in range(2, 13)]
+
+    @pytest.mark.parametrize(
+        "names",
+        [["emitter.02"], ["emitter.1"], ["emitter.2", "emitter.4"], ["emitter.2", "emitter.02"]],
+        ids=["leading_zero", "one", "gap", "duplicate_number"],
+    )
+    def test_numbered_sections_must_be_2_to_n(self, names):
+        text = "".join(f"[{name}]\n" for name in names)
+        with pytest.raises(ConfigError, match="expected emitter sections"):
+            parse_config(text + f"[source]\nkind = n_emitters\nn = {len(names) + 1}\n")
+
     def test_numbered_sections_require_n_emitters_kind(self):
         with pytest.raises(ConfigError, match="n_emitters"):
             parse_config("[emitter.2]\np_max = 0.1\n")
@@ -278,33 +300,40 @@ class TestIdempotence:
         assert serialize_config(second) == rendered
 
     @given(
-        nu=st.floats(1e12, 1e15),
+        nus=st.lists(st.floats(1e12, 1e15), min_size=1, max_size=12),
         gamma0=st.floats(1e-2, 1e7),
         gamma_h=st.floats(1e3, 1e10),
         p_max=st.floats(0.0, 1.0),
         sigma_fast=st.floats(0.0, 1e9),
         tau=st.floats(0.0, 10.0),
         rate=st.floats(0.0, 1e13),
+        grid=st.lists(st.floats(1e12, 1e15), min_size=1, max_size=5, unique=True).map(sorted),
         eff=st.floats(0.0, 1.0),
         dark=st.floats(0.0, 1e6),
         seed=st.integers(0, 2**64 - 1),
         n_shots=st.integers(1, 10**7),
     )
     def test_serialize_parse_roundtrip_random_configs(
-        self, nu, gamma0, gamma_h, p_max, sigma_fast, tau, rate, eff, dark, seed, n_shots
+        self, nus, gamma0, gamma_h, p_max, sigma_fast, tau, rate, grid, eff, dark, seed, n_shots
     ):
+        diffusion = SpectralDiffusionParams(sigma_fast, tau, rate)
         config = ExperimentConfig(
-            emitter=EmitterModel(
-                nu, gamma0, gamma_h, p_max,
-                SpectralDiffusionParams(sigma_fast, tau, rate),
-            ),
-            cavity=CavityModel(nu, 4.1e4, 460.0),
+            emitters=[EmitterModel(nu, gamma0, gamma_h, p_max, diffusion) for nu in nus],
+            cavity=CavityModel(nus[0], 4.1e4, 460.0),
             detector=DetectorModel(eff, dark, 0.0),
             sequence=PulseSequence(1e-6, 20e-6, 60e-6, n_shots),
-            laser_frequency=nu,
+            laser_frequency=grid,
             master_seed=seed,
+            source=NEmitters(len(nus)),
         )
         assert parse_config(serialize_config(config)) == config
+
+    def test_one_point_grid_is_the_fixed_laser(self):
+        fixed = parse_config("[scan]\nfrequency_hz = 1.956e14\n")
+        grid = parse_config("[scan]\ngrid_hz = 1.956e14\n")
+        assert grid == fixed
+        assert config_digest(grid) == config_digest(fixed)
+        assert "frequency_hz = 195600000000000.0" in serialize_config(grid)
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

@@ -46,7 +46,7 @@ def with_shots(config, n_shots, **detector):
 
 def at_line(config):
     """``config`` with its laser on the emitter's line."""
-    return dataclasses.replace(config, laser_frequency=config.emitter.nu_ion_0)
+    return dataclasses.replace(config, laser_frequency=(config.emitters[0].nu_ion_0,))
 
 
 def expected_clicks_per_shot(config):
@@ -128,7 +128,27 @@ class TestExperimentConfig:
     def test_emitter_count_must_match_source(self):
         cfg = scenarios.lifetime_config()
         with pytest.raises(InvalidParameterError):
-            dataclasses.replace(cfg, emitter=(cfg.emitter, cfg.emitter), source=NEmitters(3))
+            dataclasses.replace(cfg, emitters=cfg.emitters * 2, source=NEmitters(3))
+
+    def test_fields_are_stored_as_tuples(self):
+        cfg = scenarios.lifetime_config()
+        cfg = dataclasses.replace(
+            cfg, emitters=list(cfg.emitters), laser_frequency=np.array([1e14, 2e14])
+        )
+        assert cfg.emitters == scenarios.lifetime_config().emitters
+        assert cfg.laser_frequency == (1e14, 2e14)
+        assert type(cfg.laser_frequency[0]) is float
+
+    @pytest.mark.parametrize("field", ["emitters", "laser_frequency"])
+    def test_bare_value_is_rejected(self, field):
+        cfg = scenarios.lifetime_config()
+        with pytest.raises(TypeError, match="not iterable"):
+            dataclasses.replace(cfg, **{field: getattr(cfg, field)[0]})
+
+    @pytest.mark.parametrize("field", ["emitters", "laser_frequency"])
+    def test_empty_tuple_is_rejected(self, field):
+        with pytest.raises(InvalidParameterError, match="nonempty"):
+            dataclasses.replace(scenarios.lifetime_config(), **{field: ()})
 
     def test_single_emitter_replicated_for_n_emitters(self):
         cfg = scenarios.g2_config(NEmitters(4), n_shots=1)
@@ -165,7 +185,7 @@ class TestSampleShot:
     def test_counts_within_three_sigma_of_bernoulli_plus_dark(self):
         cfg = scenarios.lifetime_config(seed=77, n_shots=100_000, p_max=0.6)
         cfg = ExperimentConfig(
-            emitter=cfg.emitter,
+            emitters=cfg.emitters,
             cavity=cfg.cavity,
             detector=DetectorModel(efficiency=0.7, dark_rate=2000.0),
             sequence=cfg.sequence,
@@ -212,7 +232,7 @@ class TestRunLifetime:
         stream = run_lifetime(cfg)
         delays = (stream.times_ns - stream.sequence.t_pulse_ns) * 1e-9
         assert len(delays) > 90_000
-        t1 = 1.0 / (cfg.emitter.gamma_0 * (1.0 + cfg.cavity.p_peak))
+        t1 = 1.0 / (cfg.emitters[0].gamma_0 * (1.0 + cfg.cavity.p_peak))
         result = scipy.stats.kstest(delays, "expon", args=(0.0, t1))
         assert result.pvalue > 0.01
         assert abs(np.mean(delays) - t1) / t1 < 0.02
@@ -266,9 +286,9 @@ class TestCavityDetuning:
         cfg = scenarios.lifetime_config(seed=31, n_shots=200_000, p_max=0.5)
         cfg = dataclasses.replace(
             cfg,
-            emitter=dataclasses.replace(cfg.emitter, nu_ion_0=195.602e12, gamma_0=1e5),
+            emitters=(dataclasses.replace(cfg.emitters[0], nu_ion_0=195.602e12, gamma_0=1e5),),
             cavity=CavityModel(nu_cav=195.6e12, q_factor=48900.0, p_peak=2.0),
-            laser_frequency=195.602e12,
+            laser_frequency=(195.602e12,),
         )
         return run_lifetime(cfg)
 
@@ -562,8 +582,8 @@ class TestPleScan:
         cfg = scenarios.lifetime_config(seed=17, n_shots=800, p_max=0.8)
         cfg = dataclasses.replace(
             cfg,
-            emitter=dataclasses.replace(cfg.emitter, gamma_h=gamma_h),
-            laser_frequency=tuple(cfg.laser_frequency + np.linspace(-125e6, 125e6, 41)),
+            emitters=(dataclasses.replace(cfg.emitters[0], gamma_h=gamma_h),),
+            laser_frequency=tuple(cfg.single_frequency() + np.linspace(-125e6, 125e6, 41)),
         )
         (scan,) = run_scan_session(cfg)
         fit = fit_lorentzian(spectrum_from_scan(scan))
@@ -580,7 +600,7 @@ class TestPleScan:
     def test_calibrated_fast_jitter_gives_gaussian_line(self):
         base = scenarios.linewidth_session_config(scan_repeats=1)
         cfg = scenarios.override(
-            base, diffusion=dataclasses.replace(base.emitter.diffusion, sigma_slow_rate=0.0)
+            base, diffusion=dataclasses.replace(base.emitters[0].diffusion, sigma_slow_rate=0.0)
         )
         (scan,) = run_scan_session(cfg)
         fit = fit_gaussian(spectrum_from_scan(scan))
