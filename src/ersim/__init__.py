@@ -15,11 +15,8 @@ from .config import parse_config, parse_config_file, serialize_config
 from .engine import (
     ClickStream,
     ExperimentConfig,
-    NEmitters,
-    Poissonian,
     PulseSequence,
     ScanResult,
-    SingleEmitter,
     config_digest,
     run_lifetime,
     run_scan_session,

@@ -6,7 +6,9 @@ INI-style text with sections mirroring the experiment config: ``[emitter]``
 physical key carries its unit as a suffix; convenience aliases in laboratory
 units (THz, MHz, us, ns) convert onto the canonical SI keys.  Unknown
 sections or keys are rejected with line diagnostics and a close-match hint;
-numbers must be finite.
+numbers must be finite.  ``[source]`` ``kind`` and ``n`` are words of the
+text only: the parser turns them into the tuple of emitters sampled, and
+``serialize_config`` writes them back from its length.
 
 One table, ``_SCHEMA``, drives parse and echo: key validation, unit
 conversion, defaults and model construction walk it, and ``serialize_config``
@@ -23,7 +25,7 @@ import re
 
 import numpy as np
 
-from .engine import ExperimentConfig, NEmitters, Poissonian, PulseSequence, SingleEmitter
+from .engine import ExperimentConfig, PulseSequence
 from .errors import ConfigError, InvalidParameterError
 from .physics import CavityModel, DetectorModel, EmitterModel, SpectralDiffusionParams
 
@@ -92,8 +94,8 @@ _KEYS = {
 
 # sections that are one model each, named after their ExperimentConfig field
 _MODELS = {"cavity": CavityModel, "detector": DetectorModel, "sequence": PulseSequence}
-# [source] kind -> source class; each class's fields are named after its keys
-_SOURCE_KINDS = {"single": SingleEmitter, "n_emitters": NEmitters, "poissonian": Poissonian}
+# the [source] kinds: one emitter, n emitters, or no emitter and Poissonian photons
+_SOURCE_KINDS = ("single", "n_emitters", "poissonian")
 # the [scan] keys that together give an evenly spaced grid
 _WINDOW = {"center_hz", "span_hz", "points"}
 
@@ -266,38 +268,41 @@ def parse_config(text: str) -> ExperimentConfig:
                 section="source",
                 line=_line(source_values, key),
             )
-    cls = _SOURCE_KINDS[kind]
-    params = [_value("source", source_values, f.name) for f in dataclasses.fields(cls)]
-    if kind == "n_emitters" and params[0] < 1:
+    n = _value("source", source_values, "n")
+    if kind == "n_emitters" and n < 1:
         raise ConfigError(
             "n_emitters requires n >= 1", section="source", line=_line(source_values, "n")
         )
-    source = _build("source", cls, *params)
 
     # by number, so that [emitter.10] follows [emitter.9]
     numbered = sorted((k for k in emitter_sections if k != "emitter"), key=lambda k: int(k[8:]))
+    if kind == "poissonian" and emitter_sections:
+        raise ConfigError("a poissonian source has no emitters", section=min(emitter_sections))
     if numbered:
-        if not isinstance(source, NEmitters):
+        if kind != "n_emitters":
             raise ConfigError(
                 "numbered emitter sections require source kind = n_emitters",
                 section=numbered[0],
             )
-        expected = [f"emitter.{i}" for i in range(2, source.n + 1)]
+        expected = [f"emitter.{i}" for i in range(2, n + 1)]
         if numbered != expected:
             raise ConfigError(
-                f"expected emitter sections {expected} for n = {source.n}, got {numbered}",
+                f"expected emitter sections {expected} for n = {n}, got {numbered}",
                 section=numbered[0],
             )
     emitters = []
-    for name in ["emitter", *numbered]:
+    for name in [] if kind == "poissonian" else ["emitter", *numbered]:
         v = _resolved(name, emitter_sections.get(name, {}))  # EmitterModel fields, then diffusion
         emitters.append(_build(name, EmitterModel, *v[:4], _build(name, SpectralDiffusionParams, *v[4:])))
+    if kind == "n_emitters" and not numbered:
+        emitters *= n  # the one [emitter] stands for all n
     models = {
         name: _build(name, cls, *_resolved(name, converted.get(name, {})))
         for name, cls in _MODELS.items()
     }
     scan_values = converted.get("scan", {})
-    laser = _build_scan(scan_values, emitters[0].nu_ion_0)
+    nu_ion = _value("emitter", emitter_sections.get("emitter", {}), "nu_ion_hz")  # or its default
+    laser = _build_scan(scan_values, nu_ion)
     # after _build_scan, so a bad form is reported before anything else in [scan]
     *_, repeats, dwell = _resolved("scan", scan_values)
     (master_seed,) = _resolved("seed", converted.get("seed", {}))
@@ -309,7 +314,7 @@ def parse_config(text: str) -> ExperimentConfig:
         **models,
         laser_frequency=laser,
         master_seed=master_seed,
-        source=source,
+        poisson_rate_per_shot=_value("source", source_values, "rate_per_shot"),
         scan_repeats=repeats,
         scan_dwell=dwell,
     )
@@ -350,7 +355,7 @@ def serialize_config(config: ExperimentConfig) -> str:
     form = (grid[0], None) if len(grid) == 1 else (None, ", ".join(map(repr, grid)))
     lines += _lines("scan", (*form, None, None, None, config.scan_repeats, config.scan_dwell))
     lines += _lines("seed", (config.master_seed,))
-    kind = next(k for k, cls in _SOURCE_KINDS.items() if isinstance(config.source, cls))
-    source = {"kind": kind, **dataclasses.asdict(config.source)}
-    lines += _lines("source", map(source.get, _SCHEMA["source"]))
+    k = len(config.emitters)  # the number of emitters gives the [source] kind
+    source = {0: ("poissonian", None, config.poisson_rate_per_shot), 1: ("single", None, None)}
+    lines += _lines("source", source.get(k, ("n_emitters", k, None)))
     return "\n".join(lines)

@@ -26,8 +26,8 @@ Within a block of n shots the draws come in this column order:
 1. per emitter in order: n excitation uniforms; then, for the excited shots
    only, their exponential emission delays, then their detection uniforms
    (drawn also when the delay falls after the collection window);
-2. Poissonian source: n photon counts, then per photon a detection uniform
-   and a time uniform;
+2. with no emitters, the Poissonian source: n photon counts, then per
+   photon a detection uniform and a time uniform;
 3. dark counts: n counts, then one time uniform per click.
 
 The clicks are then sorted by (shot, time) once, and the greedy dead-time
@@ -61,7 +61,7 @@ from .rng import block_stream, diffusion_stream
 STREAM_LAYOUT = 2         # version of the random-stream layout described above
 BLOCK_SHOTS = 2**14       # shots per sampling block; fixed by the layout
 _CHUNK = 1 << 20          # records per pass window over a click stream
-_POISSON_MAX = 2.0**63 - 10 * 2.0**31.5  # numpy's Poisson limit: int64 max - 10 sqrt(int64 max)
+CLICK_BUDGET = 2**22      # most clicks expected in one block; bounds the sampler's arrays
 
 
 def _to_ns(t_seconds: float) -> int:
@@ -113,42 +113,22 @@ class PulseSequence:
 
 
 @dataclass(frozen=True)
-class SingleEmitter:
-    """One emitter feeding the detector."""
-
-
-@dataclass(frozen=True)
-class NEmitters:
-    """k independent emitters; oracle for multi-emitter autocorrelation limits."""
-
-    n: int
-
-    def __post_init__(self):
-        _require(self.n >= 1, "NEmitters requires n >= 1")
-
-
-@dataclass(frozen=True)
-class Poissonian:
-    """Coherent-source oracle: Poisson photons per shot, uniform in the window."""
-
-    rate_per_shot: float
-
-    def __post_init__(self):
-        _require(self.rate_per_shot >= 0, "rate_per_shot must be >= 0")
-        _require(self.rate_per_shot <= _POISSON_MAX, "rate_per_shot exceeds numpy's Poisson limit")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one simulated experiment; sequences given are kept as tuples."""
+    """Complete description of one simulated experiment; sequences given are kept as tuples.
 
-    emitters: tuple[EmitterModel, ...]     # one per [emitter] section, in order; nonempty
+    ``emitters`` are exactly the emitters sampled, in order; with none, the
+    source is Poissonian at ``poisson_rate_per_shot``, which is 0 otherwise.
+    The clicks expected in a block, one per emitter per shot plus photons and
+    dark counts, are at most ``CLICK_BUDGET``.
+    """
+
+    emitters: tuple[EmitterModel, ...]     # the emitters sampled; () for a Poissonian source
     cavity: CavityModel
     detector: DetectorModel
     sequence: PulseSequence
     laser_frequency: tuple[float, ...]     # grid (Hz), strictly increasing; one point if fixed
     master_seed: int = 0
-    source: SingleEmitter | NEmitters | Poissonian = field(default_factory=SingleEmitter)
+    poisson_rate_per_shot: float = 0.0     # mean photons per shot when there are no emitters
     scan_repeats: int = 1                  # repeated scans for diffusion maps
     scan_dwell: float = 0.0                # idle time between repeated scans (s)
 
@@ -156,29 +136,18 @@ class ExperimentConfig:
         _require(0 <= self.master_seed < 2**64, "master_seed must fit in 64 bits")
         _require(self.scan_repeats >= 1, "scan_repeats must be >= 1")
         _require(self.scan_dwell >= 0, "scan_dwell must be >= 0")
-        dark_mean = self.detector.dark_rate * self.sequence.t_coll   # as _sample_block draws it
-        _require(dark_mean <= _POISSON_MAX, "dark_rate times t_coll exceeds numpy's Poisson limit")
         object.__setattr__(self, "emitters", tuple(self.emitters))
-        _require(len(self.emitters) >= 1, "emitter list must be nonempty")
+        rate = self.poisson_rate_per_shot
+        _require(rate >= 0, "poisson_rate_per_shot must be >= 0")
+        _require(rate == 0 or not self.emitters, "poisson_rate_per_shot requires no emitters")
+        per_shot = len(self.emitters) + rate + self.detector.dark_rate * self.sequence.t_coll
+        clicks = min(self.sequence.n_shots, BLOCK_SHOTS) * per_shot   # in the largest block
+        _require(clicks <= CLICK_BUDGET, "expected clicks per block exceed the 2**22 click budget")
         grid = tuple(float(f) for f in self.laser_frequency)
         object.__setattr__(self, "laser_frequency", grid)
         _require(len(grid) >= 1, "laser grid must be nonempty")
         _require(np.all(np.diff(grid) > 0), "laser grid must be strictly increasing")
         _require(grid[0] > 0, "laser frequencies must be > 0")
-        self.resolved_emitters()  # raises on emitter/source mismatch
-
-    def resolved_emitters(self) -> tuple:
-        """Emitters actually simulated, expanded according to the source kind."""
-        if isinstance(self.source, Poissonian):
-            return ()
-        if isinstance(self.source, SingleEmitter):
-            _require(len(self.emitters) == 1, "SingleEmitter source requires exactly one emitter")
-            return self.emitters
-        k = self.source.n
-        if len(self.emitters) == 1:
-            return self.emitters * k
-        _require(len(self.emitters) == k, "emitter list length must match NEmitters count")
-        return self.emitters
 
     def single_frequency(self) -> float:
         _require(len(self.laser_frequency) == 1, "operation requires a single laser frequency")
@@ -319,7 +288,7 @@ def _sample_block(config: ExperimentConfig, laser_hz: float, offsets, n: int, rn
     t_pulse_ns, t_coll_ns = seq.t_pulse_ns, seq.t_coll_ns
     shots = []
     times = []
-    for em, off in zip(config.resolved_emitters(), offsets):
+    for em, off in zip(config.emitters, offsets):
         nu = em.nu_ion_0 + off
         p_exc = excitation_probability(laser_hz - nu, em.gamma_h, em.p_max)
         excited = np.flatnonzero(rng.random(n) < p_exc)
@@ -331,8 +300,8 @@ def _sample_block(config: ExperimentConfig, laser_hz: float, offsets, n: int, rn
         hit = (late_ns < t_coll_ns) & (u_det < p_det)
         shots.append(excited[hit])
         times.append(t_pulse_ns + late_ns[hit].astype(np.int64))
-    if isinstance(config.source, Poissonian):
-        counts = rng.poisson(config.source.rate_per_shot, n)
+    if not config.emitters:
+        counts = rng.poisson(config.poisson_rate_per_shot, n)
         u = rng.random((int(counts.sum()), 2))  # per photon: detection, time
         hit = u[:, 0] < detector.efficiency
         shots.append(np.repeat(np.arange(n), counts)[hit])
@@ -358,14 +327,13 @@ def _run_shots(
     config: ExperimentConfig, laser: float, states, diffusion_rngs, global_start: int, digest: str
 ):
     """One grid point and the diffusion states after it; each block draws its own offsets."""
-    emitters = config.resolved_emitters()
     seq = config.sequence
     blocks = []
     for first in range(0, seq.n_shots, BLOCK_SHOTS):
         n = min(BLOCK_SHOTS, seq.n_shots - first)
         paths = [
             generate_trajectory(s, n, seq.t_rep, em.diffusion, d_rng)
-            for s, em, d_rng in zip(states, emitters, diffusion_rngs)
+            for s, em, d_rng in zip(states, config.emitters, diffusion_rngs)
         ]
         states = [t.final for t in paths]
         rng = block_stream(config.master_seed, global_start + first)
@@ -411,7 +379,7 @@ def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
     Per-point streams carry local shot indices 0..n_shots-1; point g of scan r
     samples from global shot (r * len(grid) + g) * n_shots.
     """
-    emitters = config.resolved_emitters()
+    emitters = config.emitters
     rngs = [diffusion_stream(config.master_seed, i) for i in range(len(emitters))]
     states = [DiffusionState() for _ in emitters]
     grid = config.laser_frequency

@@ -31,7 +31,7 @@ def override(config, seed=None, n_shots=None, p_max=None, dark_rate=None, diffus
     """``config`` with the given overrides in place.
 
     ``p_max`` and ``diffusion`` change every emitter of the config;
-    ``fields`` are ``ExperimentConfig`` fields such as ``source`` or ``scan_dwell``.
+    ``fields`` are ``ExperimentConfig`` fields such as ``scan_dwell``.
     """
     return _replace(
         config,
@@ -48,9 +48,13 @@ def lifetime_config(enhanced=True, **overrides):
     return override(shipped("lifetime_cavity" if enhanced else "lifetime_reference"), **overrides)
 
 
-def g2_config(source=None, **overrides):
-    """``g2_single.ini`` with, optionally, another source."""
-    return override(shipped("g2_single"), source=source, **overrides)
+def g2_config(copies=1, poisson_rate=None, **overrides):
+    """``g2_single.ini`` with its emitter ``copies`` times or, given a ``poisson_rate``,
+    the Poissonian source at that many photons per shot and no emitter."""
+    config = override(shipped("g2_single"), **overrides)
+    if poisson_rate is not None:
+        return dataclasses.replace(config, emitters=(), poisson_rate_per_shot=poisson_rate)
+    return dataclasses.replace(config, emitters=config.emitters * copies)
 
 
 def background_g2_config(**overrides):

@@ -22,14 +22,7 @@ from ersim.analysis import (
     spectrum_from_scan,
 )
 from ersim.cli import EXIT_OK, main
-from ersim.engine import (
-    NEmitters,
-    Poissonian,
-    SingleEmitter,
-    run_lifetime,
-    run_scan_session,
-    validate_click_stream,
-)
+from ersim.engine import run_lifetime, run_scan_session, validate_click_stream
 from ersim.fitting import fit_exponential, fit_lorentzian, lorentzian_peak
 from ersim.physics import SPEED_OF_LIGHT, radiative_linewidth
 from ersim.records import Spectrum
@@ -69,12 +62,11 @@ def lifetime_runs():
 @pytest.fixture(scope="module")
 def g2_oracles():
     oracles = {}
-    for label, source in (
-        ("single", SingleEmitter()),
-        ("pair", NEmitters(2)),
-        ("poissonian", Poissonian(0.5)),
+    for label, cfg in (
+        ("single", scenarios.g2_config()),
+        ("pair", scenarios.g2_config(2)),
+        ("poissonian", scenarios.g2_config(poisson_rate=0.5)),
     ):
-        cfg = scenarios.g2_config(source)
         stream = run_lifetime(cfg)
         oracles[label] = dict(config=cfg, stream=stream, hist=pulsed_g2(stream, 30))
     return oracles

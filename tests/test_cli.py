@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scenarios
 from ersim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
 from ersim.analysis import pulsed_g2
 from ersim.config import parse_config, serialize_config
@@ -219,7 +220,27 @@ class TestSimulate:
         cfg.write_text("[sequence]\nn_shots = 100\n" + text)
         code = main(["simulate", "g2", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
-        assert "Poisson limit" in capsys.readouterr().err
+        assert "click budget" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_rate_beyond_the_click_budget_exits_before_sampling(self, tmp_path, capsys):
+        # 2e8 dark clicks per shot: a block would ask for tens of GiB
+        cfg = tmp_path / "bright.ini"
+        cfg.write_text("[detector]\ndark_rate_per_s = 1e13\n")
+        out = tmp_path / "o"
+        args = ["simulate", "g2", "--config", str(cfg), "--out", str(out)]
+        code, peak = scenarios.traced_peak(main, args)
+        assert code == EXIT_CONFIG
+        assert "click budget" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 2**20
+
+    def test_poissonian_source_with_an_emitter_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "mixed.ini"
+        cfg.write_text("[emitter]\np_max = 0.3\n[source]\nkind = poissonian\nrate_per_shot = 0.5\n")
+        code = main(["simulate", "g2", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "[emitter] a poissonian source has no emitters" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

@@ -7,14 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ersim.config import parse_config, parse_config_file, serialize_config
-from ersim.engine import (
-    ExperimentConfig,
-    NEmitters,
-    Poissonian,
-    PulseSequence,
-    SingleEmitter,
-    config_digest,
-)
+from ersim.engine import ExperimentConfig, PulseSequence, config_digest
 from ersim.errors import ConfigError
 from ersim.physics import CavityModel, DetectorModel, EmitterModel, SpectralDiffusionParams
 
@@ -26,10 +19,11 @@ def doc(text):
 class TestDefaults:
     def test_empty_document_gives_full_defaults(self):
         cfg = parse_config("")
-        assert isinstance(cfg.source, SingleEmitter)
+        assert len(cfg.emitters) == 1
+        assert cfg.poisson_rate_per_shot == 0.0
         assert cfg.master_seed == 0
         assert cfg.sequence.n_shots == 10_000
-        assert cfg.laser_frequency == (cfg.resolved_emitters()[0].nu_ion_0,)
+        assert cfg.laser_frequency == (cfg.emitters[0].nu_ion_0,)
 
     def test_minimal_document(self):
         cfg = parse_config(doc("""
@@ -125,10 +119,13 @@ class TestDiagnostics:
              "line 2: [scan] grid_hz must be a comma-separated list of numbers"),
             ("[emitter.x]\n", "[emitter.x] unknown section 'emitter.x'; did you mean 'emitter'?"),
             ("[source]\nkind = poissonian\nrate_per_shot = -1\n",
-             "[source] rate_per_shot must be >= 0"),
+             "poisson_rate_per_shot must be >= 0"),
+            ("[emitter.2]\n[source]\nkind = poissonian\n",
+             "[emitter.2] a poissonian source has no emitters"),
         ],
         ids=["float_n_shots", "float_master_seed", "n_emitters_without_n", "n_with_single",
-             "negative_span", "bad_grid_entry", "bad_emitter_suffix", "negative_rate"],
+             "negative_span", "bad_grid_entry", "bad_emitter_suffix", "negative_rate",
+             "poissonian_with_emitter"],
     )
     def test_message(self, text, message):
         with pytest.raises(ConfigError) as info:
@@ -182,12 +179,15 @@ class TestScanForms:
 class TestSources:
     def test_poissonian(self):
         cfg = parse_config("[source]\nkind = poissonian\nrate_per_shot = 0.4\n")
-        assert cfg.source == Poissonian(0.4)
+        assert cfg.emitters == ()
+        assert cfg.poisson_rate_per_shot == 0.4
+        # no [emitter]: the laser defaults to the [emitter] default frequency
+        assert cfg.laser_frequency == (195.6e12,)
 
     def test_n_emitters_replicates_base(self):
-        cfg = parse_config("[source]\nkind = n_emitters\nn = 3\n")
-        assert cfg.source == NEmitters(3)
-        assert len(cfg.resolved_emitters()) == 3
+        cfg = parse_config("[emitter]\np_max = 0.25\n[source]\nkind = n_emitters\nn = 3\n")
+        assert len(cfg.emitters) == 3
+        assert all(em.p_max == 0.25 for em in cfg.emitters)
 
     def test_numbered_emitter_sections(self):
         cfg = parse_config(doc("""
@@ -199,9 +199,22 @@ class TestSources:
             kind = n_emitters
             n = 2
         """))
-        ems = cfg.resolved_emitters()
+        ems = cfg.emitters
         assert ems[0].p_max == 0.25
         assert ems[1].p_max == 0.005
+
+    @pytest.mark.parametrize(
+        "text, same",
+        [
+            ("[emitter]\np_max = 0.25\n[source]\nkind = n_emitters\nn = 2\n",
+             "[emitter]\np_max = 0.25\n[emitter.2]\np_max = 0.25\n[source]\nkind = n_emitters\nn = 2\n"),
+            ("[source]\nkind = n_emitters\nn = 1\n", "[source]\nkind = single\n"),
+        ],
+        ids=["replicated_or_numbered", "one_of_n_or_single"],
+    )
+    def test_one_experiment_is_one_config(self, text, same):
+        assert parse_config(text) == parse_config(same)
+        assert config_digest(parse_config(text)) == config_digest(parse_config(same))
 
     def test_numbered_sections_require_matching_n(self):
         with pytest.raises(ConfigError, match="expected emitter sections"):
@@ -300,13 +313,14 @@ class TestIdempotence:
         assert serialize_config(second) == rendered
 
     @given(
-        nus=st.lists(st.floats(1e12, 1e15), min_size=1, max_size=12),
+        nus=st.lists(st.floats(1e12, 1e15), min_size=0, max_size=12),
         gamma0=st.floats(1e-2, 1e7),
         gamma_h=st.floats(1e3, 1e10),
         p_max=st.floats(0.0, 1.0),
         sigma_fast=st.floats(0.0, 1e9),
         tau=st.floats(0.0, 10.0),
         rate=st.floats(0.0, 1e13),
+        photons=st.floats(0.0, 200.0),
         grid=st.lists(st.floats(1e12, 1e15), min_size=1, max_size=5, unique=True).map(sorted),
         eff=st.floats(0.0, 1.0),
         dark=st.floats(0.0, 1e6),
@@ -314,17 +328,19 @@ class TestIdempotence:
         n_shots=st.integers(1, 10**7),
     )
     def test_serialize_parse_roundtrip_random_configs(
-        self, nus, gamma0, gamma_h, p_max, sigma_fast, tau, rate, grid, eff, dark, seed, n_shots
+        self, nus, gamma0, gamma_h, p_max, sigma_fast, tau, rate, photons, grid, eff, dark, seed,
+        n_shots,
     ):
+        # 0 to 12 emitters; with none, the Poissonian source at `photons` per shot
         diffusion = SpectralDiffusionParams(sigma_fast, tau, rate)
         config = ExperimentConfig(
             emitters=[EmitterModel(nu, gamma0, gamma_h, p_max, diffusion) for nu in nus],
-            cavity=CavityModel(nus[0], 4.1e4, 460.0),
+            cavity=CavityModel(grid[0], 4.1e4, 460.0),
             detector=DetectorModel(eff, dark, 0.0),
             sequence=PulseSequence(1e-6, 20e-6, 60e-6, n_shots),
             laser_frequency=grid,
             master_seed=seed,
-            source=NEmitters(len(nus)),
+            poisson_rate_per_shot=0.0 if nus else photons,
         )
         assert parse_config(serialize_config(config)) == config
 

@@ -15,13 +15,11 @@ from ersim.config import parse_config_file
 from ersim.diffusion import DiffusionState, generate_trajectory
 from ersim.engine import (
     BLOCK_SHOTS,
+    CLICK_BUDGET,
     STREAM_LAYOUT,
     ClickStream,
     ExperimentConfig,
-    NEmitters,
-    Poissonian,
     PulseSequence,
-    SingleEmitter,
     config_digest,
     run_lifetime,
     run_scan_session,
@@ -52,7 +50,7 @@ def at_line(config):
 def expected_clicks_per_shot(config):
     """Analytic detection probability for a resonant shot (oracle formula)."""
     total = 0.0
-    for em in config.resolved_emitters():
+    for em in config.emitters:
         p = config.cavity.p_peak
         gamma = em.gamma_0 * (1.0 + p)
         capture = 1.0 - math.exp(-config.sequence.t_coll * gamma)
@@ -108,27 +106,37 @@ class TestPulseSequence:
             PulseSequence(1e-6, 20e-6, 2**48 / 1e9, 1)
 
 
-class TestPoissonLimit:
-    def test_limit_is_numpys(self):
-        rng = np.random.default_rng(0)
-        beyond = np.nextafter(engine._POISSON_MAX, np.inf)
-        rng.poisson(engine._POISSON_MAX)
-        Poissonian(engine._POISSON_MAX)
-        with pytest.raises(ValueError, match="lam value too large"):
-            rng.poisson(beyond)
-        with pytest.raises(InvalidParameterError, match="Poisson limit"):
-            Poissonian(beyond)
-
-
 class TestExperimentConfig:
     def test_grid_must_increase(self):
         with pytest.raises(InvalidParameterError):
             dataclasses.replace(scenarios.lifetime_config(), laser_frequency=(2.0e14, 1.0e14))
 
     def test_emitter_count_must_match_source(self):
-        cfg = scenarios.lifetime_config()
-        with pytest.raises(InvalidParameterError):
-            dataclasses.replace(cfg, emitters=cfg.emitters * 2, source=NEmitters(3))
+        # Poissonian photons come only from a source with no emitters
+        cfg = scenarios.g2_config(poisson_rate=0.5)
+        with pytest.raises(InvalidParameterError, match="requires no emitters"):
+            dataclasses.replace(cfg, emitters=scenarios.lifetime_config().emitters)
+        with pytest.raises(InvalidParameterError, match="must be >= 0"):
+            dataclasses.replace(cfg, poisson_rate_per_shot=-1.0)
+
+    @pytest.mark.parametrize("n_shots", [1, BLOCK_SHOTS, 10 * BLOCK_SHOTS])
+    def test_click_budget_bounds_the_largest_block(self, n_shots):
+        # the largest block has min(n_shots, BLOCK_SHOTS) shots
+        rate = CLICK_BUDGET / min(n_shots, BLOCK_SHOTS)
+        cfg = scenarios.g2_config(poisson_rate=rate, n_shots=n_shots)
+        with pytest.raises(InvalidParameterError, match="click budget"):
+            dataclasses.replace(cfg, poisson_rate_per_shot=np.nextafter(rate, np.inf))
+
+    def test_click_budget_counts_emitters_and_dark_counts(self):
+        cfg = scenarios.g2_config(n_shots=BLOCK_SHOTS)
+        per_shot = CLICK_BUDGET // BLOCK_SHOTS   # one click per emitter per shot at most
+        dataclasses.replace(cfg, emitters=cfg.emitters * per_shot)
+        with pytest.raises(InvalidParameterError, match="click budget"):
+            dataclasses.replace(cfg, emitters=cfg.emitters * (per_shot + 1))
+        t_coll = cfg.sequence.t_coll
+        scenarios.override(cfg, dark_rate=(per_shot - 2) / t_coll)
+        with pytest.raises(InvalidParameterError, match="click budget"):
+            scenarios.override(cfg, dark_rate=per_shot / t_coll)
 
     def test_fields_are_stored_as_tuples(self):
         cfg = scenarios.lifetime_config()
@@ -145,14 +153,25 @@ class TestExperimentConfig:
         with pytest.raises(TypeError, match="not iterable"):
             dataclasses.replace(cfg, **{field: getattr(cfg, field)[0]})
 
-    @pytest.mark.parametrize("field", ["emitters", "laser_frequency"])
+    @pytest.mark.parametrize("field", ["laser_frequency"])
     def test_empty_tuple_is_rejected(self, field):
         with pytest.raises(InvalidParameterError, match="nonempty"):
             dataclasses.replace(scenarios.lifetime_config(), **{field: ()})
 
+    def test_no_emitters_is_the_poissonian_source(self):
+        cfg = dataclasses.replace(scenarios.lifetime_config(n_shots=1000), emitters=())
+        assert cfg.poisson_rate_per_shot == 0.0
+        assert len(run_lifetime(cfg)) == 0
+        photons = dataclasses.replace(cfg, poisson_rate_per_shot=1.0)
+        assert len(run_lifetime(photons)) > 0
+
     def test_single_emitter_replicated_for_n_emitters(self):
-        cfg = scenarios.g2_config(NEmitters(4), n_shots=1)
-        assert len(cfg.resolved_emitters()) == 4
+        # each copy in the tuple is sampled as an emitter of its own
+        one = scenarios.g2_config(seed=5, n_shots=20_000)
+        four = scenarios.g2_config(4, seed=5, n_shots=20_000)
+        assert four.emitters == one.emitters * 4
+        mean = len(run_lifetime(four)) / four.sequence.n_shots
+        assert mean == pytest.approx(4 * expected_clicks_per_shot(one), rel=0.03)
 
     def test_digest_tracks_fields(self):
         a = scenarios.lifetime_config(seed=1, n_shots=10)
@@ -205,7 +224,7 @@ class TestSampleShot:
         laser = cfg.single_frequency()
         kappa = cfg.cavity.nu_cav / cfg.cavity.q_factor
         probs = []
-        for em in cfg.resolved_emitters():
+        for em in cfg.emitters:
             # written out by hand, independent of the physics functions the engine samples through
             p = cfg.cavity.p_peak / (1.0 + (2.0 * (em.nu_ion_0 - cfg.cavity.nu_cav) / kappa) ** 2)
             capture = 1.0 - math.exp(-cfg.sequence.t_coll * em.gamma_0 * (1.0 + p))
@@ -325,7 +344,7 @@ class TestDeterminism:
         n = 3 * BLOCK_SHOTS + 5
         for base in (
             scenarios.background_g2_config(seed=9),
-            scenarios.g2_config(Poissonian(2.0), seed=9),
+            scenarios.g2_config(poisson_rate=2.0, seed=9),
         ):
             cfg = with_shots(base, n, dark_rate=1e5, dead_time=200e-9)
             full = run_lifetime(cfg)
@@ -333,7 +352,7 @@ class TestDeterminism:
             for first in range(0, n, BLOCK_SHOTS):
                 size = min(BLOCK_SHOTS, n - first)
                 # static emitters: the run's diffusion offsets are all zero
-                offsets = [np.zeros(size) for _ in cfg.resolved_emitters()]
+                offsets = [np.zeros(size) for _ in cfg.emitters]
                 rng = block_stream(cfg.master_seed, first)
                 shots, times = engine._sample_block(cfg, laser, offsets, size, rng).T
                 rows = (full.shot_indices >= first) & (full.shot_indices < first + size)
@@ -358,7 +377,7 @@ class TestDeterminism:
     def test_lifetime_is_first_point_of_session(self, monkeypatch):
         n = BLOCK_SHOTS + 7
         cfg = at_line(scenarios.linewidth_session_config(scan_repeats=3, n_shots=n))
-        assert not cfg.resolved_emitters()[0].diffusion.is_static
+        assert not cfg.emitters[0].diffusion.is_static
         session = run_scan_session(cfg)[0].points[0].stream
         firsts = []
 
@@ -379,7 +398,7 @@ class TestDeterminism:
         stream = run_lifetime(cfg)
         assert firsts == [0, BLOCK_SHOTS]
         # per emitter one trajectory per block, and no dwell step first
-        assert list(steps.values()) == [[BLOCK_SHOTS, 7]] * len(cfg.resolved_emitters())
+        assert list(steps.values()) == [[BLOCK_SHOTS, 7]] * len(cfg.emitters)
         assert dts == {cfg.sequence.t_rep}
         assert stream.shot_indices.tobytes() == session.shot_indices.tobytes()
         assert stream.times_ns.tobytes() == session.times_ns.tobytes()
@@ -648,22 +667,22 @@ class TestPleScan:
 
 class TestRunG2:
     def test_single_emitter_antibunched(self):
-        cfg = scenarios.g2_config(SingleEmitter(), seed=201, n_shots=200_000)
+        cfg = scenarios.g2_config(seed=201, n_shots=200_000)
         hist = pulsed_g2(run_lifetime(cfg), 30)
         assert hist.g2_at(0) < 0.05
 
     def test_two_emitters_half(self):
-        cfg = scenarios.g2_config(NEmitters(2), seed=202, n_shots=200_000)
+        cfg = scenarios.g2_config(2, seed=202, n_shots=200_000)
         hist = pulsed_g2(run_lifetime(cfg), 30)
         assert hist.g2_at(0) == pytest.approx(0.5, abs=0.05)
 
     def test_poissonian_flat(self):
-        cfg = scenarios.g2_config(Poissonian(0.8), seed=203, n_shots=200_000)
+        cfg = scenarios.g2_config(poisson_rate=0.8, seed=203, n_shots=200_000)
         hist = pulsed_g2(run_lifetime(cfg), 30)
         assert np.all(np.abs(hist.g2 - 1.0) < 0.02)
 
     def test_poissonian_ignores_emitter_physics(self):
-        cfg = scenarios.g2_config(Poissonian(0.5), seed=204, n_shots=50_000)
+        cfg = scenarios.g2_config(poisson_rate=0.5, seed=204, n_shots=50_000)
         stream = run_lifetime(cfg)
         assert len(stream) / cfg.sequence.n_shots == pytest.approx(0.5, rel=0.03)
         validate_click_stream(stream)
@@ -671,7 +690,7 @@ class TestRunG2:
 
     def test_poissonian_with_darks_and_dead_time_validates(self):
         cfg = with_shots(
-            scenarios.g2_config(Poissonian(2.0), seed=205),
+            scenarios.g2_config(poisson_rate=2.0, seed=205),
             2 * BLOCK_SHOTS + 1,
             efficiency=0.6,
             dark_rate=5e4,
