@@ -25,7 +25,7 @@ import re
 
 import numpy as np
 
-from .engine import ExperimentConfig, PulseSequence
+from .engine import CLICK_BUDGET, ExperimentConfig, PulseSequence
 from .errors import ConfigError, InvalidParameterError
 from .physics import CavityModel, DetectorModel, EmitterModel, SpectralDiffusionParams
 
@@ -269,10 +269,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 line=_line(source_values, key),
             )
     n = _value("source", source_values, "n")
-    if kind == "n_emitters" and n < 1:
-        raise ConfigError(
-            "n_emitters requires n >= 1", section="source", line=_line(source_values, "n")
-        )
+    if kind == "n_emitters" and not 1 <= n <= CLICK_BUDGET:
+        # one expected click per emitter per shot: a larger n fails the budget, unbuilt
+        why = "n_emitters requires n >= 1" if n < 1 else f"n = {n} emitters exceed the 2**22 click budget"
+        raise ConfigError(why, section="source", line=_line(source_values, "n"))
 
     # by number, so that [emitter.10] follows [emitter.9]
     numbered = sorted((k for k in emitter_sections if k != "emitter"), key=lambda k: int(k[8:]))
@@ -284,10 +284,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 "numbered emitter sections require source kind = n_emitters",
                 section=numbered[0],
             )
-        expected = [f"emitter.{i}" for i in range(2, n + 1)]
-        if numbered != expected:
+        if len(numbered) != n - 1 or any(k != f"emitter.{i}" for i, k in enumerate(numbered, 2)):
             raise ConfigError(
-                f"expected emitter sections {expected} for n = {n}, got {numbered}",
+                f"expected emitter sections emitter.2 to emitter.{n} for n = {n}, got {numbered}",
                 section=numbered[0],
             )
     emitters = []

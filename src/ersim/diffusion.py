@@ -3,9 +3,11 @@
 The fast component follows an exact Ornstein-Uhlenbeck update over any step
 dt (Gillespie, Phys. Rev. E 54, 2084, 1996), the slow one a Gaussian random
 walk.  ``generate_trajectory`` is the only update: each step draws two
-standard normals (fast, then slow) even when a component is off, so split
-segments chain bit for bit, and the gap between segments is one step.  A
-static emitter (both components off) draws nothing and keeps its offsets.
+standard normals (fast, then slow) even when a component is off, and the gap
+between segments is one step.  Split segments draw the same numbers as one
+run; the slow walk chains bit for bit, the fast part within a few ulps,
+since its recurrence is evaluated as a doubling scan.  A static emitter (both
+components off) draws nothing and keeps its offsets.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .physics import SpectralDiffusionParams
 
@@ -65,9 +66,9 @@ def generate_trajectory(
     """Evolve ``state`` n_steps times by dt, keeping the state before each step.
 
     Shot k of the segment uses the state after k steps (shot 0 sees the
-    incoming state unchanged); ``final`` is the state after the last step, so
-    consecutive segments chain exactly like one long segment.  The engine
-    passes n_steps >= 1 and ``t_rep`` or ``scan_dwell``, each checked >= 0.
+    incoming state unchanged); ``final`` is the state after the last step, to
+    seed the next segment.  The engine passes n_steps >= 1 and ``t_rep`` or
+    ``scan_dwell``, each checked >= 0.
     """
     if n_steps == 0:
         return DiffusionTrajectory(np.empty(0), np.empty(0), state)
@@ -76,15 +77,14 @@ def generate_trajectory(
         return DiffusionTrajectory(fast, slow, state)
     draws = rng.standard_normal(2 * n_steps).reshape(n_steps, 2)
     a, c = _ou_coefficients(dt, params)
-    # AR(1) recurrence x[k] = a x[k-1] + c z[k]; lfilter reproduces the serial
-    # float operations exactly (same products, commuted addition).
-    fast_next = lfilter([c], [1.0, -a], draws[:, 0], zi=[a * state.nu_offset_fast])[0]
+    # AR(1) recurrence x[k] = a x[k-1] + c z[k] as a doubling scan: after the pass
+    # with shift s, fast[k] = sum of a**j fast0[k-j] for j < 2s; one step is serial.
+    fast = np.concatenate(([state.nu_offset_fast], c * draws[:, 0]))
+    a_shift, shift = a, 1
+    while shift <= n_steps:
+        fast[shift:] += a_shift * fast[:-shift]
+        a_shift, shift = a_shift * a_shift, 2 * shift
+    # the seeded cumsum is the serial left fold, so a split changes no bit of the walk
     walk_scale = math.sqrt(params.sigma_slow_rate * dt)
-    # cumsum seeded with the incoming value is the same left fold as a serial
-    # loop, so splitting a segment does not change a bit of the path.
-    slow_next = np.cumsum(np.concatenate(([state.nu_offset_slow], walk_scale * draws[:, 1])))[1:]
-
-    fast = np.concatenate(([state.nu_offset_fast], fast_next[:-1]))
-    slow = np.concatenate(([state.nu_offset_slow], slow_next[:-1]))
-    final = DiffusionState(float(fast_next[-1]), float(slow_next[-1]))
-    return DiffusionTrajectory(fast, slow, final)
+    slow = np.cumsum(np.concatenate(([state.nu_offset_slow], walk_scale * draws[:, 1])))
+    return DiffusionTrajectory(fast[:-1], slow[:-1], DiffusionState(float(fast[-1]), float(slow[-1])))

@@ -19,7 +19,9 @@ draws from the counter-based substream keyed by (master_seed, 1 + s)
 key is reused.  Spectral diffusion draws from one sequential substream per
 emitter, advanced block by block in shot order (and by one step across each
 dwell gap); chained so, its draws are the same numbers as one draw over the
-whole scan.  A stream is therefore a pure function of the config and seed.
+whole scan, its slow walk bit for bit the same and its fast offsets within
+ulps.  The block split is fixed, so a stream is a pure function of the config
+and seed.
 
 Within a block of n shots the draws come in this column order:
 

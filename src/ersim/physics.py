@@ -61,7 +61,8 @@ class EmitterModel:
     def __post_init__(self):
         _require(self.nu_ion_0 > 0, "nu_ion_0 must be > 0")
         _require(self.gamma_0 > 0, "gamma_0 must be > 0")
-        _require(self.gamma_h > 0, "gamma_h must be > 0")
+        # below 2**512 Hz, (gamma_h / 2)**2 in excitation_probability is finite
+        _require(0 < self.gamma_h < 2.0**512, "gamma_h must lie in (0, 2**512) Hz")
         # p_max = 0 is allowed so that "emitter off" oracle configurations are
         # expressible; excitation_probability then is identically zero.
         _require(0 <= self.p_max <= 1, "p_max must lie in [0, 1]")

@@ -106,9 +106,13 @@ class CorrelationHistogram:
         return float(self.g2[idx[0]])
 
     def g2_zero_sigma(self) -> float:
-        """Poisson error on g2(0) propagated through the normalization."""
+        """Poisson error on g2(0) propagated through the normalization.
+
+        The zero bin counts each same-shot pair twice, as two ordered pairs, so
+        its count n0 has variance 2 n0.
+        """
         if self.is_empty:
             return float("nan")
         zero = np.nonzero(self.offsets == 0)[0][0]
         n0 = float(self.coincidences[zero])
-        return float(np.sqrt(max(n0, 1.0)) / (self.shot_pairs[zero] * self.normalization))
+        return float(np.sqrt(2.0 * max(n0, 1.0)) / (self.shot_pairs[zero] * self.normalization))

@@ -200,6 +200,16 @@ class TestPulsedG2:
         hist = pulsed_g2(stream_from_counts(counts, rng), min(k, n_shots - 1))
         assert np.array_equal(hist.coincidences, hist.coincidences[::-1])
 
+    def test_g2_zero_sigma_matches_the_seed_to_seed_scatter(self):
+        # the zero bin holds each same-shot pair twice, so its sigma carries sqrt(2)
+        g2, sigma = [], []
+        for seed in range(1, 101):
+            config = scenarios.background_g2_config(seed=seed, n_shots=50_000)
+            hist = pulsed_g2(run_lifetime(config), 10)
+            g2.append(hist.g2_at(0))
+            sigma.append(hist.g2_zero_sigma())
+        assert 0.8 <= np.std(g2, ddof=1) / np.mean(sigma) <= 1.25
+
     def test_zero_offset_counts_ordered_pairs_exactly(self):
         rng = np.random.default_rng(55)
         counts = rng.poisson(3.0, size=10_000)

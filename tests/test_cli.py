@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import textwrap
 import warnings
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ersim
 import scenarios
 from ersim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
 from ersim.analysis import pulsed_g2
@@ -235,6 +239,22 @@ class TestSimulate:
         assert not out.exists()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("n", [10**8, 2**64])
+    @pytest.mark.parametrize("numbered", ["", "[emitter.2]\n"], ids=["one_emitter", "numbered"])
+    def test_emitter_count_beyond_the_click_budget_exits_before_building(
+        self, tmp_path, capsys, numbered, n
+    ):
+        # one expected click per emitter per shot: n is rejected before n of anything is made
+        cfg = tmp_path / "many.ini"
+        cfg.write_text(f"[emitter]\n{numbered}[source]\nkind = n_emitters\nn = {n}\n")
+        out = tmp_path / "o"
+        args = ["simulate", "g2", "--config", str(cfg), "--out", str(out)]
+        code, peak = scenarios.traced_peak(main, args)
+        assert code == EXIT_CONFIG
+        assert "click budget" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 2**20
+
     def test_poissonian_source_with_an_emitter_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "mixed.ini"
         cfg.write_text("[emitter]\np_max = 0.3\n[source]\nkind = poissonian\nrate_per_shot = 0.5\n")
@@ -249,8 +269,10 @@ class TestSimulate:
             ("ple", "[scan]\ngrid_hz = -1e6, 0, 1e6\n", "laser frequencies must be > 0"),
             ("g2", "[cavity]\nnu_cav_hz = 1e-300\nq_factor = 1e300\n", "nu_cav / q_factor must be > 0"),
             ("g2", "[sequence]\nn_shots = 4611686018427387905\n", "n_shots must lie in [1, 2**62]"),
+            # (gamma_h / 2)**2 would overflow in the excitation probability
+            ("lifetime", "[emitter]\ngamma_h_mhz = 1e300\n", "gamma_h must lie in (0, 2**512) Hz"),
         ],
-        ids=["nonpositive_laser_grid", "cavity_linewidth_underflow", "shots_beyond_2_62"],
+        ids=["nonpositive_laser_grid", "cavity_linewidth_underflow", "shots_beyond_2_62", "huge_gamma_h"],
     )
     def test_bound_of_a_model_type_is_config_error(self, tmp_path, capsys, experiment, text, message):
         # each bound is checked when its type is made, so the run never starts
@@ -750,7 +772,7 @@ class TestTableDigests:
         )
         write_correlation_csv(pulsed_g2(stream, 3), tmp_path / "c.csv", rho=0.8)
         assert sha(tmp_path / "c.csv") == (
-            "ea2d73a051925c4336905b50fda653d8ceb8d17d8e08ebd8fa504f016fd38be7"
+            "02536c4feae2cb2356a01c9890f3b2b94e3d317acc44dc1b752785386aa7695d"
         )
 
     def test_empty_correlation(self, tmp_path):
@@ -788,3 +810,12 @@ class TestTableDigests:
         assert sha(tmp_path / "report" / "diffusion_map.csv") == (
             "ca3835c0177d0d6bb9a16e7867116e4ec5d6d45e84c0b413525adc140db85610"
         )
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone
+    code = "import sys, ersim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(ersim.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -96,18 +96,53 @@ def test_slow_walk_variance_matches_diffusivity():
     assert np.var(finals) == pytest.approx(rate * total_time, rel=0.05)
 
 
-def test_pregenerated_trajectory_equals_serial_evolution():
-    params = SpectralDiffusionParams(sigma_fast=3e6, tau_fast=0.7e-3, sigma_slow_rate=2e11)
-    n = 500
-    dt = 60e-6
-    traj = generate_trajectory(DiffusionState(), n, dt, params, diffusion_stream(21, 0))
-    state = DiffusionState()
-    rng = diffusion_stream(21, 0)
+def fast_scan_bound(n, x0, params, dt, z_fast):
+    """Bound on the fast offsets' distance from the serial recurrence over n steps.
+
+    One rounding for c z, then one per pass, each within eps of a partial sum,
+    and every partial sum is at most |x0| + c max|z| / (1 - a).  With a = 1
+    (so c = 0) the scan adds only zeros and is exact.
+    """
+    a, c = _ou_coefficients(dt, params)
+    if a == 1.0:
+        return 0.0
+    passes = n.bit_length()
+    scale = abs(x0) + c * np.max(np.abs(z_fast), initial=0.0) / (1.0 - a)
+    return (passes + 1) * np.finfo(float).eps * scale
+
+
+def assert_follows_serial_evolution(start, n, dt, params, seed):
+    """The fast offsets within the scan bound of the serial ones; the slow walk bit for bit."""
+    traj = generate_trajectory(start, n, dt, params, diffusion_stream(seed, 0))
+    z_fast = diffusion_stream(seed, 0).standard_normal(2 * n)[0::2]
+    fast = np.empty(n + 1)
+    state = start
+    rng = diffusion_stream(seed, 0)
     for k in range(n):
-        assert traj.fast[k] == state.nu_offset_fast
+        fast[k] = state.nu_offset_fast
         assert traj.slow[k] == state.nu_offset_slow
         state = evolve_diffusion(state, dt, params, rng)
-    assert traj.final == state
+    fast[n] = state.nu_offset_fast
+    error = np.max(np.abs(np.append(traj.fast, traj.final.nu_offset_fast) - fast))
+    assert error <= fast_scan_bound(n, start.nu_offset_fast, params, dt, z_fast)
+    assert traj.final.nu_offset_slow == state.nu_offset_slow
+
+
+def test_pregenerated_trajectory_equals_serial_evolution():
+    params = SpectralDiffusionParams(sigma_fast=3e6, tau_fast=0.7e-3, sigma_slow_rate=2e11)
+    assert_follows_serial_evolution(DiffusionState(), 500, 60e-6, params, 21)
+
+
+@pytest.mark.parametrize(
+    "tau_fast",
+    [1e-3, 1.0],  # configs/ple_session.ini, and a slow decay (a = 0.99994) with the largest error
+    ids=["ple_session", "tau_fast_1s"],
+)
+def test_fast_scan_over_a_block_stays_within_its_bound(tau_fast):
+    params = SpectralDiffusionParams(
+        sigma_fast=70.78497e6, tau_fast=tau_fast, sigma_slow_rate=0.3168819e12
+    )
+    assert_follows_serial_evolution(DiffusionState(1.5e6, -2.5e6), 2**14, 60e-6, params, 3)
 
 
 def test_trajectory_segments_chain_like_one_run():
@@ -119,9 +154,18 @@ def test_trajectory_segments_chain_like_one_run():
     second = generate_trajectory(first.final, 250, 1e-3, params, rng_b)
     joined_fast = np.concatenate([first.fast, second.fast])
     joined_slow = np.concatenate([first.slow, second.slow])
-    assert np.array_equal(joined_fast, whole.fast)
+    # each path is within its bound of the serial one; the error carried in by
+    # first.final only decays over the second segment
+    z_fast = diffusion_stream(5, 0).standard_normal(800)[0::2]
+    bound = (
+        fast_scan_bound(150, 0.0, params, 1e-3, z_fast[:150])
+        + fast_scan_bound(250, first.final.nu_offset_fast, params, 1e-3, z_fast[150:])
+        + fast_scan_bound(400, 0.0, params, 1e-3, z_fast)
+    )
+    assert np.max(np.abs(joined_fast - whole.fast)) <= bound
+    assert abs(second.final.nu_offset_fast - whole.final.nu_offset_fast) <= bound
     assert np.array_equal(joined_slow, whole.slow)
-    assert second.final == whole.final
+    assert second.final.nu_offset_slow == whole.final.nu_offset_slow
 
 
 def test_empty_trajectory():
