@@ -51,8 +51,9 @@ def pulsed_g2(stream: ClickStream, max_offset: int) -> CorrelationHistogram:
     Every unordered pair of clicks in shots separated by |d| <= K increments
     the +d and -d bins; pairs within one shot are counted as ordered pairs in
     the zero bin, which makes a Poissonian stream normalize to 1 at every
-    offset.  Rates are edge-corrected by the number of shot pairs available
-    at each offset before normalizing to the nonzero-offset mean.
+    offset.  Only the coincidences are counted here: the histogram derives
+    the shot pairs available at each offset (the edge correction) and the
+    nonzero-offset mean rate that normalizes its ``g2``.
 
     The stream is in (shot, time) order and within its shot count, as every
     ``ClickStream`` is checked when it is made.  The pass visits only occupied
@@ -68,24 +69,12 @@ def pulsed_g2(stream: ClickStream, max_offset: int) -> CorrelationHistogram:
     n_shots = stream.sequence.n_shots
     _require(max_offset < n_shots, "max_offset must be smaller than the shot count")
     k = max_offset
-    offsets = np.arange(-k, k + 1)
     coincidences = np.zeros(2 * k + 1, dtype=np.int64)
-    shot_pairs = n_shots - np.abs(offsets).astype(np.int64)
-    shot_pairs[k] = n_shots
     if len(stream) >= 2:
         coincidences[k:] = _pairs_by_offset(stream.shot_indices, k)
         coincidences[k] -= len(stream)
         coincidences[:k] = coincidences[: k : -1]
-    side = coincidences[np.abs(offsets) >= 1] / shot_pairs[np.abs(offsets) >= 1]
-    normalization = float(np.mean(side)) if len(stream) >= 2 else 0.0
-    return CorrelationHistogram(
-        offsets,
-        coincidences,
-        shot_pairs,
-        normalization,
-        stream.sequence.t_rep,
-        n_clicks=len(stream),
-    )
+    return CorrelationHistogram(coincidences, n_shots, stream.sequence.t_rep, n_clicks=len(stream))
 
 
 def _pairs_by_offset(shots: np.ndarray, k: int) -> np.ndarray:
@@ -191,28 +180,15 @@ def spectral_diffusion_map(scans) -> SpectralDiffusionMap:
     return SpectralDiffusionMap(freqs, matrix, fits, average, fit_gaussian(average))
 
 
-@dataclass(frozen=True)
-class PurcellReport:
-    purcell_factor: float
-    sigma: float
-    t1: float
-    t1_sigma: float
-    t1_reference: float
-    t1_reference_sigma: float
+def purcell_report(t1_fit: FitResult, t1_0_fit: FitResult) -> tuple[float, float]:
+    """Purcell factor and its sigma from two fitted lifetimes.
 
-
-def purcell_report(t1_fit: FitResult, t1_0_fit: FitResult) -> PurcellReport:
-    """Purcell factor from two fitted lifetimes with first-order error propagation.
-
-    The relative error of P + 1 is the quadrature sum of the two relative
-    lifetime errors.
+    First-order error propagation: the relative error of P + 1 is the
+    quadrature sum of the two relative lifetime errors.
     """
     if not (t1_fit.converged and t1_0_fit.converged):
         raise InvalidParameterError("purcell_report requires converged lifetime fits")
-    t1 = t1_fit.value("t1")
-    t1_0 = t1_0_fit.value("t1")
+    t1, t1_0 = t1_fit.value("t1"), t1_0_fit.value("t1")
     p = purcell_from_lifetimes(t1, t1_0)
-    s1 = t1_fit.sigma("t1")
-    s0 = t1_0_fit.sigma("t1")
-    rel = math.sqrt((s1 / t1) ** 2 + (s0 / t1_0) ** 2)
-    return PurcellReport(p, (p + 1.0) * rel, t1, s1, t1_0, s0)
+    rel = math.sqrt((t1_fit.sigma("t1") / t1) ** 2 + (t1_0_fit.sigma("t1") / t1_0) ** 2)
+    return p, (p + 1.0) * rel

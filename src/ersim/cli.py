@@ -126,7 +126,7 @@ def _cmd_g2(args) -> int:
     if hist.is_empty:
         print("stream has too few clicks for a correlation", file=sys.stderr)
         return EXIT_OK
-    zero = hist.g2_at(0)
+    zero = hist.g2_zero
     print(f"g2_zero_raw = {zero!r}")
     print(f"g2_zero_sigma = {hist.g2_zero_sigma()!r}")
     print(f"g2_zero_corrected = {background_corrected_g2(zero, args.rho)!r}")
@@ -156,7 +156,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StreamFormatError, FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
+    except (StreamFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except InvalidParameterError as exc:

@@ -67,11 +67,9 @@ def generate_trajectory(
 
     Shot k of the segment uses the state after k steps (shot 0 sees the
     incoming state unchanged); ``final`` is the state after the last step, to
-    seed the next segment.  The engine passes n_steps >= 1 and ``t_rep`` or
-    ``scan_dwell``, each checked >= 0.
+    seed the next segment; zero steps draw nothing and give the incoming state.
+    The engine passes ``t_rep`` or ``scan_dwell`` as dt, each checked >= 0.
     """
-    if n_steps == 0:
-        return DiffusionTrajectory(np.empty(0), np.empty(0), state)
     if params.is_static:
         fast, slow = np.full(n_steps, state.nu_offset_fast), np.full(n_steps, state.nu_offset_slow)
         return DiffusionTrajectory(fast, slow, state)

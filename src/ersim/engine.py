@@ -137,7 +137,8 @@ class ExperimentConfig:
     def __post_init__(self):
         _require(0 <= self.master_seed < 2**64, "master_seed must fit in 64 bits")
         _require(self.scan_repeats >= 1, "scan_repeats must be >= 1")
-        _require(self.scan_dwell >= 0, "scan_dwell must be >= 0")
+        # one walk step over the dwell, sqrt(sigma_slow_rate * scan_dwell), stays below 2**128 Hz
+        _require(0 <= self.scan_dwell < 2.0**128, "scan_dwell must lie in [0, 2**128) s")
         object.__setattr__(self, "emitters", tuple(self.emitters))
         rate = self.poisson_rate_per_shot
         _require(rate >= 0, "poisson_rate_per_shot must be >= 0")
@@ -149,7 +150,9 @@ class ExperimentConfig:
         object.__setattr__(self, "laser_frequency", grid)
         _require(len(grid) >= 1, "laser grid must be nonempty")
         _require(np.all(np.diff(grid) > 0), "laser grid must be strictly increasing")
-        _require(grid[0] > 0, "laser frequencies must be > 0")
+        # the grid enters the detunings that the sampler squares (see EmitterModel)
+        _require(0 < grid[0], "laser frequencies must be > 0")
+        _require(grid[-1] < 2.0**128, "laser frequencies must be below 2**128 Hz")
 
     def single_frequency(self) -> float:
         _require(len(self.laser_frequency) == 1, "operation requires a single laser frequency")
@@ -354,8 +357,11 @@ def _run_shots(
 @dataclass(frozen=True)
 class ScanPoint:
     laser_frequency: float
-    counts: int
     stream: ClickStream
+
+    @property
+    def counts(self) -> int:
+        return len(self.stream)
 
 
 @dataclass(frozen=True)
@@ -397,7 +403,7 @@ def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
         for g, laser in enumerate(grid):
             first = (repeat * len(grid) + g) * n_per
             stream, states = _run_shots(config, laser, states, rngs, first, digest)
-            points.append(ScanPoint(laser, len(stream), stream))
+            points.append(ScanPoint(laser, stream))
         yield ScanResult(tuple(points))
 
 

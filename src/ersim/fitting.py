@@ -112,6 +112,7 @@ class FitParameter:
 class FitResult:
     """Fitted parameters with 1-sigma uncertainties and convergence info.
 
+    ``converged`` is derived: a fit converged when its ``status`` is ``"ok"``.
     Unconverged or degenerate fits carry the last iterate (or the fallback)
     with NaN uncertainties, never fabricated ones.
     """
@@ -119,9 +120,12 @@ class FitResult:
     parameters: tuple
     rss: float
     iterations: int
-    converged: bool
     status: str = "ok"
     covariance: np.ndarray | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "ok"
 
     def _parameter(self, name: str) -> FitParameter:
         for p in self.parameters:
@@ -196,8 +200,8 @@ def levenberg_marquardt(
     x,
     y,
     p0,
+    log_mask,
     weights=None,
-    log_mask=None,
     max_iterations=200,
 ):
     """Minimize sum w (model(x, p) - y)^2 and return (p, cov, rss, iters, status).
@@ -217,8 +221,6 @@ def levenberg_marquardt(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = len(p0)
-    if log_mask is None:
-        log_mask = (False,) * m
     sw = np.ones_like(y) if weights is None else np.sqrt(np.asarray(weights, dtype=float))
     limit = np.where(log_mask, _LOG_LIMIT, _VALUE_LIMIT)
 
@@ -274,13 +276,12 @@ def levenberg_marquardt(
 
 
 def _build_result(names, p, cov, rss, iterations, status):
-    converged = status == "ok"
-    if cov is not None and converged:
+    if cov is not None and status == "ok":
         sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     else:
         sigmas = np.full(len(p), np.nan)
     params = tuple(FitParameter(n, float(v), float(s)) for n, v, s in zip(names, p, sigmas))
-    return FitResult(params, float(rss), iterations, converged, status, cov)
+    return FitResult(params, float(rss), iterations, status, cov)
 
 
 def _fit_peak(kind: str, spectrum: Spectrum) -> FitResult:

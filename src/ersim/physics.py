@@ -39,9 +39,10 @@ class SpectralDiffusionParams:
     sigma_slow_rate: float = 0.0
 
     def __post_init__(self):
-        _require(self.sigma_fast >= 0, "sigma_fast must be >= 0")
+        # the offsets enter the detunings that the sampler squares (see EmitterModel)
+        _require(0 <= self.sigma_fast < 2.0**128, "sigma_fast must lie in [0, 2**128) Hz")
         _require(self.tau_fast >= 0, "tau_fast must be >= 0")
-        _require(self.sigma_slow_rate >= 0, "sigma_slow_rate must be >= 0")
+        _require(0 <= self.sigma_slow_rate < 2.0**128, "sigma_slow_rate must lie in [0, 2**128)")
 
     @property
     def is_static(self) -> bool:
@@ -59,10 +60,13 @@ class EmitterModel:
     diffusion: SpectralDiffusionParams = field(default_factory=SpectralDiffusionParams)
 
     def __post_init__(self):
-        _require(self.nu_ion_0 > 0, "nu_ion_0 must be > 0")
-        _require(self.gamma_0 > 0, "gamma_0 must be > 0")
-        # below 2**512 Hz, (gamma_h / 2)**2 in excitation_probability is finite
+        # like the laser grid, nu_cav and the offsets, below 2**128 Hz: squared detunings stay finite
+        _require(0 < self.nu_ion_0 < 2.0**128, "nu_ion_0 must lie in (0, 2**128) Hz")
+        # the delay scale 1e9 / (gamma_0 (1 + P)) in ns is finite, and so is gamma_0 (1 + P)
+        _require(2.0**-128 < self.gamma_0 < 2.0**128, "gamma_0 must lie in (2**-128, 2**128) /s")
+        # (gamma_h / 2)**2, on resonance the whole denominator, is finite and nonzero
         _require(0 < self.gamma_h < 2.0**512, "gamma_h must lie in (0, 2**512) Hz")
+        _require(self.gamma_h > 2.0**-512, "gamma_h must exceed 2**-512 Hz")
         # p_max = 0 is allowed so that "emitter off" oracle configurations are
         # expressible; excitation_probability then is identically zero.
         _require(0 <= self.p_max <= 1, "p_max must lie in [0, 1]")
@@ -77,10 +81,12 @@ class CavityModel:
     p_peak: float            # Purcell factor for a resonant emitter
 
     def __post_init__(self):
-        _require(self.nu_cav > 0, "nu_cav must be > 0")
+        _require(0 < self.nu_cav < 2.0**128, "nu_cav must lie in (0, 2**128) Hz")
         _require(self.q_factor > 0, "q_factor must be > 0")
-        _require(self.p_peak >= 0, "p_peak must be >= 0")
+        _require(0 <= self.p_peak < 2.0**128, "p_peak must lie in [0, 2**128)")  # in gamma_0 (1 + P)
         _require(self.fwhm > 0, "nu_cav / q_factor must be > 0")
+        # (2 delta / kappa)**2 in purcell_profile is finite for any detuning below 2**380 Hz
+        _require(self.fwhm > 2.0**-128, "nu_cav / q_factor must exceed 2**-128 Hz")
 
     @property
     def fwhm(self) -> float:

@@ -1,4 +1,7 @@
-"""Analysis data containers: spectra, decay histograms, correlation histograms."""
+"""Analysis data containers: spectra, decay histograms, correlation histograms.
+
+Each stores only what it cannot derive; what follows from its fields is a property.
+"""
 
 from __future__ import annotations
 
@@ -67,43 +70,54 @@ class DecayHistogram:
 class CorrelationHistogram:
     """Pulsed autocorrelation versus shot offset, symmetric about zero.
 
-    ``coincidences[k]`` counts click pairs at shot offset ``offsets[k]``;
-    ``shot_pairs[k]`` is the number of shot pairs available at that offset
-    (the finite-trace edge correction).  ``normalization`` is the mean
-    per-pair coincidence rate over all nonzero offsets, so ``g2`` is 1 for a
-    Poissonian source.
+    ``coincidences[k]`` counts click pairs at shot offset ``offsets[k]``,
+    which run -K..K.  The rest is derived from the stored fields:
+    ``shot_pairs[k]`` = n_shots - |offsets[k]| is the number of shot
+    pairs available at that offset (the finite-trace edge correction), and
+    ``normalization`` is the mean per-pair coincidence rate over all nonzero
+    offsets (0 below two clicks), so ``g2`` is 1 for a Poissonian source.
     """
 
-    offsets: np.ndarray          # int, -K..K
-    coincidences: np.ndarray     # int64
-    shot_pairs: np.ndarray       # int64
-    normalization: float
+    coincidences: np.ndarray     # int64, 2K + 1 bins for offsets -K..K, K >= 1
+    n_shots: int
     t_rep: float
     n_clicks: int = 0
 
     def __post_init__(self):
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        self.coincidences = np.asarray(self.coincidences, dtype=np.int64)
-        self.shot_pairs = np.asarray(self.shot_pairs, dtype=np.int64)
-        k = self.offsets.max(initial=0)
-        if not np.array_equal(self.offsets, np.arange(-k, k + 1)):
-            raise InvalidParameterError("offsets must run -K..K")
+        c = self.coincidences = np.asarray(self.coincidences, dtype=np.int64)
+        shape_ok = c.ndim == 1 and len(c) % 2 == 1 and len(c) >= 3
+        _require(shape_ok, "coincidences must have 2K + 1 bins for offsets -K..K, K >= 1")
+
+    @property
+    def offsets(self) -> np.ndarray:
+        k = len(self.coincidences) // 2
+        return np.arange(-k, k + 1)
+
+    @property
+    def shot_pairs(self) -> np.ndarray:
+        return self.n_shots - np.abs(self.offsets)
+
+    @property
+    def normalization(self) -> float:
+        if self.n_clicks < 2:
+            return 0.0
+        side = self.offsets != 0
+        return float(np.mean(self.coincidences[side] / self.shot_pairs[side]))
 
     @property
     def is_empty(self) -> bool:
-        return self.n_clicks < 2 or self.normalization <= 0
+        return self.normalization <= 0
 
     @property
     def g2(self) -> np.ndarray:
-        if self.normalization <= 0:
-            return np.full(len(self.offsets), np.nan)
-        return self.coincidences / self.shot_pairs / self.normalization
+        normalization = self.normalization
+        if normalization <= 0:
+            return np.full(len(self.coincidences), np.nan)
+        return self.coincidences / self.shot_pairs / normalization
 
-    def g2_at(self, offset: int) -> float:
-        (idx,) = np.nonzero(self.offsets == offset)
-        if len(idx) == 0:
-            raise InvalidParameterError(f"offset {offset} outside histogram range")
-        return float(self.g2[idx[0]])
+    @property
+    def g2_zero(self) -> float:
+        return float(self.g2[len(self.coincidences) // 2])
 
     def g2_zero_sigma(self) -> float:
         """Poisson error on g2(0) propagated through the normalization.
@@ -113,6 +127,5 @@ class CorrelationHistogram:
         """
         if self.is_empty:
             return float("nan")
-        zero = np.nonzero(self.offsets == 0)[0][0]
-        n0 = float(self.coincidences[zero])
-        return float(np.sqrt(2.0 * max(n0, 1.0)) / (self.shot_pairs[zero] * self.normalization))
+        n0 = float(self.coincidences[len(self.coincidences) // 2])
+        return float(np.sqrt(2.0 * max(n0, 1.0)) / (self.n_shots * self.normalization))

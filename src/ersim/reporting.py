@@ -170,7 +170,7 @@ def write_correlation_csv(hist: CorrelationHistogram, path, rho: float = 1.0) ->
 
 #: fit parameter -> column name, where the column carries a unit
 _FIT_COLUMN_UNITS = {"center": "center_hz", "fwhm": "fwhm_hz", "t1": "t1_s"}
-#: FitResult fields written after the parameter and sigma columns
+#: FitResult attributes written after the parameter and sigma columns
 _FIT_SCALARS = ("rss", "iterations", "converged", "status")
 
 
@@ -200,9 +200,7 @@ def read_fit_csv(path) -> FitResult:
         tuple(parameters),
         _number(path, "rss", cells.get("rss", "nan"), finite=False),
         _number(path, "iterations", cells.get("iterations", 0), int),
-        cells.get("converged", "false") == "true",
         cells.get("status", ""),
-        None,
     )
 
 
@@ -222,19 +220,15 @@ def generate_report(in_dir, out_dir) -> dict:
 
     exp_fits = [read_fit_csv(p) for p in sorted(in_dir.glob("fit_exponential*.csv"))]
     exp_fits = sorted((f for f in exp_fits if f.converged), key=lambda f: f.value("t1"))
-    if len(exp_fits) >= 2:
-        report = purcell_report(exp_fits[0], exp_fits[-1])
-        summary["t1_us"] = report.t1 * 1e6
-        summary["t1_sigma_us"] = report.t1_sigma * 1e6
-        summary["t1_reference_ms"] = report.t1_reference * 1e3
-        summary["t1_reference_sigma_ms"] = report.t1_reference_sigma * 1e3
-        summary["purcell_factor"] = report.purcell_factor
-        summary["purcell_factor_sigma"] = report.sigma
-        summary["radiative_linewidth_khz"] = radiative_linewidth(report.t1) / 1e3
-    elif len(exp_fits) == 1:
+    if exp_fits:
         fit = exp_fits[0]
         summary["t1_us"] = fit.value("t1") * 1e6
         summary["t1_sigma_us"] = fit.sigma("t1") * 1e6
+        if len(exp_fits) >= 2:
+            reference = exp_fits[-1]
+            summary["t1_reference_ms"] = reference.value("t1") * 1e3
+            summary["t1_reference_sigma_ms"] = reference.sigma("t1") * 1e3
+            summary["purcell_factor"], summary["purcell_factor_sigma"] = purcell_report(fit, reference)
         summary["radiative_linewidth_khz"] = radiative_linewidth(fit.value("t1")) / 1e3
 
     for path in sorted(in_dir.glob("fit_gaussian*.csv")):

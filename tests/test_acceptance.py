@@ -77,7 +77,7 @@ def background_g2():
     cfg = scenarios.shipped("g2_background")
     stream = run_lifetime(cfg)
     hist = pulsed_g2(stream, 30)
-    raw = hist.g2_at(0)
+    raw = hist.g2_zero
     corrected = background_corrected_g2(raw, RHO_SIGNAL_FRACTION)
     return dict(config=cfg, stream=stream, hist=hist, raw=raw, corrected=corrected)
 
@@ -105,15 +105,15 @@ def test_criterion_1_purcell_arithmetic():
         return FitResult(
             (FitParameter("amplitude", 1.0, 0.0), FitParameter("t1", value, sigma),
              FitParameter("baseline", 0.0, 0.0)),
-            0.0, 1, True, "ok",
+            0.0, 1, "ok",
         )
 
-    report = purcell_report(lifetime_fit(2.43e-6, 0.13e-6), lifetime_fit(1.12e-3, 0.18e-3))
-    ok = abs(report.purcell_factor - 460.0) <= 1.0
+    p, sigma = purcell_report(lifetime_fit(2.43e-6, 0.13e-6), lifetime_fit(1.12e-3, 0.18e-3))
+    ok = abs(p - 460.0) <= 1.0
     check(
         "1 (purcell arithmetic)",
         ok,
-        f"P = {report.purcell_factor:.3f} +- {report.sigma:.1f} (target 460 +- 1)",
+        f"P = {p:.3f} +- {sigma:.1f} (target 460 +- 1)",
     )
 
 
@@ -153,8 +153,8 @@ def test_criterion_3_lifetime_pipeline(lifetime_runs):
 
 
 def test_criterion_4_antibunching_suite(g2_oracles):
-    single = g2_oracles["single"]["hist"].g2_at(0)
-    pair = g2_oracles["pair"]["hist"].g2_at(0)
+    single = g2_oracles["single"]["hist"].g2_zero
+    pair = g2_oracles["pair"]["hist"].g2_zero
     poisson = g2_oracles["poissonian"]["hist"].g2
     poisson_dev = float(np.max(np.abs(poisson - 1.0)))
     ok = single < 0.05 and abs(pair - 0.5) <= 0.05 and poisson_dev <= 0.02

@@ -78,7 +78,7 @@ def fit_summary(value, sigma, converged=True):
     return FitResult(
         (FitParameter("amplitude", 1.0, 0.0), FitParameter("t1", value, sigma),
          FitParameter("baseline", 0.0, 0.0)),
-        0.0, 5, converged, "ok" if converged else "max_iterations",
+        0.0, 5, "ok" if converged else "max_iterations",
     )
 
 
@@ -143,7 +143,7 @@ class TestPulsedG2:
         n = 500
         stream = make_stream(np.arange(n), np.full(n, 5000), n_shots=n)
         hist = pulsed_g2(stream, 10)
-        assert hist.g2_at(0) == 0.0
+        assert hist.g2_zero == 0.0
         side = hist.g2[np.abs(hist.offsets) >= 1]
         assert np.all(side == 1.0)
 
@@ -206,7 +206,7 @@ class TestPulsedG2:
         for seed in range(1, 101):
             config = scenarios.background_g2_config(seed=seed, n_shots=50_000)
             hist = pulsed_g2(run_lifetime(config), 10)
-            g2.append(hist.g2_at(0))
+            g2.append(hist.g2_zero)
             sigma.append(hist.g2_zero_sigma())
         assert 0.8 <= np.std(g2, ddof=1) / np.mean(sigma) <= 1.25
 
@@ -402,16 +402,15 @@ class TestSpectralDiffusionMap:
 
 class TestPurcellReport:
     def test_measured_lifetime_pair(self):
-        report = purcell_report(fit_summary(2.43e-6, 0.13e-6), fit_summary(1.12e-3, 0.18e-3))
-        assert abs(report.purcell_factor - 460.0) <= 1.0
-        p = report.purcell_factor
+        p, sigma = purcell_report(fit_summary(2.43e-6, 0.13e-6), fit_summary(1.12e-3, 0.18e-3))
+        assert abs(p - 460.0) <= 1.0
         expected_sigma = (p + 1.0) * math.sqrt((0.13 / 2.43) ** 2 + (0.18 / 1.12) ** 2)
-        assert report.sigma == pytest.approx(expected_sigma, rel=1e-12)
-        assert report.sigma == pytest.approx(77.0, abs=2.0)
+        assert sigma == pytest.approx(expected_sigma, rel=1e-12)
+        assert sigma == pytest.approx(77.0, abs=2.0)
 
     def test_equal_lifetimes_give_zero(self):
-        report = purcell_report(fit_summary(5e-6, 1e-7), fit_summary(5e-6, 1e-7))
-        assert report.purcell_factor == 0.0
+        p, _ = purcell_report(fit_summary(5e-6, 1e-7), fit_summary(5e-6, 1e-7))
+        assert p == 0.0
 
     def test_requires_convergence(self):
         with pytest.raises(InvalidParameterError):

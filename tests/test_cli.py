@@ -271,8 +271,19 @@ class TestSimulate:
             ("g2", "[sequence]\nn_shots = 4611686018427387905\n", "n_shots must lie in [1, 2**62]"),
             # (gamma_h / 2)**2 would overflow in the excitation probability
             ("lifetime", "[emitter]\ngamma_h_mhz = 1e300\n", "gamma_h must lie in (0, 2**512) Hz"),
+            # each value below passes a > 0 check, but a 0/0 or an overflow in the sampler
+            # made it a traceback under -W error, as every warning is here
+            ("lifetime", "[emitter]\ngamma_h_mhz = 5e-324\n", "gamma_h must exceed 2**-512 Hz"),
+            ("lifetime", "[emitter]\ngamma0_per_s = 5e-324\n", "gamma_0 must lie in (2**-128, 2**128)"),
+            ("lifetime", "[emitter]\ngamma0_per_s = 1e-300\n[cavity]\np_peak = 9\n", "gamma_0 must lie in"),
+            ("lifetime", "[cavity]\nnu_cav_thz = 1e-300\n", "nu_cav / q_factor must exceed 2**-128 Hz"),
+            ("lifetime", "[emitter]\nnu_ion_thz = 1e290\n", "nu_ion_0 must lie in (0, 2**128) Hz"),
+            ("lifetime", "[emitter]\nsigma_fast_mhz = 1e290\ntau_fast_s = 0.001\n",
+             "sigma_fast must lie in [0, 2**128) Hz"),
         ],
-        ids=["nonpositive_laser_grid", "cavity_linewidth_underflow", "shots_beyond_2_62", "huge_gamma_h"],
+        ids=["nonpositive_laser_grid", "cavity_linewidth_underflow", "shots_beyond_2_62", "huge_gamma_h",
+             "tiny_gamma_h", "tiny_gamma0", "tiny_gamma0_small_purcell", "tiny_cavity_linewidth",
+             "huge_nu_ion", "huge_sigma_fast"],
     )
     def test_bound_of_a_model_type_is_config_error(self, tmp_path, capsys, experiment, text, message):
         # each bound is checked when its type is made, so the run never starts
@@ -786,7 +797,7 @@ class TestTableDigests:
         names = ("center", "fwhm", "amplitude", "baseline", "q_factor")
         values = (195.59e12, 4.724e9, -0.8, 1.0, 41404.7)
         sigmas = (1.5e6, 2.1e7, 0.003, 0.001, 183.9)
-        fit = FitResult(tuple(map(FitParameter, names, values, sigmas)), 0.0123, 9, True, "ok")
+        fit = FitResult(tuple(map(FitParameter, names, values, sigmas)), 0.0123, 9, "ok")
         write_fit_csv(fit, tmp_path / "f.csv", kind="lorentzian")
         assert sha(tmp_path / "f.csv") == (
             "19eb0754005b208c53a14bfdc8a1ca8be4b8d72e481c0c4d954720a3296d12fa"
@@ -795,7 +806,7 @@ class TestTableDigests:
     def test_unconverged_fit(self, tmp_path):
         names = ("amplitude", "t1", "baseline")
         params = tuple(FitParameter(n, v, self.NAN) for n, v in zip(names, (120.0, 2.2e-6, 4.0)))
-        write_fit_csv(FitResult(params, 55.5, 200, False, "max_iterations"), tmp_path / "f.csv")
+        write_fit_csv(FitResult(params, 55.5, 200, "max_iterations"), tmp_path / "f.csv")
         assert sha(tmp_path / "f.csv") == (
             "31092e66d9ce66ba0875db06a3ebe58ab79671a1f2ec9128dfaf699198df78e8"
         )

@@ -169,11 +169,17 @@ def test_trajectory_segments_chain_like_one_run():
 
 
 def test_empty_trajectory():
-    traj = generate_trajectory(
-        DiffusionState(1.0, 2.0), 0, 1e-3, SpectralDiffusionParams(), diffusion_stream(0, 0)
-    )
-    assert len(traj.fast) == 0
-    assert traj.final == DiffusionState(1.0, 2.0)
+    # static, OU and walk, OU only: zero steps draw nothing and keep the incoming state
+    for params in (
+        SpectralDiffusionParams(),
+        SpectralDiffusionParams(sigma_fast=3e6, tau_fast=0.7e-3, sigma_slow_rate=2e11),
+        SpectralDiffusionParams(sigma_fast=3e6, tau_fast=0.7e-3),
+    ):
+        rng = diffusion_stream(0, 0)
+        traj = generate_trajectory(DiffusionState(1.0, 2.0), 0, 1e-3, params, rng)
+        assert len(traj.fast) == len(traj.slow) == 0
+        assert traj.final == DiffusionState(1.0, 2.0)
+        assert rng.standard_normal() == diffusion_stream(0, 0).standard_normal()
 
 
 def test_static_trajectory_equals_serial_evolution_without_draws():

@@ -669,12 +669,12 @@ class TestRunG2:
     def test_single_emitter_antibunched(self):
         cfg = scenarios.g2_config(seed=201, n_shots=200_000)
         hist = pulsed_g2(run_lifetime(cfg), 30)
-        assert hist.g2_at(0) < 0.05
+        assert hist.g2_zero < 0.05
 
     def test_two_emitters_half(self):
         cfg = scenarios.g2_config(2, seed=202, n_shots=200_000)
         hist = pulsed_g2(run_lifetime(cfg), 30)
-        assert hist.g2_at(0) == pytest.approx(0.5, abs=0.05)
+        assert hist.g2_zero == pytest.approx(0.5, abs=0.05)
 
     def test_poissonian_flat(self):
         cfg = scenarios.g2_config(poisson_rate=0.8, seed=203, n_shots=200_000)
