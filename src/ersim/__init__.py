@@ -11,13 +11,12 @@ from .analysis import (
     spectral_diffusion_map,
     spectrum_from_scan,
 )
-from .config import parse_config, parse_config_file, serialize_config
+from .config import config_digest, parse_config, parse_config_file, serialize_config
 from .engine import (
     ClickStream,
     ExperimentConfig,
     PulseSequence,
     ScanResult,
-    config_digest,
     run_lifetime,
     run_scan_session,
     validate_click_stream,

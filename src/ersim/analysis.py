@@ -135,10 +135,8 @@ def background_corrected_g2(g2_raw: float, rho: float) -> float:
 
 def spectrum_from_scan(scan: ScanResult, label: str = "") -> Spectrum:
     """Total counts per grid frequency for one scan pass."""
-    seq_time = 0.0
-    if scan.points:
-        seq = scan.points[0].stream.sequence
-        seq_time = seq.n_shots * seq.t_rep * len(scan.points)
+    seq = scan.points[0].stream.sequence
+    seq_time = seq.n_shots * seq.t_rep * len(scan.points)
     return Spectrum(scan.frequencies, scan.counts, acquisition_time=seq_time, label=label)
 
 
@@ -190,5 +188,6 @@ def purcell_report(t1_fit: FitResult, t1_0_fit: FitResult) -> tuple[float, float
         raise InvalidParameterError("purcell_report requires converged lifetime fits")
     t1, t1_0 = t1_fit.value("t1"), t1_0_fit.value("t1")
     p = purcell_from_lifetimes(t1, t1_0)
-    rel = math.sqrt((t1_fit.sigma("t1") / t1) ** 2 + (t1_0_fit.sigma("t1") / t1_0) ** 2)
+    rel_1, rel_0 = t1_fit.sigma("t1") / t1, t1_0_fit.sigma("t1") / t1_0
+    rel = math.sqrt(rel_1 * rel_1 + rel_0 * rel_0)  # x * x overflows to inf, x ** 2 raises
     return p, (p + 1.0) * rel

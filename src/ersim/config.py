@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
+import hashlib
 import math
 import re
 
@@ -358,3 +359,8 @@ def serialize_config(config: ExperimentConfig) -> str:
     source = {0: ("poissonian", None, config.poisson_rate_per_shot), 1: ("single", None, None)}
     lines += _lines("source", source.get(k, ("n_emitters", k, None)))
     return "\n".join(lines)
+
+
+def config_digest(config: ExperimentConfig) -> str:
+    """First 16 hex digits of the SHA-256 of the canonical text ``serialize_config`` writes."""
+    return hashlib.sha256(serialize_config(config).encode()).hexdigest()[:16]

@@ -39,9 +39,8 @@ kept click of its shot; only shots with two or more clicks are filtered.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -159,13 +158,6 @@ class ExperimentConfig:
         return self.laser_frequency[0]
 
 
-def config_digest(config: ExperimentConfig) -> str:
-    """First 16 hex digits of the SHA-256 of the canonical text ``serialize_config`` writes."""
-    from .config import serialize_config  # config imports engine at module load
-
-    return hashlib.sha256(serialize_config(config).encode()).hexdigest()[:16]
-
-
 @dataclass(frozen=True)
 class ClickStream:
     """Time-tagged detector clicks, ordered by (shot index, time within shot).
@@ -182,7 +174,6 @@ class ClickStream:
 
     records: np.ndarray          # (n, 2) int64: shots nondecreasing in [0, n_shots),
     sequence: PulseSequence      # times in [t_pulse, t_pulse + t_coll)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         records = np.require(self.records, np.int64, ["C_CONTIGUOUS", "OWNDATA"])  # adopt or copy
@@ -328,9 +319,7 @@ def _sample_block(config: ExperimentConfig, laser_hz: float, offsets, n: int, rn
     return records
 
 
-def _run_shots(
-    config: ExperimentConfig, laser: float, states, diffusion_rngs, global_start: int, digest: str
-):
+def _run_shots(config: ExperimentConfig, laser: float, states, diffusion_rngs, global_start: int):
     """One grid point and the diffusion states after it; each block draws its own offsets."""
     seq = config.sequence
     blocks = []
@@ -345,13 +334,7 @@ def _run_shots(
         records = _sample_block(config, laser, [t.total() for t in paths], n, rng)
         records[:, 0] += first
         blocks.append(records)
-    metadata = {
-        "config_digest": digest,
-        "laser_frequency_hz": laser,
-        "global_shot_start": global_start,
-        "stream_layout": STREAM_LAYOUT,
-    }
-    return ClickStream(np.concatenate(blocks), seq, metadata), states
+    return ClickStream(np.concatenate(blocks), seq), states
 
 
 @dataclass(frozen=True)
@@ -392,7 +375,6 @@ def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
     states = [DiffusionState() for _ in emitters]
     grid = config.laser_frequency
     n_per = config.sequence.n_shots
-    digest = config_digest(config)
     for repeat in range(config.scan_repeats):
         if repeat:
             states = [
@@ -402,7 +384,7 @@ def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
         points = []
         for g, laser in enumerate(grid):
             first = (repeat * len(grid) + g) * n_per
-            stream, states = _run_shots(config, laser, states, rngs, first, digest)
+            stream, states = _run_shots(config, laser, states, rngs, first)
             points.append(ScanPoint(laser, stream))
         yield ScanResult(tuple(points))
 

@@ -20,6 +20,7 @@ from .records import DecayHistogram, Spectrum
 _LN2x4 = 4.0 * math.log(2.0)
 _XTOL = 1e-12   # convergence: relative step in the internal parameters
 _FTOL = 1e-12   # convergence: relative decrease of the cost
+MAX_ITERATIONS = 200  # iteration limit of levenberg_marquardt
 # The models compute up to fourth powers of their parameters (the Lorentzian
 # Jacobian squares (x - center)**2 + (fwhm/2)**2), so a parameter of magnitude
 # within exp(+-_LOG_LIMIT) keeps them finite: exp(4 * 175) is a normal double.
@@ -202,7 +203,6 @@ def levenberg_marquardt(
     p0,
     log_mask,
     weights=None,
-    max_iterations=200,
 ):
     """Minimize sum w (model(x, p) - y)^2 and return (p, cov, rss, iters, status).
 
@@ -216,7 +216,7 @@ def levenberg_marquardt(
     The damped normal equations are solved with diagonal equilibration so that
     parameters of wildly different magnitudes (Hz-scale centers, unit-scale
     amplitudes) coexist.  A converged fit whose equilibrated normal matrix is
-    singular to working precision gets no covariance.
+    singular to working precision, or whose covariance overflows, gets none.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -236,7 +236,7 @@ def levenberg_marquardt(
     lam = 1e-3
     status = "max_iterations"
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         A_hat, d = _equilibrated(J)
         try:
             step_hat = np.linalg.solve(A_hat + lam * np.eye(m), -(J.T @ r) / d)
@@ -268,15 +268,15 @@ def levenberg_marquardt(
         n_dof = len(y) - m
         A_hat, d = _equilibrated(J)
         if np.linalg.cond(A_hat) * np.finfo(float).eps < 1.0:
-            cov_u = np.linalg.inv(A_hat) / np.outer(d, d)
             scale = cost / n_dof if n_dof > 0 else 0.0
-            cov_u = cov_u * scale
-            cov = cov_u * np.outer(dp_du, dp_du)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cov = np.linalg.inv(A_hat) / np.outer(d, d) * scale * np.outer(dp_du, dp_du)
+            cov = cov if np.all(np.isfinite(cov)) else None
     return p, cov, cost, iterations, status
 
 
 def _build_result(names, p, cov, rss, iterations, status):
-    if cov is not None and status == "ok":
+    if cov is not None:
         sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     else:
         sigmas = np.full(len(p), np.nan)
@@ -310,9 +310,9 @@ def fit_lorentzian(spectrum: Spectrum) -> FitResult:
     result = _fit_peak("lorentzian", spectrum)
     center = result.value("center")
     fwhm = result.value("fwhm")
-    q = center / fwhm if fwhm else float("nan")
+    q = center / fwhm
     sigma_q = float("nan")
-    if result.converged and result.covariance is not None and fwhm:
+    if result.covariance is not None:
         grad = np.zeros(len(result.parameters))
         grad[0] = 1.0 / fwhm
         grad[1] = -center / fwhm**2

@@ -17,8 +17,8 @@ import ersim
 import scenarios
 from ersim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
 from ersim.analysis import pulsed_g2
-from ersim.config import parse_config, serialize_config
-from ersim.engine import ClickStream, PulseSequence, config_digest
+from ersim.config import config_digest, parse_config, serialize_config
+from ersim.engine import ClickStream, PulseSequence
 from ersim.reporting import (
     generate_report,
     read_fit_csv,
@@ -409,10 +409,19 @@ class TestFitDomain:
                 [754866, 359352, 438211, 321603, 15170, 938518, 576652, 285261, 302423,
                  10627, 193166, 923831, 495986, 277391, 504874],
             ),
+            (
+                "lorentzian",
+                (690 + np.arange(17)) * 236303189.37629047,
+                [485306519349, 845540245326, 664033612837, 394452237559, 838896521599,
+                 623480690473, 683139029195, 166429276693, 658986263057, 913815111722,
+                 691643203443, 555947723791, 808593197423, 184487726961, 505299149611,
+                 160887038910, 863283479195],
+            ),
         ],
         ids=["gaussian-width-underflow", "lorentzian-width-underflow",
              "gaussian-width-overflow", "lorentzian-fourth-power-overflow",
-             "gaussian-center-overflow", "lorentzian-singular-covariance"],
+             "gaussian-center-overflow", "lorentzian-singular-covariance",
+             "lorentzian-covariance-overflow"],
     )
     def test_fit_stays_in_float_range(self, tmp_path, model, x, counts):
         code, out = fit_cli(tmp_path, model, x, counts)
@@ -657,6 +666,17 @@ class TestReport:
         assert sha(a / "diffusion_map.csv") == sha(b / "diffusion_map.csv")
         summary = (a / "summary.txt").read_text()
         assert "time_averaged_fwhm_mhz" in summary
+
+    def test_huge_lifetime_sigma_gives_infinite_purcell_sigma(self, tmp_path):
+        work = tmp_path / "work"
+        work.mkdir()
+        for name, t1, sigma in (("cavity", 1e-10, 1e190), ("reference", 1e-3, 1e-5)):
+            params = (FitParameter("t1", t1, sigma),)
+            write_fit_csv(FitResult(params, 1.0, 5), work / f"fit_exponential_{name}.csv")
+        report_dir = tmp_path / "report"
+        assert main(["report", "--in", str(work), "--out", str(report_dir)]) == EXIT_OK
+        summary = (report_dir / "summary.txt").read_text().splitlines()
+        assert "purcell_factor_sigma = inf" in summary
 
     def test_missing_directory_is_io_error(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "none"), "--out", str(tmp_path / "o")]) == EXIT_IO

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ersim.config import parse_config, parse_config_file, serialize_config
-from ersim.engine import ExperimentConfig, PulseSequence, config_digest
+from ersim.config import config_digest, parse_config, parse_config_file, serialize_config
+from ersim.engine import ExperimentConfig, PulseSequence
 from ersim.errors import ConfigError
 from ersim.physics import CavityModel, DetectorModel, EmitterModel, SpectralDiffusionParams
 
@@ -367,10 +367,9 @@ CANONICAL_SHA256 = {
 @pytest.mark.parametrize("name", sorted(CANONICAL_SHA256))
 def test_canonical_text_is_pinned(name):
     """The canonical text is the run provenance: run_config.ini holds it and
-    config_digest hashes it into every stream's metadata.  A failing digest
-    here means every config digest and every run_config.ini changes; such a
-    change must be announced (README section Determinism) and the digests
-    above updated with it.
+    config_digest hashes it.  A failing digest here means every config digest
+    and every run_config.ini changes; such a change must be announced (README
+    section Determinism) and the digests above updated with it.
     """
     text = serialize_config(parse_config_file(CONFIG_DIR / name))
     assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_SHA256[name]

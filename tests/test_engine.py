@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 import scenarios
 from ersim import engine
 from ersim.analysis import histogram_arrivals, pulsed_g2, spectrum_from_scan
-from ersim.config import parse_config_file
+from ersim.config import config_digest, parse_config_file
 from ersim.diffusion import DiffusionState, generate_trajectory
 from ersim.engine import (
     BLOCK_SHOTS,
     CLICK_BUDGET,
-    STREAM_LAYOUT,
     ClickStream,
     ExperimentConfig,
     PulseSequence,
-    config_digest,
     run_lifetime,
     run_scan_session,
     validate_click_stream,
@@ -337,7 +335,6 @@ class TestDeterminism:
         b = run_lifetime(cfg)
         assert a.shot_indices.tobytes() == b.shot_indices.tobytes()
         assert a.times_ns.tobytes() == b.times_ns.tobytes()
-        assert a.metadata == b.metadata
 
     def test_block_sampled_alone_matches_run(self):
         # dark counts, multi-click shots and dead time; the last block is partial
@@ -402,13 +399,6 @@ class TestDeterminism:
         assert dts == {cfg.sequence.t_rep}
         assert stream.shot_indices.tobytes() == session.shot_indices.tobytes()
         assert stream.times_ns.tobytes() == session.times_ns.tobytes()
-        assert stream.metadata == session.metadata
-
-    def test_metadata_carries_digest(self):
-        cfg = scenarios.lifetime_config(seed=3, n_shots=10)
-        stream = run_lifetime(cfg)
-        assert stream.metadata["config_digest"] == config_digest(cfg)
-        assert stream.metadata["stream_layout"] == STREAM_LAYOUT
 
 
 class TestDeadTime:
@@ -497,12 +487,13 @@ class TestFrozenStream:
         with pytest.raises(ValueError, match="read-only"):
             getattr(self.stream, column)[0] = 0
 
-    @pytest.mark.parametrize(
-        "field", ["records", "shot_indices", "times_ns", "sequence", "metadata"]
-    )
+    @pytest.mark.parametrize("field", ["records", "shot_indices", "times_ns", "sequence"])
     def test_field_cannot_be_reassigned(self, field):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(self.stream, field, getattr(self.stream, field))
+
+    def test_fields_are_records_and_sequence(self):
+        assert [f.name for f in dataclasses.fields(ClickStream)] == ["records", "sequence"]
 
     def test_columns_are_views_of_the_records(self):
         assert self.stream.records.shape == (3, 2) and self.stream.records.dtype == np.int64

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ersim import fitting
 from ersim.errors import InvalidParameterError
 from ersim.fitting import (
     MODELS,
@@ -222,14 +223,13 @@ class TestFitExponential:
 
 
 class TestNonConvergence:
-    def test_iteration_limit_flags_not_converged(self):
+    def test_iteration_limit_flags_not_converged(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
         model, jac, _, log_mask = MODELS["gaussian"]
         x = np.linspace(-3, 3, 40)
         y = model(x, np.array([0.0, 1.0, 10.0, 0.0]))
         p0 = (2.5, 4.0, -3.0, 8.0)
-        p, cov, rss, iters, status = levenberg_marquardt(
-            model, jac, x, y, p0, log_mask=log_mask, max_iterations=1
-        )
+        p, cov, rss, iters, status = levenberg_marquardt(model, jac, x, y, p0, log_mask=log_mask)
         assert status == "max_iterations"
         assert iters == 1
         assert cov is None
