@@ -137,17 +137,16 @@ def spectrum_from_scan(scan: ScanResult, label: str = "") -> Spectrum:
     """Total counts per grid frequency for one scan pass."""
     seq = scan.points[0].stream.sequence
     seq_time = seq.n_shots * seq.t_rep * len(scan.points)
-    return Spectrum(scan.frequencies, scan.counts, acquisition_time=seq_time, label=label)
+    frequencies = [p.laser_frequency for p in scan.points]
+    counts = [p.counts for p in scan.points]
+    return Spectrum(frequencies, counts, acquisition_time=seq_time, label=label)
 
 
 @dataclass
 class SpectralDiffusionMap:
-    """Stack of repeated scans with per-scan and time-averaged Gaussian fits."""
+    """Gaussian fits of repeated scans: one per scan and one of their mean."""
 
-    frequencies: np.ndarray
-    counts: np.ndarray               # shape (n_scans, n_frequencies)
     per_scan_fits: tuple
-    average_spectrum: Spectrum
     average_fit: FitResult
 
     @property
@@ -167,15 +166,9 @@ def spectral_diffusion_map(scans) -> SpectralDiffusionMap:
     for s in scans[1:]:
         if not np.array_equal(s.frequencies, freqs):
             raise InvalidParameterError("scans must share an identical frequency grid")
-    matrix = np.vstack([s.counts for s in scans])
     fits = tuple(fit_gaussian(s) for s in scans)
-    average = Spectrum(
-        freqs,
-        matrix.mean(axis=0),
-        acquisition_time=sum(s.acquisition_time for s in scans),
-        label="time average",
-    )
-    return SpectralDiffusionMap(freqs, matrix, fits, average, fit_gaussian(average))
+    average = Spectrum(freqs, np.mean([s.counts for s in scans], axis=0))
+    return SpectralDiffusionMap(fits, fit_gaussian(average))
 
 
 def purcell_report(t1_fit: FitResult, t1_0_fit: FitResult) -> tuple[float, float]:

@@ -234,13 +234,16 @@ def _build_scan(values: dict, default_center: float):
             section="scan",
         )
     points = _value("scan", values, "points")
-    if points < 2:
-        raise ConfigError("scan points must be >= 2", section="scan", line=_line(values, "points"))
+    if not 2 <= points <= 2**22:  # bounded before the grid is built: at most 32 MiB
+        why = "scan points must be >= 2" if points < 2 else "scan points must be <= 2**22"
+        raise ConfigError(why, section="scan", line=_line(values, "points"))
     span = _value("scan", values, "span_hz")
     if span <= 0:
         raise ConfigError("scan span must be > 0", section="scan", line=_line(values, "span_hz"))
-    grid = _value("scan", values, "center_hz") + np.linspace(-0.5 * span, 0.5 * span, points)
-    return grid
+    center = _value("scan", values, "center_hz")
+    if not math.isfinite(abs(center) + 0.5 * span):  # else the grid's ends overflow
+        raise ConfigError("scan window must lie within the float range", section="scan")
+    return center + np.linspace(-0.5 * span, 0.5 * span, points)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -321,8 +324,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def parse_config_file(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path} is not UTF-8 text", line=line) from None
+    return parse_config(text)
 
 
 def _flat(model) -> list:

@@ -148,7 +148,8 @@ class ExperimentConfig:
         grid = tuple(float(f) for f in self.laser_frequency)
         object.__setattr__(self, "laser_frequency", grid)
         _require(len(grid) >= 1, "laser grid must be nonempty")
-        _require(np.all(np.diff(grid) > 0), "laser grid must be strictly increasing")
+        # compared pairwise, not subtracted, so that no difference overflows
+        _require(all(a < b for a, b in zip(grid, grid[1:])), "laser grid must be strictly increasing")
         # the grid enters the detunings that the sampler squares (see EmitterModel)
         _require(0 < grid[0], "laser frequencies must be > 0")
         _require(grid[-1] < 2.0**128, "laser frequencies must be below 2**128 Hz")
@@ -349,17 +350,9 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """One pass over the laser grid."""
+    """One pass over the laser grid: a ``ScanPoint`` per grid frequency."""
 
     points: tuple
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.asarray([p.laser_frequency for p in self.points])
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.asarray([p.counts for p in self.points], dtype=float)
 
 
 def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:

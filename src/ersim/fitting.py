@@ -113,16 +113,16 @@ class FitParameter:
 class FitResult:
     """Fitted parameters with 1-sigma uncertainties and convergence info.
 
-    ``converged`` is derived: a fit converged when its ``status`` is ``"ok"``.
-    Unconverged or degenerate fits carry the last iterate (or the fallback)
-    with NaN uncertainties, never fabricated ones.
+    The fields are the row that ``write_fit_csv`` writes and ``read_fit_csv``
+    reads back.  ``converged`` is derived: a fit converged when its
+    ``status`` is ``"ok"``.  Unconverged or degenerate fits carry the last
+    iterate (or the fallback) with NaN uncertainties, never fabricated ones.
     """
 
     parameters: tuple
     rss: float
     iterations: int
     status: str = "ok"
-    covariance: np.ndarray | None = None
 
     @property
     def converged(self) -> bool:
@@ -276,15 +276,13 @@ def levenberg_marquardt(
 
 
 def _build_result(names, p, cov, rss, iterations, status):
-    if cov is not None:
-        sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    else:
-        sigmas = np.full(len(p), np.nan)
+    sigmas = np.full(len(p), np.nan) if cov is None else np.sqrt(np.clip(np.diag(cov), 0.0, None))
     params = tuple(FitParameter(n, float(v), float(s)) for n, v, s in zip(names, p, sigmas))
-    return FitResult(params, float(rss), iterations, status, cov)
+    return FitResult(params, float(rss), iterations, status)
 
 
-def _fit_peak(kind: str, spectrum: Spectrum) -> FitResult:
+def _fit_peak(kind: str, spectrum: Spectrum) -> tuple[FitResult, np.ndarray | None]:
+    """The fit of a peak model and its parameter covariance (None without sigmas)."""
     _require(len(spectrum) >= 5, "peak fits need at least 5 points")
     _require(spectrum.counts.max() < _VALUE_LIMIT, "counts must be below exp(175)")
     model, jac, names, log_mask = MODELS[kind]
@@ -293,32 +291,27 @@ def _fit_peak(kind: str, spectrum: Spectrum) -> FitResult:
     center, fwhm, amplitude, baseline = peak_initial_guess(x, y)
     if amplitude == 0.0:
         rss = np.sum((y - baseline) ** 2)
-        return _build_result(names, (center, fwhm, 0.0, baseline), None, rss, 0, "degenerate")
+        return _build_result(names, (center, fwhm, 0.0, baseline), None, rss, 0, "degenerate"), None
     p, cov, rss, iters, status = levenberg_marquardt(
         model, jac, x, y, (center, fwhm, amplitude, baseline), log_mask=log_mask
     )
-    return _build_result(names, p, cov, rss, iters, status)
+    return _build_result(names, p, cov, rss, iters, status), cov
 
 
 def fit_gaussian(spectrum: Spectrum) -> FitResult:
     """Least-squares Gaussian peak fit: {center, fwhm, amplitude, baseline}."""
-    return _fit_peak("gaussian", spectrum)
+    return _fit_peak("gaussian", spectrum)[0]
 
 
 def fit_lorentzian(spectrum: Spectrum) -> FitResult:
     """Least-squares Lorentzian fit, plus the derived quality factor center/fwhm."""
-    result = _fit_peak("lorentzian", spectrum)
-    center = result.value("center")
-    fwhm = result.value("fwhm")
-    q = center / fwhm
+    result, cov = _fit_peak("lorentzian", spectrum)
+    center, fwhm = result.value("center"), result.value("fwhm")
     sigma_q = float("nan")
-    if result.covariance is not None:
-        grad = np.zeros(len(result.parameters))
-        grad[0] = 1.0 / fwhm
-        grad[1] = -center / fwhm**2
-        var = float(grad @ result.covariance @ grad)
-        sigma_q = math.sqrt(max(var, 0.0))
-    q_param = FitParameter("q_factor", float(q), sigma_q)
+    if cov is not None:  # first-order propagation through d(q)/d(center, fwhm)
+        grad = np.array([1.0 / fwhm, -center / fwhm**2, 0.0, 0.0])
+        sigma_q = math.sqrt(max(float(grad @ cov @ grad), 0.0))
+    q_param = FitParameter("q_factor", float(center / fwhm), sigma_q)
     return replace(result, parameters=result.parameters + (q_param,))
 
 

@@ -75,13 +75,14 @@ class CorrelationHistogram:
     ``shot_pairs[k]`` = n_shots - |offsets[k]| is the number of shot
     pairs available at that offset (the finite-trace edge correction), and
     ``normalization`` is the mean per-pair coincidence rate over all nonzero
-    offsets (0 below two clicks), so ``g2`` is 1 for a Poissonian source.
+    offsets, so ``g2`` is 1 for a Poissonian source.  Below two clicks every
+    coincidence is 0, and so is the normalization.
     """
 
     coincidences: np.ndarray     # int64, 2K + 1 bins for offsets -K..K, K >= 1
     n_shots: int
     t_rep: float
-    n_clicks: int = 0
+    n_clicks: int
 
     def __post_init__(self):
         c = self.coincidences = np.asarray(self.coincidences, dtype=np.int64)
@@ -99,8 +100,6 @@ class CorrelationHistogram:
 
     @property
     def normalization(self) -> float:
-        if self.n_clicks < 2:
-            return 0.0
         side = self.offsets != 0
         return float(np.mean(self.coincidences[side] / self.shot_pairs[side]))
 

@@ -45,7 +45,11 @@ def _read_table(path) -> tuple[dict, list, list]:
     comments: dict = {}
     header: list = []
     rows: list = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+    for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
@@ -204,6 +208,14 @@ def read_fit_csv(path) -> FitResult:
     )
 
 
+def _read_fit_of(path, name: str) -> FitResult:
+    """``read_fit_csv(path)`` of a fit with parameter ``name``, else InvalidParameterError."""
+    fit = read_fit_csv(path)
+    if all(p.name != name for p in fit.parameters):
+        raise InvalidParameterError(f"{path} lacks column {_FIT_COLUMN_UNITS[name]}")
+    return fit
+
+
 def generate_report(in_dir, out_dir) -> dict:
     """Aggregate fit outputs, correlation tables and scans into a report bundle.
 
@@ -218,7 +230,7 @@ def generate_report(in_dir, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {}
 
-    exp_fits = [read_fit_csv(p) for p in sorted(in_dir.glob("fit_exponential*.csv"))]
+    exp_fits = [_read_fit_of(p, "t1") for p in sorted(in_dir.glob("fit_exponential*.csv"))]
     exp_fits = sorted((f for f in exp_fits if f.converged), key=lambda f: f.value("t1"))
     if exp_fits:
         fit = exp_fits[0]
@@ -232,7 +244,7 @@ def generate_report(in_dir, out_dir) -> dict:
         summary["radiative_linewidth_khz"] = radiative_linewidth(fit.value("t1")) / 1e3
 
     for path in sorted(in_dir.glob("fit_gaussian*.csv")):
-        fit = read_fit_csv(path)
+        fit = _read_fit_of(path, "fwhm")
         if fit.converged:
             summary["measured_linewidth_mhz"] = fit.value("fwhm") / 1e6
             break
@@ -240,8 +252,8 @@ def generate_report(in_dir, out_dir) -> dict:
     scans = [read_spectrum_csv(p) for p in sorted(in_dir.glob("scan_*.csv"))]
     if len(scans) >= 2:
         sd_map = spectral_diffusion_map(scans)
-        columns = {"frequency_hz": sd_map.frequencies}
-        columns.update((f"scan_{i}_counts", counts) for i, counts in enumerate(sd_map.counts))
+        columns = {"frequency_hz": scans[0].frequencies}
+        columns.update((f"scan_{i}_counts", s.counts) for i, s in enumerate(scans))
         _write_table(out_dir / "diffusion_map.csv", {}, columns)
         fits = sd_map.per_scan_fits
         columns = {

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +19,9 @@ from ersim.analysis import (
 )
 from ersim.engine import _CHUNK, ClickStream, PulseSequence, run_lifetime
 from ersim.errors import InvalidParameterError, StreamInvariantError
-from ersim.fitting import FitParameter, FitResult, gaussian_peak
+from ersim.fitting import FitParameter, FitResult, fit_gaussian, gaussian_peak
 from ersim.records import Spectrum
+from ersim.reporting import _read_table, generate_report, write_spectrum_csv
 
 
 def make_stream(shots, times_ns, n_shots=100, t_pulse=1e-6, t_coll=20e-6, t_rep=60e-6):
@@ -341,7 +343,8 @@ class TestSpectralDiffusionMap:
     def test_identical_scans_average_to_single_scan(self):
         scans = [self.spectrum(label="a"), self.spectrum(label="b")]
         result = spectral_diffusion_map(scans)
-        assert np.array_equal(result.average_spectrum.counts, scans[0].counts)
+        # the mean of two equal scans is that scan, so its fit is the scan's fit
+        assert result.average_fit == fit_gaussian(scans[0])
         assert result.average_fwhm == pytest.approx(result.per_scan_fwhm[0], rel=1e-9)
 
     def test_drifting_centers_broaden_average(self):
@@ -360,9 +363,17 @@ class TestSpectralDiffusionMap:
         with pytest.raises(InvalidParameterError):
             spectral_diffusion_map([self.spectrum()])
 
-    def test_matrix_shape(self):
-        result = spectral_diffusion_map([self.spectrum(), self.spectrum(50e6)])
-        assert result.counts.shape == (2, len(self.grid))
+    def test_matrix_shape(self, tmp_path):
+        # the scans-by-frequencies matrix is the report's diffusion_map.csv
+        scans = [self.spectrum(), self.spectrum(50e6)]
+        result = spectral_diffusion_map(scans)
+        assert len(result.per_scan_fits) == 2
+        for i, scan in enumerate(scans):
+            write_spectrum_csv(scan, tmp_path / f"scan_{i:03d}.csv")
+        generate_report(tmp_path, tmp_path / "report")
+        _, header, rows = _read_table(tmp_path / "report" / "diffusion_map.csv")
+        assert header == ["frequency_hz", "scan_0_counts", "scan_1_counts"]
+        assert len(rows) == len(self.grid)
 
     @staticmethod
     def second_moment_width(spectrum):
@@ -395,9 +406,13 @@ class TestSpectralDiffusionMap:
         centers = [f.value("center") - 195.6e12 for f in result.per_scan_fits]
         assert centers == pytest.approx(offsets[:n], abs=1.0)
         assert result.average_fit.converged
+        average = Spectrum(self.grid, np.mean([s.counts for s in scans], axis=0))
+        np.testing.assert_equal(
+            dataclasses.astuple(result.average_fit), dataclasses.astuple(fit_gaussian(average))
+        )
         # law of total variance: the average is at least as wide as its narrowest scan
         narrowest = min(self.second_moment_width(s) for s in scans)
-        assert self.second_moment_width(result.average_spectrum) >= narrowest * (1.0 - 1e-9)
+        assert self.second_moment_width(average) >= narrowest * (1.0 - 1e-9)
 
 
 class TestPurcellReport:

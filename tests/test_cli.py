@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -29,7 +30,14 @@ from ersim.reporting import (
     _read_table,
 )
 from ersim.records import DecayHistogram, Spectrum
-from ersim.fitting import FitParameter, FitResult, gaussian_peak
+from ersim.fitting import (
+    FitParameter,
+    FitResult,
+    fit_exponential,
+    fit_gaussian,
+    fit_lorentzian,
+    gaussian_peak,
+)
 from ersim.streamfile import write_clickstream
 
 
@@ -163,6 +171,23 @@ class TestSimulate:
         cfg.write_text("[sequence]\nt_pulse_us = 70\nt_rep_us = 60\n")
         code = main(["simulate", "g2", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.ini"
+        cfg.write_bytes(G2_CONFIG.encode() + b"# caf\xe9\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "g2", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"line 7: {cfg} is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scan_points_beyond_the_bound_are_config_error(self, tmp_path, capsys):
+        text = (CONFIGS / "ple_session.ini").read_text()
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(text.replace("points = 41", "points = 9999999999941"))
+        out = tmp_path / "o"
+        assert main(["simulate", "ple", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "line 32: [scan] scan points must be <= 2**22" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["g2", "ple"])
     @pytest.mark.parametrize(
@@ -331,6 +356,39 @@ class TestFit:
     def test_missing_input_is_io_error(self, tmp_path):
         code = main(["fit", "gaussian", "--in", str(tmp_path / "no.csv"), "--out", str(tmp_path / "f.csv")])
         assert code == EXIT_IO
+
+    def test_non_utf8_table_is_config_error(self, tmp_path, capsys):
+        x = 195.6e12 + np.linspace(-400e6, 400e6, 81)
+        y = gaussian_peak(x, (195.6e12, 173.6e6, 200.0, 1.0))
+        spec = tmp_path / "spec.csv"
+        write_spectrum_csv(Spectrum(x, y, label="line"), spec)
+        spec.write_bytes(spec.read_bytes().replace(b"line", b"l\xefne"))
+        out = tmp_path / "f.csv"
+        assert main(["fit", "gaussian", "--in", str(spec), "--out", str(out)]) == EXIT_CONFIG
+        assert f"{spec} is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["gaussian", "lorentzian", "exponential"])
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["converged", "degenerate"])
+    def test_fit_survives_its_table(self, tmp_path, model, degenerate):
+        rng = np.random.default_rng(3)
+        if model == "exponential":
+            edges = np.linspace(0.0, 20e-6, 33)
+            mean = np.full(32, 4.0) if degenerate else 3.0 + 500.0 * np.exp(-edges[1:] / 2.4e-6)
+            counts = mean if degenerate else rng.poisson(mean)
+            fit = fit_exponential(DecayHistogram(edges, counts, total_shots=1000))
+        else:
+            x = 195.6e12 + np.linspace(-400e6, 400e6, 81)
+            mean = np.full(81, 4.0) if degenerate else gaussian_peak(x, (195.6e12, 173.6e6, 200.0, 5.0))
+            counts = mean if degenerate else rng.poisson(mean)
+            fit = (fit_lorentzian if model == "lorentzian" else fit_gaussian)(Spectrum(x, counts))
+        assert fit.status == ("degenerate" if degenerate else "ok")
+        assert (model == "lorentzian") == ("q_factor" in [p.name for p in fit.parameters])
+        write_fit_csv(fit, tmp_path / "f.csv", kind=model)
+        # every field, with a NaN sigma read back as NaN
+        np.testing.assert_equal(
+            dataclasses.astuple(read_fit_csv(tmp_path / "f.csv")), dataclasses.astuple(fit)
+        )
 
     def test_header_only_histogram_is_config_error(self, tmp_path, capsys):
         (tmp_path / "h.csv").write_text("bin_left_s,bin_right_s,counts\n")
@@ -689,6 +747,22 @@ class TestReport:
         )
         assert main(["report", "--in", str(work), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "fit_exponential_a.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, names, column",
+        [
+            ("fit_exponential_a.csv", ("center", "fwhm", "amplitude", "baseline"), "t1_s"),
+            ("fit_gaussian_a.csv", ("amplitude", "t1", "baseline"), "fwhm_hz"),
+        ],
+    )
+    def test_fit_table_of_the_wrong_kind_is_config_error(self, tmp_path, capsys, name, names, column):
+        work = tmp_path / "work"
+        work.mkdir()
+        params = tuple(FitParameter(n, 1.0, 0.1) for n in names)
+        write_fit_csv(FitResult(params, 1.0, 5, "ok"), work / name)
+        assert main(["report", "--in", str(work), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{work / name} lacks column {column}" in capsys.readouterr().err
+        assert (tmp_path / "o").is_dir()  # made before any input is read
 
     def test_g2_table_without_g2_columns_is_config_error(self, tmp_path, capsys):
         work = tmp_path / "work"

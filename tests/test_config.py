@@ -1,9 +1,10 @@
 import hashlib
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ersim.config import config_digest, parse_config, parse_config_file, serialize_config
@@ -169,6 +170,24 @@ class TestScanForms:
     def test_too_few_points(self):
         with pytest.raises(ConfigError, match="points"):
             parse_config("[scan]\ncenter_thz = 1\nspan_mhz = 10\npoints = 1\n")
+
+    @pytest.mark.parametrize("points", [2**22 + 1, 9999999999941])
+    def test_too_many_points_rejected_before_the_grid_is_built(self, points):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"[scan]\ncenter_thz = 1\nspan_mhz = 10\npoints = {points}\n")
+        assert str(info.value) == "line 4: [scan] scan points must be <= 2**22"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["center_hz = 1.7e308\nspan_hz = 1.7e308\n", "center_hz = -1e308\nspan_hz = 1.7e308\n"],
+    )
+    def test_window_past_the_float_range_rejected(self, text):
+        with pytest.raises(ConfigError, match="float range"):
+            parse_config(f"[scan]\n{text}points = 5\n")
+
+    def test_grid_whose_differences_overflow_rejected(self):
+        with pytest.raises(ConfigError, match="increasing"):
+            parse_config("[scan]\ngrid_hz = 1, 1.7e308, -1.7e308, 2\n")
 
     def test_repeats_and_dwell(self):
         cfg = parse_config("[scan]\nrepeats = 4\ndwell_s = 120.0\n")
@@ -377,3 +396,54 @@ def test_canonical_text_is_pinned(name):
 
 def test_every_shipped_config_is_pinned():
     assert sorted(p.name for p in CONFIG_DIR.glob("*.ini")) == sorted(CANONICAL_SHA256)
+
+
+SHIPPED = {p.name: p.read_bytes() for p in sorted(CONFIG_DIR.glob("*.ini"))}
+# replacement text that makes numbers, keys, sections and comments
+_CONFIG_ALPHABET = "0123456789.e-+_ =[]#\nabcdefghijklmnopqrstuvwxyz"
+
+
+@st.composite
+def mutated_config(draw):
+    """The bytes of a shipped config with one to four spans replaced by text or bytes."""
+    data = bytearray(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 4))
+        data[at : at + cut] = draw(
+            st.one_of(
+                st.text(_CONFIG_ALPHABET, max_size=6).map(str.encode),
+                st.binary(max_size=6),
+            )
+        )
+    return bytes(data)
+
+
+# A mutated n_shots or repeats can make a simulation run for hours, so the
+# property stops at the parse: every file gives a config or a ConfigError.
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_config())
+@example(data=SHIPPED["ple_session.ini"].replace(b"points = 41", b"points = 9999999999941"))
+@example(data=SHIPPED["g2_single.ini"].replace(b"[seed]", b"[s\xe9ed]"))
+@example(
+    data=SHIPPED["ple_session.ini"]
+    .replace(b"center_thz = 195.6", b"center_hz = 1.7e308")
+    .replace(b"span_mhz = 820", b"span_hz = 1.7e308")
+)
+def test_mutated_config_bytes_give_a_config_or_a_config_error(data):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "mutated.ini"
+        path.write_bytes(data)
+        try:
+            config = parse_config_file(path)
+        except ConfigError:
+            return
+    assert isinstance(config, ExperimentConfig)
+
+
+def test_non_utf8_file_is_a_config_error_naming_its_line(tmp_path):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[seed]\n# caf\xe9\nmaster_seed = 3\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config_file(path)
+    assert str(info.value) == f"line 2: {path} is not UTF-8 text"

@@ -621,13 +621,12 @@ class TestPleScan:
         cfg = scenarios.linewidth_session_config(
             seed=31, scan_repeats=6, n_shots=2500, points=31, span=700e6
         )
-        scans = run_scan_session(cfg)
-        fits = [fit_gaussian(spectrum_from_scan(s)) for s in scans]
-        singles = np.array([f.value("fwhm") for f in fits])
-        average = np.mean([spectrum_from_scan(s).counts for s in scans], axis=0)
+        spectra = [spectrum_from_scan(s) for s in run_scan_session(cfg)]
+        singles = np.array([fit_gaussian(s).value("fwhm") for s in spectra])
+        average = np.mean([s.counts for s in spectra], axis=0)
         from ersim.records import Spectrum
 
-        avg_fit = fit_gaussian(Spectrum(scans[0].frequencies, average))
+        avg_fit = fit_gaussian(Spectrum(spectra[0].frequencies, average))
         assert avg_fit.value("fwhm") > singles.mean()
 
     def test_diffusion_state_persists_across_scans(self, monkeypatch):
