@@ -4,7 +4,6 @@ lineshape fits, pulsed autocorrelation, and spectral-diffusion maps."""
 
 from .analysis import (
     background_corrected_g2,
-    dark_count_floor,
     histogram_arrivals,
     pulsed_g2,
     purcell_report,

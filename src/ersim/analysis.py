@@ -24,25 +24,30 @@ def histogram_arrivals(stream: ClickStream, bin_width: float) -> DecayHistogram:
     Bins are right-closed multiples of the bin width starting at zero, with a
     delay of exactly zero counted in the first bin; the sum of the counts
     equals the number of clicks.  An empty stream gives an all-zero histogram.
+    One pass bins ceil(delay / width) in windows of ``_CHUNK`` clicks, or of
+    as many clicks as there are bins if that is more, through one reused
+    index buffer.
     """
     _require(bin_width > 0, "bin_width must be > 0")
     bw_ns = int(round(bin_width * 1e9))
     _require(bw_ns >= 1, "bin_width must be at least 1 ns")
     seq = stream.sequence
     n_bins = -(-seq.t_coll_ns // bw_ns)
-    # bin index ceil(delay / bw) - 1, in windows of _CHUNK clicks through one buffer
+    # bin ceil(delay / bw) of n_bins + 1; bin 0 holds the delays of exactly zero and
+    # joins bin 1 at the end.  A window of at least n_bins clicks keeps adding its
+    # counts no costlier than binning it.
     times = stream.times_ns
-    idx_buf = np.empty(min(len(times), _CHUNK), dtype=np.int64)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for lo in range(0, len(times), _CHUNK):
-        idx = idx_buf[: min(_CHUNK, len(times) - lo)]
+    step = max(_CHUNK, n_bins)
+    idx_buf = np.empty(min(len(times), step), dtype=np.int64)
+    counts = np.zeros(n_bins + 1, dtype=np.int64)
+    for lo in range(0, len(times), step):
+        idx = idx_buf[: min(step, len(times) - lo)]
         np.subtract(times[lo : lo + len(idx)], seq.t_pulse_ns - bw_ns + 1, out=idx)
         idx //= bw_ns
-        idx -= 1
-        np.clip(idx, 0, None, out=idx)
-        counts += np.bincount(idx, minlength=n_bins)
+        counts += np.bincount(idx, minlength=n_bins + 1)
+    counts[1] += counts[0]
     edges = np.arange(n_bins + 1) * (bw_ns * 1e-9)
-    return DecayHistogram(edges, counts.astype(float), total_shots=seq.n_shots)
+    return DecayHistogram(edges, counts[1:].astype(float), total_shots=seq.n_shots)
 
 
 def pulsed_g2(stream: ClickStream, max_offset: int) -> CorrelationHistogram:
@@ -104,23 +109,6 @@ def _pairs_by_offset(shots: np.ndarray, k: int) -> np.ndarray:
             sums[d] += int(np.dot(counts[:head], counts[d : d + head]))
         i = nxt
     return sums
-
-
-def dark_count_floor(
-    signal_rate_per_shot: float, dark_rate: float, t_coll: float, n_shots: int
-) -> float:
-    """Expected coincidences per offset bin that involve at least one dark click.
-
-    Dark clicks are i.i.d. across shots, so the floor is the same for every
-    offset: n_shots * (2 S B + B^2) with S the mean signal clicks per shot and
-    B = dark_rate * t_coll.
-    """
-    _require(signal_rate_per_shot >= 0, "signal rate must be >= 0")
-    _require(dark_rate >= 0, "dark_rate must be >= 0")
-    _require(t_coll >= 0, "t_coll must be >= 0")
-    _require(n_shots >= 0, "n_shots must be >= 0")
-    b = dark_rate * t_coll
-    return n_shots * (2.0 * signal_rate_per_shot * b + b * b)
 
 
 def background_corrected_g2(g2_raw: float, rho: float) -> float:

@@ -103,11 +103,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     if args.model == "exponential":
-        hist = read_decay_histogram_csv(args.infile)
-        result = fit_exponential(hist)
+        table, fit = read_decay_histogram_csv(args.infile), fit_exponential
     else:
-        spectrum = read_spectrum_csv(args.infile)
-        result = fit_lorentzian(spectrum) if args.model == "lorentzian" else fit_gaussian(spectrum)
+        table = read_spectrum_csv(args.infile)
+        fit = fit_lorentzian if args.model == "lorentzian" else fit_gaussian
+    try:
+        result = fit(table)
+    except InvalidParameterError as exc:   # a table outside the fit's domain
+        raise InvalidParameterError(f"{args.infile}: {exc}") from None
     write_fit_csv(result, args.outfile, kind=args.model)
     for p in result.parameters:
         print(f"{p.name} = {p.value!r} +- {p.sigma!r}")

@@ -285,6 +285,8 @@ def _fit_peak(kind: str, spectrum: Spectrum) -> tuple[FitResult, np.ndarray | No
     """The fit of a peak model and its parameter covariance (None without sigmas)."""
     _require(len(spectrum) >= 5, "peak fits need at least 5 points")
     _require(spectrum.counts.max() < _VALUE_LIMIT, "counts must be below exp(175)")
+    # the center is a non-log parameter, and the guess subtracts the grid's ends
+    _require(np.abs(spectrum.frequencies).max() < _VALUE_LIMIT, "|frequencies| must be below exp(175) Hz")
     model, jac, names, log_mask = MODELS[kind]
     x = spectrum.frequencies
     y = spectrum.counts

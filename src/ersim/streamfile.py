@@ -18,10 +18,13 @@ it hands to the stream, with no buffer between.  Reading a file and writing
 it back reproduces the bytes exactly; every time is a whole nanosecond, as the
 engine quantizes click tags at creation and ``PulseSequence`` holds whole
 nanoseconds.  The shot count is not part of the format, so it is inferred on
-read as max(shot_index) + 1.  The reader checks only the format; the records
-are checked, as every ``ClickStream`` is, when the stream is made, and the
-shot count is bounded, as in every ``PulseSequence``, by 2**62.  The file is
-not memory-mapped: mapped pages count in the resident set just as a copy would.
+read as max(shot_index) + 1, taken as the last record's shot plus 1: sorted
+shots end at their maximum, and the column maximum is taken only for a file
+that is rejected, so that an unsorted one is reported as unsorted.  The
+reader checks only the format; the records are checked, as every
+``ClickStream`` is, when the stream is made, and the shot count is bounded,
+as in every ``PulseSequence``, by 2**62.  The file is not memory-mapped:
+mapped pages count in the resident set just as a copy would.
 """
 
 from __future__ import annotations
@@ -74,13 +77,23 @@ def read_clickstream(path) -> ClickStream:
         records = np.empty((count, 2), dtype="<i8")
         if fh.readinto(records) != records.nbytes:
             raise StreamFormatError("truncated record section: the file shrank while read")
-    try:
+    def stream(n_shots):
         sequence = PulseSequence(
             t_pulse=t_pulse_ns / 1e9,   # a division gives back whole ns where * 1e-9 may not
             t_coll=t_coll_ns / 1e9,
             t_rep=t_rep_ns / 1e9,
-            n_shots=int(records[:, 0].max()) + 1 if count else 1,
+            n_shots=n_shots,
         )
         return ClickStream(records, sequence)
+
+    try:
+        try:
+            return stream(int(records[-1, 0]) + 1 if count else 1)   # sorted shots end at their max
+        except (InvalidParameterError, StreamInvariantError):
+            if not count:
+                raise
+            # rejected: judged again on the column max, so that an unsorted
+            # stream is reported as unsorted rather than as out of range
+            return stream(int(records[:, 0].max()) + 1)
     except (InvalidParameterError, StreamInvariantError) as exc:
         raise StreamFormatError(f"invalid stream: {exc}") from exc

@@ -78,7 +78,8 @@ def paired_stream(n_records):
     """A valid stream of n_records clicks in the shipped 1 us + 20 us window, two per shot.
 
     Record 0 is alone in shot 0; records 2k - 1 and 2k share shot k, the
-    second 500 ns after the first.  So records 2**20 - 1 and 2**20 share a shot.
+    second 500 ns after the first.  So records w - 1 and w share a shot for every
+    even w, such as a window length ``_CHUNK``.
     """
     i = np.arange(n_records)
     shots = (i + 1) // 2

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scenarios
+from oracles import dark_count_floor
 import ersim.analysis
 from ersim.analysis import (
     _G2_WINDOW,
     background_corrected_g2,
-    dark_count_floor,
     histogram_arrivals,
     pulsed_g2,
     purcell_report,
@@ -132,6 +132,27 @@ class TestHistogramArrivals:
         hist = histogram_arrivals(stream, 1e-6)
         mean = hist.counts.mean()
         assert np.all(np.abs(hist.counts - mean) < 5.0 * math.sqrt(mean))
+
+    @pytest.mark.parametrize(
+        "bw, t_coll",
+        [(312, 20_000), (1, 40_000)],
+        ids=["width-not-dividing-t-coll", "more-bins-than-a-window"],
+    )
+    def test_exact_across_windows_against_one_bincount(self, bw, t_coll):
+        # delays of exactly 0 and on and beside every multiple of the width, scattered
+        # over three windows and a partial one; 312 ns does not divide 20 us, and
+        # 40,000 bins of 1 ns outnumber the clicks of a _CHUNK window
+        n = 3 * max(_CHUNK, -(-t_coll // bw)) + 5
+        multiples = np.arange(0, t_coll, bw)
+        edges = np.concatenate(([t_coll - 1], multiples, multiples[1:] - 1, multiples + 1))
+        edges = edges[edges < t_coll]
+        rng = np.random.default_rng(8)
+        delays = np.concatenate((np.resize(edges, n // 2), rng.integers(0, t_coll, n - n // 2)))
+        delays = rng.permutation(delays)
+        stream = make_stream(np.arange(n), 1000 + delays, n_shots=n, t_coll=t_coll * 1e-9)
+        hist = histogram_arrivals(stream, bw * 1e-9)
+        expected = np.bincount(np.maximum(-(-delays // bw) - 1, 0), minlength=-(-t_coll // bw))
+        assert np.array_equal(hist.counts, expected)
 
     def test_rejects_bad_bin_width(self):
         with pytest.raises(InvalidParameterError):

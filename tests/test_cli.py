@@ -506,6 +506,15 @@ class TestFitDomain:
             assert code == EXIT_CONFIG and not out.exists()
             assert "counts must be below exp(175)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["gaussian", "lorentzian"])
+    def test_frequencies_past_the_parameter_bound_are_config_errors(self, tmp_path, capsys, model):
+        # the peak guess subtracted the grid's ends, 1.72e308 - -1.7e308, which overflows
+        x = [-1.7e308, 0.0, 1.7e308, 1.71e308, 1.72e308]
+        code, out = fit_cli(tmp_path, model, x, [1, 5, 2, 1, 1])
+        assert code == EXIT_CONFIG and not out.exists()
+        err = capsys.readouterr().err
+        assert "frequencies| must be below exp(175)" in err and str(tmp_path / "in.csv") in err
+
     @settings(max_examples=150)
     @given(
         model=st.sampled_from(["lorentzian", "gaussian", "exponential"]),

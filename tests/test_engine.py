@@ -14,6 +14,7 @@ from ersim.analysis import histogram_arrivals, pulsed_g2, spectrum_from_scan
 from ersim.config import config_digest, parse_config_file
 from ersim.diffusion import DiffusionState, generate_trajectory
 from ersim.engine import (
+    _CHUNK,
     BLOCK_SHOTS,
     CLICK_BUDGET,
     ClickStream,
@@ -533,9 +534,9 @@ class TestFrozenStream:
 
 
 class TestValidatorWindows:
-    """The validator's 2**20-pair windows overlap by one record."""
+    """The validator's windows of ``_CHUNK`` pairs overlap by one record."""
 
-    N = 2**20 + 3
+    N = _CHUNK + 3
 
     def columns(self):
         stream = scenarios.paired_stream(self.N)
@@ -546,20 +547,20 @@ class TestValidatorWindows:
 
     def test_shot_break_across_the_window_boundary_rejected(self):
         shots, times, seq = self.columns()
-        shots[2**20 - 1] += 1   # shot k + 1 before shot k
+        shots[_CHUNK - 1] += 1   # shot k + 1 before shot k
         with pytest.raises(StreamInvariantError, match="not sorted by shot"):
             validate_click_stream(ClickStream(np.column_stack((shots, times)), seq))
 
     def test_time_break_across_the_window_boundary_rejected(self):
         shots, times, seq = self.columns()
-        assert shots[2**20 - 1] == shots[2**20]
-        times[[2**20 - 1, 2**20]] = times[[2**20, 2**20 - 1]]
+        assert shots[_CHUNK - 1] == shots[_CHUNK]
+        times[[_CHUNK - 1, _CHUNK]] = times[[_CHUNK, _CHUNK - 1]]
         with pytest.raises(StreamInvariantError, match="not sorted by time"):
             validate_click_stream(ClickStream(np.column_stack((shots, times)), seq))
 
     def test_dead_time_across_the_window_boundary_rejected(self):
         shots, times, seq = self.columns()
-        times[2**20] = times[2**20 - 1] + 100   # every other pair is 500 ns apart
+        times[_CHUNK] = times[_CHUNK - 1] + 100   # every other pair is 500 ns apart
         stream = ClickStream(np.column_stack((shots, times)), seq)
         validate_click_stream(stream, dead_time=100e-9)
         with pytest.raises(StreamInvariantError, match="dead time"):
@@ -568,7 +569,7 @@ class TestValidatorWindows:
     def test_shot_break_reported_before_an_earlier_time_break(self):
         shots, times, seq = self.columns()
         times[[1, 2]] = times[[2, 1]]   # in the first window
-        shots[2**20 - 1] += 1           # a window later, through the overlap
+        shots[_CHUNK - 1] += 1          # a window later, through the overlap
         with pytest.raises(StreamInvariantError, match="not sorted by shot"):
             validate_click_stream(ClickStream(np.column_stack((shots, times)), seq))
 

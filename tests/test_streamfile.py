@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scenarios
-from ersim.engine import ClickStream, PulseSequence, run_lifetime, validate_click_stream
+from ersim import streamfile
+from ersim.engine import _CHUNK, ClickStream, PulseSequence, run_lifetime, validate_click_stream
 from ersim.errors import InvalidParameterError, StreamFormatError
 from ersim.streamfile import read_clickstream, write_clickstream
 
@@ -250,8 +251,7 @@ class TestFuzzing:
             pass
 
 
-CHUNK = 2**20           # records per validator window
-BOUNDARY_RECORDS = CHUNK + 3
+BOUNDARY_RECORDS = _CHUNK + 3
 MiB = 2**20
 
 
@@ -260,7 +260,7 @@ def record_offset(k):
 
 
 class TestChunkBoundaries:
-    """A stream of 2**20 + 3 records: one full chunk and a partial one."""
+    """A stream of ``_CHUNK`` + 3 records: one full validator window and a partial one."""
 
     @pytest.fixture(scope="class")
     def boundary_file(self, tmp_path_factory):
@@ -287,7 +287,7 @@ class TestChunkBoundaries:
 
     def test_sort_break_across_the_chunk_boundary_rejected(self, boundary_file, tmp_path):
         def swap(data):
-            a, b = record_offset(CHUNK - 1), record_offset(CHUNK)
+            a, b = record_offset(_CHUNK - 1), record_offset(_CHUNK)
             data[a : a + 16], data[b : b + 16] = data[b : b + 16], data[a : a + 16]
 
         with pytest.raises(StreamFormatError, match="sorted"):
@@ -310,6 +310,41 @@ class TestChunkBoundaries:
             read_clickstream(self.patched(boundary_file, tmp_path, late_last_time))
 
 
+class TestShotCount:
+    """``n_shots`` is the last record's shot plus 1; the column max is taken only on rejection."""
+
+    def written(self, tmp_path, order):
+        """A file of the records with shots 0, 3 and 7, in the given order."""
+        seq = PulseSequence(1e-6, 20e-6, 60e-6, 50)
+        path = tmp_path / "s.ertt"
+        write_clickstream(ClickStream(np.column_stack(([0, 3, 7], [2000, 2500, 3000])), seq), path)
+        data = path.read_bytes()
+        records = [data[record_offset(k) : record_offset(k + 1)] for k in order]
+        path.write_bytes(data[: record_offset(0)] + b"".join(records))
+        return path
+
+    def shot_counts_tried(self, monkeypatch):
+        tried, real = [], streamfile.PulseSequence
+
+        def recording(**fields):
+            tried.append(fields["n_shots"])
+            return real(**fields)
+
+        monkeypatch.setattr(streamfile, "PulseSequence", recording)
+        return tried
+
+    def test_sorted_file_takes_the_last_shot_alone(self, tmp_path, monkeypatch):
+        tried = self.shot_counts_tried(monkeypatch)
+        stream = read_clickstream(self.written(tmp_path, [0, 1, 2]))
+        assert tried == [8] and stream.sequence.n_shots == 8
+
+    def test_last_record_below_the_largest_shot_is_unsorted(self, tmp_path, monkeypatch):
+        tried = self.shot_counts_tried(monkeypatch)
+        with pytest.raises(StreamFormatError, match="sorted"):
+            read_clickstream(self.written(tmp_path, [0, 2, 1]))   # shots 0, 7, 3
+        assert tried == [4, 8]   # the last shot, then the column max
+
+
 class TestMemoryBounds:
     """tracemalloc peaks on 2e6 records: the records, read in place, and no copy of them."""
 
@@ -320,7 +355,7 @@ class TestMemoryBounds:
         write_clickstream(scenarios.paired_stream(self.N_RECORDS), path)
         stream, peak = scenarios.traced_peak(read_clickstream, path)
         assert len(stream) == self.N_RECORDS
-        # the validator's two bool buffers of one window each, and 1 MiB to spare
+        # the validator's two int64 and two bool buffers of one window each, and room to spare
         assert peak <= 16 * self.N_RECORDS + 3 * MiB
 
     def test_write_allocates_no_copy_of_the_records(self, tmp_path):
