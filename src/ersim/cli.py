@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -38,7 +39,9 @@ EXIT_IO = 3
 EXIT_NOT_CONVERGED = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; each ``parse_args`` call fills a fresh namespace."""
     parser = argparse.ArgumentParser(prog="ersim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

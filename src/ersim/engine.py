@@ -16,29 +16,41 @@ blocks starting at s0, s0 + BLOCK_SHOTS, ...; its last block may be partial.
 A lifetime run is point 0 of scan 0.  The block starting at global shot s
 draws from the counter-based substream keyed by (master_seed, 1 + s)
 (``rng.block_stream``).  Block starts are distinct global shot indices, so no
-key is reused.  Spectral diffusion draws from one sequential substream per
-emitter, advanced block by block in shot order (and by one step across each
-dwell gap); chained so, its draws are the same numbers as one draw over the
-whole scan, its slow walk bit for bit the same and its fast offsets within
-ulps.  The block split is fixed, so a stream is a pure function of the config
-and seed.
+key is reused.
+
+A scan pass is sampled in segments: its blocks, in shot order, grouped into
+runs of at most ``BLOCK_SHOTS`` shots whose expected clicks stay within
+``CLICK_BUDGET`` (``_segments``); a block never spans two points.  Each
+segment draws one diffusion trajectory per emitter, then does its physics
+arithmetic, its sort and its dead-time filter once over all its shots and
+cuts the records back into blocks; only the keys and draws are per block, so
+the grouping changes no draw.  Spectral diffusion draws from one sequential
+substream per emitter, advanced segment by segment in shot order (and by one
+step across each dwell gap); chained so, its draws are the same numbers as
+one draw over the whole scan, its slow walk bit for bit the same and its fast
+offsets within ulps.  The block split and the grouping are fixed, so a stream
+is a pure function of the config and seed.
 
 Within a block of n shots the draws come in this column order:
 
 1. per emitter in order: n excitation uniforms; then, for the excited shots
-   only, their exponential emission delays, then their detection uniforms
-   (drawn also when the delay falls after the collection window);
+   only, their standard exponential emission delays (scaled by the lifetime
+   after the draw), then their detection uniforms (drawn also when the delay
+   falls after the collection window);
 2. with no emitters, the Poissonian source: n photon counts, then per
    photon a detection uniform and a time uniform;
 3. dark counts: n counts, then one time uniform per click.
 
-The clicks are then sorted by (shot, time) once, and the greedy dead-time
-filter keeps a click when it comes at least the dead time after the last
-kept click of its shot; only shots with two or more clicks are filtered.
+The segment's clicks are then sorted by (shot, time) once, and the greedy
+dead-time filter keeps a click when it comes at least the dead time after the
+last kept click of its shot; only shots with two or more clicks are filtered.
+Both act within shots, so a block's records are the same as when it is
+sampled alone.  No per-shot array outlives its segment.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -142,8 +154,8 @@ class ExperimentConfig:
         rate = self.poisson_rate_per_shot
         _require(rate >= 0, "poisson_rate_per_shot must be >= 0")
         _require(rate == 0 or not self.emitters, "poisson_rate_per_shot requires no emitters")
-        per_shot = len(self.emitters) + rate + self.detector.dark_rate * self.sequence.t_coll
-        clicks = min(self.sequence.n_shots, BLOCK_SHOTS) * per_shot   # in the largest block
+        # the clicks expected in the largest block
+        clicks = min(self.sequence.n_shots, BLOCK_SHOTS) * _clicks_per_shot(self)
         _require(clicks <= CLICK_BUDGET, "expected clicks per block exceed the 2**22 click budget")
         grid = tuple(float(f) for f in self.laser_frequency)
         object.__setattr__(self, "laser_frequency", grid)
@@ -281,38 +293,93 @@ def _apply_dead_time(records: np.ndarray, dead_ns: int) -> np.ndarray:
     return records[keep]
 
 
-def _sample_block(config: ExperimentConfig, laser_hz: float, offsets, n: int, rng):
-    """Clicks of one block of n shots as (block-local shot, time ns) records.
+def _clicks_per_shot(config: ExperimentConfig) -> float:
+    """Clicks expected per shot: one per emitter, plus source photons and dark counts."""
+    dark = config.detector.dark_rate * config.sequence.t_coll
+    return len(config.emitters) + config.poisson_rate_per_shot + dark
 
-    Sorted by (shot, time) with dead time applied; see the module docstring
-    for the column order of the draws.
+
+def _segments(config: ExperimentConfig) -> Iterator[list]:
+    """The blocks of one scan pass in shot order, grouped into segments.
+
+    A block is (grid point, first shot within the point, shots).  A segment
+    takes whole blocks while it holds at most ``BLOCK_SHOTS`` shots and the
+    clicks it expects stay within ``CLICK_BUDGET``; the config check lets
+    every block fit alone.
+    """
+    n_per, per_shot = config.sequence.n_shots, _clicks_per_shot(config)
+    segment, shots = [], 0
+    for g in range(len(config.laser_frequency)):
+        for first in range(0, n_per, BLOCK_SHOTS):
+            size = min(BLOCK_SHOTS, n_per - first)
+            total = shots + size
+            if segment and (total > BLOCK_SHOTS or total * per_shot > CLICK_BUDGET):
+                yield segment
+                segment, total = [], size
+            segment.append((g, first, size))
+            shots = total
+    yield segment
+
+
+def _poisson_events(rngs, sizes, mean: float, per_event: tuple):
+    """Per block, its shots' Poisson counts of ``mean``, then ``per_event`` uniforms per event.
+
+    Returns the counts and the uniforms, each joined over the blocks.
+    """
+    counts, uniforms = [], []
+    for rng, n in zip(rngs, sizes):
+        counts.append(rng.poisson(mean, n))
+        uniforms.append(rng.random((int(counts[-1].sum()), *per_event)))
+    return np.concatenate(counts), np.concatenate(uniforms)
+
+
+def _sample_segment(config: ExperimentConfig, lasers, sizes, offsets, rngs) -> list:
+    """Clicks of a segment's blocks: per block, its (block-local shot, time ns) records.
+
+    Block i has ``sizes[i]`` shots at laser frequency ``lasers[i]`` and draws
+    from ``rngs[i]`` in the column order of the module docstring; ``offsets``
+    holds each emitter's diffusion offsets for the segment's shots.  The
+    arithmetic, one sort by (shot, time) and the dead-time filter run over the
+    whole segment, whose shots are numbered across its blocks.
     """
     cavity, detector, seq = config.cavity, config.detector, config.sequence
     t_pulse_ns, t_coll_ns = seq.t_pulse_ns, seq.t_coll_ns
+    starts = [0, *itertools.accumulate(sizes)]   # each block's first segment shot, then the end
+    n = starts[-1]
     shots = []
     times = []
     for em, off in zip(config.emitters, offsets):
         nu = em.nu_ion_0 + off
-        p_exc = excitation_probability(laser_hz - nu, em.gamma_h, em.p_max)
-        excited = np.flatnonzero(rng.random(n) < p_exc)
+        detuning = np.empty(n)
+        for laser, a, b in zip(lasers, starts, starts[1:]):
+            np.subtract(laser, nu[a:b], out=detuning[a:b])
+        p_exc = excitation_probability(detuning, em.gamma_h, em.p_max)
+        u_exc = np.empty(n)
+        for rng, a, b in zip(rngs, starts, starts[1:]):
+            rng.random(out=u_exc[a:b])
+        excited = np.flatnonzero(u_exc < p_exc)
         purcell = purcell_profile(nu[excited] - cavity.nu_cav, cavity.p_peak, cavity.fwhm)
-        late_ns = rng.exponential(1.0 / enhanced_decay_rate(em.gamma_0, purcell)) * 1e9
-        u_det = rng.random(len(excited))
+        delay, u_det = np.empty(len(excited)), np.empty(len(excited))
+        cuts = np.searchsorted(excited, starts)
+        for rng, a, b in zip(rngs, cuts, cuts[1:]):
+            rng.standard_exponential(out=delay[a:b])
+            rng.random(out=u_det[a:b])
+        # scale * standard exponential: the bits of rng.exponential(scale)
+        late_ns = 1.0 / enhanced_decay_rate(em.gamma_0, purcell) * delay * 1e9
         p_det = cavity_branching_fraction(purcell) * detector.efficiency
         # late_ns < t_coll_ns is int(late_ns) < t_coll_ns, tested before the cast
         hit = (late_ns < t_coll_ns) & (u_det < p_det)
         shots.append(excited[hit])
         times.append(t_pulse_ns + late_ns[hit].astype(np.int64))
     if not config.emitters:
-        counts = rng.poisson(config.poisson_rate_per_shot, n)
-        u = rng.random((int(counts.sum()), 2))  # per photon: detection, time
+        # per photon: detection, time
+        counts, u = _poisson_events(rngs, sizes, config.poisson_rate_per_shot, (2,))
         hit = u[:, 0] < detector.efficiency
         shots.append(np.repeat(np.arange(n), counts)[hit])
         times.append(t_pulse_ns + (u[hit, 1] * t_coll_ns).astype(np.int64))
     dark_mean = detector.dark_rate * seq.t_coll
     if dark_mean > 0.0:
-        counts = rng.poisson(dark_mean, n)
-        u_t = rng.random(int(counts.sum()))
+        counts, u_t = _poisson_events(rngs, sizes, dark_mean, ())
         shots.append(np.repeat(np.arange(n), counts))
         times.append(t_pulse_ns + (u_t * t_coll_ns).astype(np.int64))
     # one sort of (shot, time) packed into an int64 key; times lie below `end`
@@ -322,26 +389,12 @@ def _sample_block(config: ExperimentConfig, laser_hz: float, offsets, n: int, rn
     records = np.column_stack(np.divmod(key, end))
     dead_ns = _to_ns(detector.dead_time)
     if dead_ns > 0 and len(key) > 1:
-        return _apply_dead_time(records, dead_ns)
-    return records
-
-
-def _run_shots(config: ExperimentConfig, laser: float, states, diffusion_rngs, global_start: int):
-    """One grid point and the diffusion states after it; each block draws its own offsets."""
-    seq = config.sequence
-    blocks = []
-    for first in range(0, seq.n_shots, BLOCK_SHOTS):
-        n = min(BLOCK_SHOTS, seq.n_shots - first)
-        paths = [
-            generate_trajectory(s, n, seq.t_rep, em.diffusion, d_rng)
-            for s, em, d_rng in zip(states, config.emitters, diffusion_rngs)
-        ]
-        states = [t.final for t in paths]
-        rng = block_stream(config.master_seed, global_start + first)
-        records = _sample_block(config, laser, [t.total() for t in paths], n, rng)
-        records[:, 0] += first
-        blocks.append(records)
-    return ClickStream(np.concatenate(blocks), seq), states
+        records = _apply_dead_time(records, dead_ns)
+    cuts = np.searchsorted(records[:, 0], starts)
+    blocks = [records[a:b] for a, b in zip(cuts, cuts[1:])]
+    for block, start in zip(blocks, starts):
+        block[:, 0] -= start
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -364,27 +417,45 @@ class ScanResult:
 def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
     """The run loop: ``config.scan_repeats`` passes over the laser grid, lazily.
 
-    Diffusion evolves continuously: within scans at one step per shot, across
-    the gap before each later scan as a single step of ``config.scan_dwell``.
-    Per-point streams carry local shot indices 0..n_shots-1; point g of scan r
-    samples from global shot (r * len(grid) + g) * n_shots.
+    Diffusion evolves continuously: within scans at one step per shot, one
+    trajectory per segment, across the gap before each later scan as a single
+    step of ``config.scan_dwell``.  Per-point streams carry local shot indices
+    0..n_shots-1; point g of scan r samples from global shot
+    (r * len(grid) + g) * n_shots.
     """
-    emitters = config.emitters
+    emitters, seq = config.emitters, config.sequence
     rngs = [diffusion_stream(config.master_seed, i) for i in range(len(emitters))]
     states = [DiffusionState() for _ in emitters]
     grid = config.laser_frequency
-    n_per = config.sequence.n_shots
+    n_per = seq.n_shots
     for repeat in range(config.scan_repeats):
         if repeat:
             states = [
                 generate_trajectory(s, 1, config.scan_dwell, em.diffusion, rng).final
                 for s, em, rng in zip(states, emitters, rngs)
             ]
-        points = []
-        for g, laser in enumerate(grid):
-            first = (repeat * len(grid) + g) * n_per
-            stream, states = _run_shots(config, laser, states, rngs, first)
-            points.append(ScanPoint(laser, stream))
+        points, blocks = [], []
+        for segment in _segments(config):
+            sizes = [size for _, _, size in segment]
+            paths = [
+                generate_trajectory(s, sum(sizes), seq.t_rep, em.diffusion, rng)
+                for s, em, rng in zip(states, emitters, rngs)
+            ]
+            states = [t.final for t in paths]
+            sampled = _sample_segment(
+                config,
+                [grid[g] for g, _, _ in segment],
+                sizes,
+                [t.total() for t in paths],
+                [block_stream(config.master_seed, (repeat * len(grid) + g) * n_per + first)
+                 for g, first, _ in segment],
+            )
+            for (g, first, size), records in zip(segment, sampled):
+                records[:, 0] += first
+                blocks.append(records)
+                if first + size == n_per:   # the point's last block
+                    points.append(ScanPoint(grid[g], ClickStream(np.concatenate(blocks), seq)))
+                    blocks = []
         yield ScanResult(tuple(points))
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import ersim
 import scenarios
+from ersim import cli
 from ersim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
 from ersim.analysis import pulsed_g2
 from ersim.config import config_digest, parse_config, serialize_config
@@ -123,6 +124,16 @@ class TestSimulate:
         main(["simulate", "g2", "--config", str(cfg), "--out", str(tmp_path / "c"), "--seed", "99"])
         assert sha(tmp_path / "a" / "clicks.ertt") != sha(tmp_path / "c" / "clicks.ertt")
         assert "master_seed = 99" in (tmp_path / "c" / "run_config.ini").read_text()
+
+    def test_seed_override_does_not_outlive_its_call(self, tmp_path):
+        # the parser is built once, and each call parses into a fresh namespace
+        cfg = tmp_path / "g2.ini"
+        cfg.write_text(G2_CONFIG)
+        main(["simulate", "g2", "--config", str(cfg), "--out", str(tmp_path / "c"), "--seed", "99"])
+        main(["simulate", "g2", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        assert cli._build_parser() is cli._build_parser()
+        assert "master_seed = 99" not in (tmp_path / "a" / "run_config.ini").read_text()
+        assert sha(tmp_path / "a" / "clicks.ertt") != sha(tmp_path / "c" / "clicks.ertt")
 
     def test_ple_requires_grid(self, tmp_path):
         cfg = tmp_path / "single.ini"
@@ -851,6 +862,16 @@ class TestLayoutDigests:
             "scan_000.csv": "f506200b6adf12a0cdfae889fcc79b7080e3ca772384ce98daad30fa0931b1e6",
             "scan_001.csv": "346b961b83e01f4a6f6b07aa838a7ac90d0fba5fb5fe1db1536bfd5923afb131",
         }
+
+    def test_shipped_ple_session(self, tmp_path):
+        # 25 scans x 41 points x 6000 shots of a diffusing ion: several points per
+        # block segment; one digest over the scan tables in name order
+        cfg = str(CONFIGS / "ple_session.ini")
+        assert main(["simulate", "ple", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        scans = sorted((tmp_path / "o").glob("scan_*.csv"))
+        assert len(scans) == 25
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in scans)).hexdigest()
+        assert digest == "622b6b80ca545f3708d87c31da6f6a63c2dd75ed994271585b7d09624a7f8bb7"
 
 
 class TestTableDigests:

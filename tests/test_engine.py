@@ -137,6 +137,32 @@ class TestExperimentConfig:
         with pytest.raises(InvalidParameterError, match="click budget"):
             scenarios.override(cfg, dark_rate=per_shot / t_coll)
 
+    @pytest.mark.parametrize(
+        "n_shots, blocks_per_segment",
+        [(1000, [16, 16, 9]), (6000, [2] * 20 + [1]), (BLOCK_SHOTS + 7, [1] * 82)],
+    )
+    def test_segments_group_whole_blocks_in_shot_order(self, n_shots, blocks_per_segment):
+        # the 41 points of the shipped session; a segment holds at most BLOCK_SHOTS shots
+        cfg = scenarios.linewidth_session_config(n_shots=n_shots)
+        segments = list(engine._segments(cfg))
+        blocks = [
+            (g, first, min(BLOCK_SHOTS, n_shots - first))
+            for g in range(len(cfg.laser_frequency))
+            for first in range(0, n_shots, BLOCK_SHOTS)
+        ]
+        assert [block for seg in segments for block in seg] == blocks
+        assert [len(seg) for seg in segments] == blocks_per_segment
+
+    def test_segments_keep_the_click_budget(self):
+        # 2**21 clicks expected per shot: two 1-shot blocks fill the budget
+        cfg = dataclasses.replace(
+            scenarios.g2_config(poisson_rate=2.0**21, n_shots=1),
+            laser_frequency=tuple(195.6e12 + 1e6 * np.arange(41)),
+        )
+        segments = list(engine._segments(cfg))
+        assert [len(seg) for seg in segments] == [2] * 20 + [1]
+        assert [block for seg in segments for block in seg] == [(g, 0, 1) for g in range(41)]
+
     def test_fields_are_stored_as_tuples(self):
         cfg = scenarios.lifetime_config()
         cfg = dataclasses.replace(
@@ -352,11 +378,29 @@ class TestDeterminism:
                 # static emitters: the run's diffusion offsets are all zero
                 offsets = [np.zeros(size) for _ in cfg.emitters]
                 rng = block_stream(cfg.master_seed, first)
-                shots, times = engine._sample_block(cfg, laser, offsets, size, rng).T
+                (records,) = engine._sample_segment(cfg, [laser], [size], offsets, [rng])
+                shots, times = records.T
                 rows = (full.shot_indices >= first) & (full.shot_indices < first + size)
                 assert len(shots) > 0
                 assert np.array_equal(shots, full.shot_indices[rows] - first)
                 assert np.array_equal(times, full.times_ns[rows])
+
+    def test_points_of_a_segment_match_their_blocks_sampled_alone(self):
+        # 5 points x 6000 shots: segments of two, two and one point cross the
+        # grid; static emitters, dark counts, multi-click shots and dead time
+        n, points = 6000, 5
+        base = scenarios.background_g2_config(seed=23)
+        base = with_shots(base, n, dark_rate=1e5, dead_time=200e-9)
+        grid = tuple(base.emitters[0].nu_ion_0 + np.linspace(-10e6, 10e6, points))
+        cfg = dataclasses.replace(base, laser_frequency=grid, scan_repeats=2)
+        assert [[g for g, _, _ in seg] for seg in engine._segments(cfg)] == [[0, 1], [2, 3], [4]]
+        for repeat, scan in enumerate(run_scan_session(cfg)):
+            for g, point in enumerate(scan.points):
+                offsets = [np.zeros(n) for _ in cfg.emitters]
+                rng = block_stream(cfg.master_seed, (repeat * points + g) * n)
+                (alone,) = engine._sample_segment(cfg, [grid[g]], [n], offsets, [rng])
+                assert len(alone) > n
+                assert np.array_equal(point.stream.records, alone)
 
     def test_scan_session_never_reuses_a_block_key(self, monkeypatch):
         firsts = []
@@ -641,9 +685,10 @@ class TestPleScan:
 
         monkeypatch.setattr(engine, "generate_trajectory", trajectory)
         run_scan_session(cfg)
-        # per scan one t_rep trajectory per point; one scan_dwell step before each later scan
+        # per scan one t_rep trajectory per segment, here all 5 x 50 shots of the
+        # scan; one scan_dwell step before each later scan
         t_rep, dwell = cfg.sequence.t_rep, cfg.scan_dwell
-        scan = [(50, t_rep)] * 5
+        scan = [(250, t_rep)]
         assert [call[:2] for call in calls] == scan + [(1, dwell)] + scan + [(1, dwell)] + scan
         # each trajectory starts from the state the one before it left
         assert calls[0][2] == DiffusionState()
