@@ -29,7 +29,10 @@ def histogram_arrivals(stream: ClickStream, bin_width: float) -> DecayHistogram:
     index buffer.
     """
     _require(bin_width > 0, "bin_width must be > 0")
-    bw_ns = int(round(bin_width * 1e9))
+    ns = bin_width * 1e9
+    # finite and, like every PulseSequence time, below 2**48 ns: bw_ns stays an int64
+    _require(math.isfinite(ns) and round(ns) < 2**48, "bin_width must be below 2**48 ns")
+    bw_ns = round(ns)
     _require(bw_ns >= 1, "bin_width must be at least 1 ns")
     seq = stream.sequence
     n_bins = -(-seq.t_coll_ns // bw_ns)
@@ -64,13 +67,16 @@ def pulsed_g2(stream: ClickStream, max_offset: int) -> CorrelationHistogram:
     ``ClickStream`` is checked when it is made.  The pass visits only occupied
     shots, in windows of W = ``_G2_WINDOW`` shots plus K, so it costs
     O(clicks + windows * K * W) time and O(W + K) memory beyond the records
-    of one window.  The shot count sets no limit: the clicks of a stream
-    spanning 2**61 shots are counted as exactly as any.
+    of one window; K is at most 2**22, a 64 MiB histogram.  The shot count
+    sets no limit: the clicks of a stream spanning 2**61 shots are counted
+    as exactly as any.
 
     Streams with fewer than two clicks (or no side coincidences) return a
     histogram flagged ``is_empty`` rather than raising.
     """
     _require(max_offset >= 1, "max_offset must be >= 1")
+    # checked before anything is allocated
+    _require(max_offset <= 2**22, "max_offset must be at most 2**22")
     n_shots = stream.sequence.n_shots
     _require(max_offset < n_shots, "max_offset must be smaller than the shot count")
     k = max_offset

@@ -20,11 +20,14 @@ key is reused.
 
 A scan pass is sampled in segments: its blocks, in shot order, grouped into
 runs of at most ``BLOCK_SHOTS`` shots whose expected clicks stay within
-``CLICK_BUDGET`` (``_segments``); a block never spans two points.  Each
-segment draws one diffusion trajectory per emitter, then does its physics
-arithmetic, its sort and its dead-time filter once over all its shots and
-cuts the records back into blocks; only the keys and draws are per block, so
-the grouping changes no draw.  Spectral diffusion draws from one sequential
+``CLICK_BUDGET`` (``_segments``); a block never spans two points.  A point
+of at most ``BLOCK_SHOTS`` shots is one block from shot 0, and every block of
+a larger point fills a segment alone, so a segment is one block of one size
+at each of its points: a (blocks, size) grid of shots.  Each segment draws
+one diffusion trajectory per emitter, then does its physics arithmetic, its
+sort and its dead-time filter once over the grid and cuts the records back
+into blocks at multiples of the size; only the keys and draws are per block,
+so the grouping changes no draw.  Spectral diffusion draws from one sequential
 substream per emitter, advanced segment by segment in shot order (and by one
 step across each dwell gap); chained so, its draws are the same numbers as
 one draw over the whole scan, its slow walk bit for bit the same and its fast
@@ -50,7 +53,6 @@ sampled alone.  No per-shot array outlives its segment.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -321,46 +323,44 @@ def _segments(config: ExperimentConfig) -> Iterator[list]:
     yield segment
 
 
-def _poisson_events(rngs, sizes, mean: float, per_event: tuple):
-    """Per block, its shots' Poisson counts of ``mean``, then ``per_event`` uniforms per event.
+def _poisson_events(rngs, size: int, mean: float, per_event: tuple):
+    """Per block, ``size`` Poisson counts of ``mean``, then ``per_event`` uniforms per event.
 
     Returns the counts and the uniforms, each joined over the blocks.
     """
     counts, uniforms = [], []
-    for rng, n in zip(rngs, sizes):
-        counts.append(rng.poisson(mean, n))
+    for rng in rngs:
+        counts.append(rng.poisson(mean, size))
         uniforms.append(rng.random((int(counts[-1].sum()), *per_event)))
     return np.concatenate(counts), np.concatenate(uniforms)
 
 
-def _sample_segment(config: ExperimentConfig, lasers, sizes, offsets, rngs) -> list:
-    """Clicks of a segment's blocks: per block, its (block-local shot, time ns) records.
+def _sample_segment(config: ExperimentConfig, lasers, first: int, size: int, offsets, rngs) -> list:
+    """Clicks of a segment's blocks: per block, its (point shot, time ns) records.
 
-    Block i has ``sizes[i]`` shots at laser frequency ``lasers[i]`` and draws
-    from ``rngs[i]`` in the column order of the module docstring; ``offsets``
-    holds each emitter's diffusion offsets for the segment's shots.  The
-    arithmetic, one sort by (shot, time) and the dead-time filter run over the
-    whole segment, whose shots are numbered across its blocks.
+    Block i is shots ``first`` .. ``first + size - 1`` of its point, at laser
+    frequency ``lasers[i]``, drawn from ``rngs[i]`` in the column order of the
+    module docstring: row i of a (blocks, ``size``) grid, for which
+    ``offsets`` holds each emitter's diffusion offsets.  The arithmetic, one
+    sort by (shot, time) and the dead-time filter run over the whole grid.
     """
     cavity, detector, seq = config.cavity, config.detector, config.sequence
     t_pulse_ns, t_coll_ns = seq.t_pulse_ns, seq.t_coll_ns
-    starts = [0, *itertools.accumulate(sizes)]   # each block's first segment shot, then the end
-    n = starts[-1]
-    shots = []
-    times = []
+    k = len(rngs)
+    bounds = np.arange(k + 1) * size    # each block's first segment shot, then the end
+    laser_column = np.array(lasers)[:, None]
+    shots, times = [], []
     for em, off in zip(config.emitters, offsets):
         nu = em.nu_ion_0 + off
-        detuning = np.empty(n)
-        for laser, a, b in zip(lasers, starts, starts[1:]):
-            np.subtract(laser, nu[a:b], out=detuning[a:b])
+        detuning = laser_column - nu.reshape(k, size)
         p_exc = excitation_probability(detuning, em.gamma_h, em.p_max)
-        u_exc = np.empty(n)
-        for rng, a, b in zip(rngs, starts, starts[1:]):
-            rng.random(out=u_exc[a:b])
+        u_exc = np.empty((k, size))
+        for rng, row in zip(rngs, u_exc):
+            rng.random(out=row)
         excited = np.flatnonzero(u_exc < p_exc)
         purcell = purcell_profile(nu[excited] - cavity.nu_cav, cavity.p_peak, cavity.fwhm)
         delay, u_det = np.empty(len(excited)), np.empty(len(excited))
-        cuts = np.searchsorted(excited, starts)
+        cuts = np.searchsorted(excited, bounds)
         for rng, a, b in zip(rngs, cuts, cuts[1:]):
             rng.standard_exponential(out=delay[a:b])
             rng.random(out=u_det[a:b])
@@ -373,14 +373,14 @@ def _sample_segment(config: ExperimentConfig, lasers, sizes, offsets, rngs) -> l
         times.append(t_pulse_ns + late_ns[hit].astype(np.int64))
     if not config.emitters:
         # per photon: detection, time
-        counts, u = _poisson_events(rngs, sizes, config.poisson_rate_per_shot, (2,))
+        counts, u = _poisson_events(rngs, size, config.poisson_rate_per_shot, (2,))
         hit = u[:, 0] < detector.efficiency
-        shots.append(np.repeat(np.arange(n), counts)[hit])
+        shots.append(np.repeat(np.arange(k * size), counts)[hit])
         times.append(t_pulse_ns + (u[hit, 1] * t_coll_ns).astype(np.int64))
     dark_mean = detector.dark_rate * seq.t_coll
     if dark_mean > 0.0:
-        counts, u_t = _poisson_events(rngs, sizes, dark_mean, ())
-        shots.append(np.repeat(np.arange(n), counts))
+        counts, u_t = _poisson_events(rngs, size, dark_mean, ())
+        shots.append(np.repeat(np.arange(k * size), counts))
         times.append(t_pulse_ns + (u_t * t_coll_ns).astype(np.int64))
     # one sort of (shot, time) packed into an int64 key; times lie below `end`
     end = t_pulse_ns + t_coll_ns
@@ -390,11 +390,10 @@ def _sample_segment(config: ExperimentConfig, lasers, sizes, offsets, rngs) -> l
     dead_ns = _to_ns(detector.dead_time)
     if dead_ns > 0 and len(key) > 1:
         records = _apply_dead_time(records, dead_ns)
-    cuts = np.searchsorted(records[:, 0], starts)
-    blocks = [records[a:b] for a, b in zip(cuts, cuts[1:])]
-    for block, start in zip(blocks, starts):
-        block[:, 0] -= start
-    return blocks
+    cuts = np.searchsorted(records[:, 0], bounds)
+    # segment shots to point shots: block i begins at segment shot i * size and point shot first
+    records[:, 0] += np.repeat(first - bounds[:-1], np.diff(cuts))
+    return [records[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 @dataclass(frozen=True)
@@ -436,22 +435,22 @@ def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
             ]
         points, blocks = [], []
         for segment in _segments(config):
-            sizes = [size for _, _, size in segment]
+            _, first, size = segment[0]     # every block of a segment has these
             paths = [
-                generate_trajectory(s, sum(sizes), seq.t_rep, em.diffusion, rng)
+                generate_trajectory(s, len(segment) * size, seq.t_rep, em.diffusion, rng)
                 for s, em, rng in zip(states, emitters, rngs)
             ]
             states = [t.final for t in paths]
             sampled = _sample_segment(
                 config,
                 [grid[g] for g, _, _ in segment],
-                sizes,
+                first,
+                size,
                 [t.total() for t in paths],
                 [block_stream(config.master_seed, (repeat * len(grid) + g) * n_per + first)
-                 for g, first, _ in segment],
+                 for g, _, _ in segment],
             )
-            for (g, first, size), records in zip(segment, sampled):
-                records[:, 0] += first
+            for (g, _, _), records in zip(segment, sampled):
                 blocks.append(records)
                 if first + size == n_per:   # the point's last block
                     points.append(ScanPoint(grid[g], ClickStream(np.concatenate(blocks), seq)))

@@ -119,15 +119,21 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
     )
 
 
+def _named(path, record_type, *args, **kwargs):
+    """``record_type(*args, **kwargs)``; its InvalidParameterError names the file."""
+    try:
+        return record_type(*args, **kwargs)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from None
+
+
 def read_spectrum_csv(path) -> Spectrum:
     comments, header, rows = _read_table(path)
     frequencies, counts = _float_columns(path, header, rows, ("frequency_hz", "counts"))
-    acquisition_time = comments.get("acquisition_time_s", 0.0)
-    return Spectrum(
-        frequencies,
-        counts,
-        acquisition_time=_number(path, "acquisition_time_s", acquisition_time),
-        label=comments.get("label", ""),
+    acquisition_time = _number(path, "acquisition_time_s", comments.get("acquisition_time_s", 0.0))
+    return _named(
+        path, Spectrum, frequencies, counts,
+        acquisition_time=acquisition_time, label=comments.get("label", ""),
     )
 
 
@@ -144,11 +150,11 @@ def read_decay_histogram_csv(path) -> DecayHistogram:
     lefts, rights, counts = _float_columns(
         path, header, rows, ("bin_left_s", "bin_right_s", "counts")
     )
-    return DecayHistogram(
-        np.append(lefts, rights[-1]),
-        counts,
-        total_shots=_number(path, "total_shots", comments.get("total_shots", 0), int),
-    )
+    # exact: the writer's repr round trip gives each shared edge the same float
+    if not np.array_equal(rights[:-1], lefts[1:]):
+        raise InvalidParameterError(f"{path}: each bin_right_s must equal the next bin_left_s")
+    total_shots = _number(path, "total_shots", comments.get("total_shots", 0), int)
+    return _named(path, DecayHistogram, np.append(lefts, rights[-1]), counts, total_shots=total_shots)
 
 
 def write_correlation_csv(hist: CorrelationHistogram, path, rho: float = 1.0) -> None:

@@ -160,6 +160,15 @@ class TestHistogramArrivals:
         with pytest.raises(InvalidParameterError):
             histogram_arrivals(make_stream([], []), 0.4e-9)
 
+    @pytest.mark.parametrize("bin_width", [math.inf, 1e300, 2**48 * 1e-9])
+    def test_rejects_bin_width_of_2_to_48_ns_or_more(self, bin_width):
+        with pytest.raises(InvalidParameterError, match="below 2\\*\\*48 ns"):
+            histogram_arrivals(make_stream([2], [2000]), bin_width)
+
+    def test_bin_width_just_below_2_to_48_ns_is_one_bin(self):
+        hist = histogram_arrivals(make_stream([2], [2000]), (2**48 - 1) * 1e-9)
+        assert hist.counts.tolist() == [1.0]
+
 
 class TestPulsedG2:
     def test_one_click_per_shot_is_perfectly_antibunched(self):

@@ -407,6 +407,32 @@ class TestFit:
         assert code == EXIT_CONFIG
         assert "h.csv" in capsys.readouterr().err
 
+    def test_decay_bins_that_do_not_abut_are_config_error(self, tmp_path, capsys):
+        # uniform edges from the left edges and the last right edge, but (0, 5) overlaps (1, 6)
+        rows = ["0.0,5.0,10", "1.0,6.0,8", "2.0,3.0,6", "3.0,4.0,5", "4.0,5.0,4"]
+        (tmp_path / "h.csv").write_text("\n".join(["bin_left_s,bin_right_s,counts", *rows]) + "\n")
+        out = tmp_path / "f.csv"
+        code = main(["fit", "exponential", "--in", str(tmp_path / "h.csv"), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'h.csv'}: each bin_right_s must equal the next bin_left_s" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "comment, counts, message",
+        [("", "-1", "counts must be >= 0"), ("# total_shots = -5\n", "1", "total_shots must be >= 0")],
+        ids=["negative-count", "negative-shots"],
+    )
+    def test_invalid_decay_value_names_the_table(self, tmp_path, capsys, comment, counts, message):
+        rows = [f"{i}e-06,{i + 1}e-06,{c}" for i, c in enumerate([9, 7, 5, 3, counts])]
+        table = comment + "\n".join(["bin_left_s,bin_right_s,counts", *rows]) + "\n"
+        (tmp_path / "h.csv").write_text(table)
+        out = tmp_path / "f.csv"
+        code = main(["fit", "exponential", "--in", str(tmp_path / "h.csv"), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"{tmp_path / 'h.csv'}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_numeric_cell_is_config_error(self, tmp_path, capsys):
         x = 195.6e12 + np.linspace(-400e6, 400e6, 81)
         y = gaussian_peak(x, (195.6e12, 173.6e6, 200.0, 1.0))
@@ -432,8 +458,8 @@ def fit_cli(workdir, model, x, counts):
     """
     x = [float(v) for v in x]
     if model == "exponential":
-        step = x[1] - x[0]
-        rows = [f"{left!r},{left + step!r},{c}" for left, c in zip(x, counts)]
+        rights = [*x[1:], x[-1] + (x[1] - x[0])]   # each bin ends where the next begins
+        rows = [f"{left!r},{right!r},{c}" for left, right, c in zip(x, rights, counts)]
         header = "bin_left_s,bin_right_s,counts"
     else:
         rows = [f"{v!r},{c}" for v, c in zip(x, counts)]
@@ -647,6 +673,18 @@ class TestG2Command:
         assert column["coincidences"] == [0] * 11
         assert column["shot_pairs"] == [n_shots - abs(d) for d in range(-5, 6)]
 
+    @pytest.mark.parametrize("max_offset", [2**22 + 1, 2**59])
+    def test_max_offset_beyond_the_bound_is_config_error(self, tmp_path, capsys, max_offset):
+        # below the stream's 2**61 + 1 shots, but its histogram would take 64 MiB or more
+        far = tmp_path / "far.ertt"
+        seq = PulseSequence(1e-6, 20e-6, 60e-6, 2**61 + 1)
+        write_clickstream(ClickStream(np.column_stack(([0, 2**61], [2000, 9000])), seq), far)
+        out = tmp_path / "c.csv"
+        code = main(["g2", "--in", str(far), "--max-offset", str(max_offset), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "max_offset must be at most 2**22" in capsys.readouterr().err
+        assert not out.exists()
+
     @settings(max_examples=300, deadline=None)
     @given(
         mutations=st.lists(
@@ -783,6 +821,20 @@ class TestReport:
         assert main(["report", "--in", str(work), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"{work / name} lacks column {column}" in capsys.readouterr().err
         assert (tmp_path / "o").is_dir()  # made before any input is read
+
+    def test_invalid_scan_value_names_the_table(self, tmp_path, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        x = 195.6e12 + np.linspace(-400e6, 400e6, 81)
+        y = gaussian_peak(x, (195.6e12, 173.6e6, 200.0, 1.0))
+        for i in range(2):
+            write_spectrum_csv(Spectrum(x, y), work / f"scan_{i:03d}.csv")
+        bad = work / "scan_001.csv"
+        lines = bad.read_text().splitlines()
+        lines[-2], lines[-1] = lines[-1], lines[-2]   # the last two frequencies decrease
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--in", str(work), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{bad}: frequencies must be strictly increasing" in capsys.readouterr().err
 
     def test_g2_table_without_g2_columns_is_config_error(self, tmp_path, capsys):
         work = tmp_path / "work"

@@ -152,6 +152,8 @@ class TestExperimentConfig:
         ]
         assert [block for seg in segments for block in seg] == blocks
         assert [len(seg) for seg in segments] == blocks_per_segment
+        # the sampler's grid: the blocks of a segment share their first shot and size
+        assert all(len({(first, size) for _, first, size in seg}) == 1 for seg in segments)
 
     def test_segments_keep_the_click_budget(self):
         # 2**21 clicks expected per shot: two 1-shot blocks fill the budget
@@ -378,11 +380,11 @@ class TestDeterminism:
                 # static emitters: the run's diffusion offsets are all zero
                 offsets = [np.zeros(size) for _ in cfg.emitters]
                 rng = block_stream(cfg.master_seed, first)
-                (records,) = engine._sample_segment(cfg, [laser], [size], offsets, [rng])
+                (records,) = engine._sample_segment(cfg, [laser], first, size, offsets, [rng])
                 shots, times = records.T
                 rows = (full.shot_indices >= first) & (full.shot_indices < first + size)
                 assert len(shots) > 0
-                assert np.array_equal(shots, full.shot_indices[rows] - first)
+                assert np.array_equal(shots, full.shot_indices[rows])
                 assert np.array_equal(times, full.times_ns[rows])
 
     def test_points_of_a_segment_match_their_blocks_sampled_alone(self):
@@ -398,7 +400,7 @@ class TestDeterminism:
             for g, point in enumerate(scan.points):
                 offsets = [np.zeros(n) for _ in cfg.emitters]
                 rng = block_stream(cfg.master_seed, (repeat * points + g) * n)
-                (alone,) = engine._sample_segment(cfg, [grid[g]], [n], offsets, [rng])
+                (alone,) = engine._sample_segment(cfg, [grid[g]], 0, n, offsets, [rng])
                 assert len(alone) > n
                 assert np.array_equal(point.stream.records, alone)
 
