@@ -16,7 +16,9 @@ blocks starting at s0, s0 + BLOCK_SHOTS, ...; its last block may be partial.
 A lifetime run is point 0 of scan 0.  The block starting at global shot s
 draws from the counter-based substream keyed by (master_seed, 1 + s)
 (``rng.block_stream``).  Block starts are distinct global shot indices, so no
-key is reused.
+key is reused.  A run keeps its own list of block generators, as long as its
+largest segment, and re-keys them for each segment; re-keyed, a generator
+draws exactly the stream of a new ``Philox(key=...)``.
 
 A scan pass is sampled in segments: its blocks, in shot order, grouped into
 runs of at most ``BLOCK_SHOTS`` shots whose expected clicks stay within
@@ -424,6 +426,7 @@ def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
     """
     emitters, seq = config.emitters, config.sequence
     rngs = [diffusion_stream(config.master_seed, i) for i in range(len(emitters))]
+    pool = []   # this run's block generators, re-keyed segment by segment
     states = [DiffusionState() for _ in emitters]
     grid = config.laser_frequency
     n_per = seq.n_shots
@@ -441,14 +444,19 @@ def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
                 for s, em, rng in zip(states, emitters, rngs)
             ]
             states = [t.final for t in paths]
+            block_rngs = [
+                block_stream(config.master_seed, (repeat * len(grid) + g) * n_per + first,
+                             pool[i] if i < len(pool) else None)
+                for i, (g, _, _) in enumerate(segment)
+            ]
+            pool[len(pool):] = block_rngs[len(pool):]
             sampled = _sample_segment(
                 config,
                 [grid[g] for g, _, _ in segment],
                 first,
                 size,
                 [t.total() for t in paths],
-                [block_stream(config.master_seed, (repeat * len(grid) + g) * n_per + first)
-                 for g, _, _ in segment],
+                block_rngs,
             )
             for (g, _, _), records in zip(segment, sampled):
                 blocks.append(records)

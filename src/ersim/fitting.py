@@ -141,11 +141,22 @@ class FitResult:
         return self._parameter(name).sigma
 
 
+def _median(values) -> float:
+    """NumPy's median of finite floats, without the ``numpy.ma`` import of its NaN check.
+
+    The middle value, or ``(a + b) / 2`` of the two middle values, summed as
+    NumPy's mean sums them: from +0.0, so that a -0.0 comes out as 0.0.
+    """
+    s = np.sort(values)
+    mid = len(s) // 2
+    return float(0.0 + s[mid] if len(s) % 2 else (0.0 + s[mid - 1] + s[mid]) / 2)
+
+
 def peak_initial_guess(x, y):
     """(center, fwhm, amplitude, baseline) heuristics for a single peak or dip."""
     n = len(x)
     k = max(1, n // 10)
-    baseline = float(np.median(np.concatenate([y[:k], y[-k:]])))
+    baseline = _median(np.concatenate([y[:k], y[-k:]]))
     dev = y - baseline
     i_ext = int(np.argmax(np.abs(dev)))
     amplitude = float(dev[i_ext])
@@ -164,7 +175,7 @@ def decay_initial_guess(t, y):
     """(amplitude, t1, baseline) heuristics for an exponential decay."""
     n = len(t)
     k = max(1, n // 10)
-    baseline = float(np.median(y[-k:]))
+    baseline = _median(y[-k:])
     amplitude = float(y[0] - baseline)
     span = float(t[-1] - t[0]) if n > 1 else float(t[0]) or 1.0
     t1 = span / 5.0
@@ -327,7 +338,7 @@ def fit_exponential(histogram: DecayHistogram) -> FitResult:
     y = histogram.counts
     weights = 1.0 / np.maximum(y, 1.0)
     amplitude, t1, baseline = decay_initial_guess(t, y)
-    if np.max(np.abs(y - np.median(y))) == 0.0:
+    if y.max() == y.min():
         return _build_result(names, (0.0, t1, float(np.mean(y))), None, 0.0, 0, "degenerate")
     if amplitude <= 0:
         amplitude = max(float(np.max(y) - baseline), 1.0)

@@ -12,6 +12,13 @@ Key layout (stream id in the high 64 bits):
 Stream id 0 is reserved.  Block sizes and the order of draws inside a block
 are set by the engine (stream layout 2, see ``ersim.engine``).  The seed is
 the one ``ExperimentConfig`` checks below 2^64; indices are never negative.
+
+A block's generator may be an existing one re-keyed through its Philox
+``state``: counter 0, key (master_seed, stream id) low word first, an empty
+buffer and no cached 32-bit half.  That is the state ``Philox(key=...)``
+starts in, so the stream is the same number for number and the layout stays
+2; re-keying skips the OS-entropy ``SeedSequence`` a new ``BitGenerator``
+makes and then discards.
 """
 
 from __future__ import annotations
@@ -26,9 +33,28 @@ def _substream(master_seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def block_stream(master_seed: int, first_shot: int) -> np.random.Generator:
-    """Sampling stream for the shot block starting at global shot ``first_shot``."""
-    return _substream(master_seed, 1 + first_shot)
+def _rekey(rng: np.random.Generator, master_seed: int, stream_id: int) -> np.random.Generator:
+    """``rng`` set to the start of the stream ``_substream(master_seed, stream_id)``."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (master_seed, stream_id)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def block_stream(master_seed: int, first_shot: int, rng=None) -> np.random.Generator:
+    """Sampling stream for the shot block starting at global shot ``first_shot``.
+
+    ``rng``, a Philox ``Generator``, is re-keyed to it in place when given;
+    otherwise a new one is built.
+    """
+    if rng is None:
+        return _substream(master_seed, 1 + first_shot)
+    return _rekey(rng, master_seed, 1 + first_shot)
 
 
 def diffusion_stream(master_seed: int, emitter_index: int = 0) -> np.random.Generator:

@@ -999,6 +999,37 @@ class TestTableDigests:
         )
 
 
+def test_cli_session_never_imports_numpy_ma(tmp_path):
+    # NumPy's median imports numpy.ma (10-13 ms) for its NaN check; no command here needs it
+    ple = (CONFIGS / "ple_session.ini").read_text()
+    ple = ple.replace("points = 41", "points = 21").replace("repeats = 25", "repeats = 2")
+    (tmp_path / "ple.ini").write_text(ple)
+    life = (CONFIGS / "lifetime_cavity.ini").read_text().replace("n_shots = 100000", "n_shots = 20000")
+    (tmp_path / "life.ini").write_text(life)
+    code = textwrap.dedent(
+        """
+        import sys
+        from ersim.cli import main
+        codes = [
+            main(["simulate", "ple", "--config", "ple.ini", "--out", "run"]),
+            main(["simulate", "lifetime", "--config", "life.ini", "--out", "life"]),
+            main(["fit", "gaussian", "--in", "run/scan_000.csv", "--out", "run/fit_gaussian.csv"]),
+            main(["fit", "lorentzian", "--in", "run/scan_000.csv", "--out", "run/fit_lorentzian.csv"]),
+            main(["fit", "exponential", "--in", "life/decay_histogram.csv", "--out", "run/fit_exponential.csv"]),
+            main(["report", "--in", "run", "--out", "report"]),
+        ]
+        print(codes, "numpy.ma" in sys.modules)
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ersim.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
+    assert (tmp_path / "report" / "scan_linewidths.csv").exists()
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy is for the tests alone
     code = "import sys, ersim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -407,9 +407,9 @@ class TestDeterminism:
     def test_scan_session_never_reuses_a_block_key(self, monkeypatch):
         firsts = []
 
-        def recording(master_seed, first_shot):
+        def recording(master_seed, first_shot, rng=None):
             firsts.append(first_shot)
-            return block_stream(master_seed, first_shot)
+            return block_stream(master_seed, first_shot, rng)
 
         monkeypatch.setattr(engine, "block_stream", recording)
         n = BLOCK_SHOTS + 7
@@ -418,6 +418,30 @@ class TestDeterminism:
         # 3 scans x 4 points, two blocks per point, shots counted globally
         assert firsts == [c * n + o for c in range(12) for o in (0, BLOCK_SHOTS)]
 
+    def test_interleaved_runs_match_runs_alone(self, monkeypatch):
+        # each run re-keys generators of its own: interleaved, two runs give the
+        # records each gives alone, and no generator serves both
+        a = scenarios.linewidth_session_config(scan_repeats=3, n_shots=2000, points=9)
+        b = scenarios.linewidth_session_config(scan_repeats=3, n_shots=BLOCK_SHOTS + 7, points=3, seed=5)
+        assert max(map(len, engine._segments(a))) > 1 == max(map(len, engine._segments(b)))
+
+        def records(scans):
+            return [p.stream.records.tobytes() for scan in scans for p in scan.points]
+
+        alone = [records(engine._scans(cfg)) for cfg in (a, b)]
+        generators = {a.master_seed: set(), b.master_seed: set()}
+
+        def recording(master_seed, first_shot, rng=None):
+            rng = block_stream(master_seed, first_shot, rng)
+            generators[master_seed].add(rng)
+            return rng
+
+        monkeypatch.setattr(engine, "block_stream", recording)
+        together = list(zip(engine._scans(a), engine._scans(b)))
+        assert len(together) == 3
+        assert [records(run) for run in zip(*together)] == alone
+        assert not generators[a.master_seed] & generators[b.master_seed]
+
     def test_lifetime_is_first_point_of_session(self, monkeypatch):
         n = BLOCK_SHOTS + 7
         cfg = at_line(scenarios.linewidth_session_config(scan_repeats=3, n_shots=n))
@@ -425,9 +449,9 @@ class TestDeterminism:
         session = run_scan_session(cfg)[0].points[0].stream
         firsts = []
 
-        def recording(master_seed, first_shot):
+        def recording(master_seed, first_shot, rng=None):
             firsts.append(first_shot)
-            return block_stream(master_seed, first_shot)
+            return block_stream(master_seed, first_shot, rng)
 
         steps = {}  # emitter's diffusion stream -> n_steps of each call
         dts = set()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ersim import fitting
 from ersim.errors import InvalidParameterError
@@ -278,3 +280,21 @@ class TestHeuristics:
         amplitude, t1, baseline = decay_initial_guess(t, y)
         assert amplitude == pytest.approx(49.0, rel=0.2)
         assert t1 == pytest.approx(2.0, rel=0.5)
+
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    @example([3.0, 1.0, 2.0])                    # odd
+    @example([4.0, 1.0, 3.0, 2.0])               # even
+    @example([1.0, 2.0, 2.0, 2.0, 5.0, 2.0])     # tied middle
+    @example([-0.0, 0.0, -0.0])                  # ties NumPy's mean turns to +0.0
+    @example([-0.0, -0.0])
+    @example([1.7e308, 1.7e308])                 # the middle sum overflows in both
+    def test_median_is_numpys_bit_for_bit(self, values):
+        a = np.array(values)
+        with np.errstate(over="ignore"):
+            assert np.float64(fitting._median(a)).tobytes() == np.median(a).tobytes()
