@@ -25,8 +25,8 @@ def histogram_arrivals(stream: ClickStream, bin_width: float) -> DecayHistogram:
     delay of exactly zero counted in the first bin; the sum of the counts
     equals the number of clicks.  An empty stream gives an all-zero histogram.
     One pass bins ceil(delay / width) in windows of ``_CHUNK`` clicks, or of
-    as many clicks as there are bins if that is more, through one reused
-    index buffer.
+    as many clicks as there are bins if that is more, each window's indices
+    a fresh contiguous array.
     """
     _require(bin_width > 0, "bin_width must be > 0")
     ns = bin_width * 1e9
@@ -41,11 +41,9 @@ def histogram_arrivals(stream: ClickStream, bin_width: float) -> DecayHistogram:
     # counts no costlier than binning it.
     times = stream.times_ns
     step = max(_CHUNK, n_bins)
-    idx_buf = np.empty(min(len(times), step), dtype=np.int64)
     counts = np.zeros(n_bins + 1, dtype=np.int64)
     for lo in range(0, len(times), step):
-        idx = idx_buf[: min(step, len(times) - lo)]
-        np.subtract(times[lo : lo + len(idx)], seq.t_pulse_ns - bw_ns + 1, out=idx)
+        idx = times[lo : lo + step] - (seq.t_pulse_ns - bw_ns + 1)
         idx //= bw_ns
         counts += np.bincount(idx, minlength=n_bins + 1)
     counts[1] += counts[0]
@@ -94,11 +92,11 @@ def _pairs_by_offset(shots: np.ndarray, k: int) -> np.ndarray:
     A window counts the clicks of shots [a, a + W + k) from the next unvisited
     occupied shot a; the shots [a, a + W) head it, so every occupied shot
     heads exactly one.  Its m records bound every partial sum by m**2, which
-    picks float64 dots where they are exact and int64 beyond.
+    picks float64 dots, on a float64 copy of the window's counts, where they
+    are exact and int64 dots beyond.
     """
     w = _G2_WINDOW
     sums = np.zeros(k + 1, dtype=np.int64)
-    float_counts = np.empty(w + k)
     last = int(shots[-1])
     i = 0
     while i < len(shots):
@@ -107,8 +105,7 @@ def _pairs_by_offset(shots: np.ndarray, k: int) -> np.ndarray:
         nxt = i + int(np.searchsorted(shots[i:j], a + w)) if a + w <= last else j
         counts = np.bincount(shots[i:j] - a, minlength=w + k)
         if (j - i) ** 2 < _FLOAT64_EXACT:
-            float_counts[:] = counts
-            counts = float_counts
+            counts = counts.astype(float)
         head = int(shots[nxt - 1]) - a + 1     # shots up to the head's last click
         span = int(shots[j - 1]) - a + 1       # shots up to the window's last click
         for d in range(min(k + 1, span)):

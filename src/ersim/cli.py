@@ -23,6 +23,7 @@ from .engine import run_lifetime, run_scan_session
 from .errors import ConfigError, InvalidParameterError, StreamFormatError
 from .fitting import fit_exponential, fit_gaussian, fit_lorentzian
 from .reporting import (
+    _named,
     generate_report,
     read_decay_histogram_csv,
     read_spectrum_csv,
@@ -110,10 +111,7 @@ def _cmd_fit(args) -> int:
     else:
         table = read_spectrum_csv(args.infile)
         fit = fit_lorentzian if args.model == "lorentzian" else fit_gaussian
-    try:
-        result = fit(table)
-    except InvalidParameterError as exc:   # a table outside the fit's domain
-        raise InvalidParameterError(f"{args.infile}: {exc}") from None
+    result = _named(args.infile, fit, table)   # a table outside the fit's domain names it
     write_fit_csv(result, args.outfile, kind=args.model)
     for p in result.parameters:
         print(f"{p.name} = {p.value!r} +- {p.sigma!r}")

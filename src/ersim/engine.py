@@ -217,47 +217,34 @@ def validate_click_stream(stream: ClickStream, dead_time: float = 0.0) -> None:
 
     One pass over adjacent records in windows of ``_CHUNK``.  Each window's
     shot and time columns, and the record after the window, are copied into
-    two reused contiguous int64 buffers, so that the checks read contiguous
+    two fresh contiguous int64 arrays, so that the checks read contiguous
     memory that stays in cache rather than the stride-16 columns of
-    ``stream.records``; two reused bool buffers (and an int64 one for a dead
-    time) hold the comparisons.  The pass also takes each window's time
-    extremes.  Sorted shots have their extremes at the ends; whole-column
-    extremes are taken only when the shot order fails, so that the messages
-    keep their order.
+    ``stream.records``.  The pass also takes each window's time extremes.
+    Sorted shots have their extremes at the ends; whole-column extremes are
+    taken only when the shot order fails, so that the messages keep their
+    order.
     """
     seq = stream.sequence
-    records, n = stream.records, len(stream)
+    shots, times, n = stream.shot_indices, stream.times_ns, len(stream)
     if n == 0:
         return
     dead_ns = _to_ns(dead_time)
-    size = min(n, _CHUNK + 1)    # a window's records and the one after it
-    shot_buf, time_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    flag_buf, same_buf = np.empty(size - 1, dtype=bool), np.empty(size - 1, dtype=bool)
-    gap_buf = np.empty(size - 1, dtype=np.int64) if dead_ns > 0 else None
-    t_min = t_max = int(records[0, 1])
+    t_min = t_max = int(times[0])
     shots_unsorted = times_unsorted = too_close = False
     for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK + 1, n)
-        shot, t = shot_buf[: stop - start], time_buf[: stop - start]
-        np.copyto(shot, records[start:stop, 0])
-        np.copyto(t, records[start:stop, 1])
+        # the window's records and the one after it, for the pairs (i, i + 1) from start;
+        # one copy per statement, so that each takes the memory the last window's copy
+        # frees (made together, malloc can trim the heap and fault in ~190 KiB a window)
+        shot = shots[start : start + _CHUNK + 1].copy()
+        t = times[start : start + _CHUNK + 1].copy()
         t_min, t_max = min(t_min, int(t.min())), max(t_max, int(t.max()))
-        m = len(shot) - 1           # the pairs (i, i + 1), i in [start, start + m)
-        flag, same = flag_buf[:m], same_buf[:m]
-        if np.less(shot[1:], shot[:-1], out=flag).any():
+        if (shot[1:] < shot[:-1]).any():
             shots_unsorted = True
             break
-        np.equal(shot[1:], shot[:-1], out=same)
-        np.less(t[1:], t[:-1], out=flag)
-        flag &= same
-        times_unsorted |= flag.any()
-        if gap_buf is not None:
-            gap = gap_buf[:m]
-            np.subtract(t[1:], t[:-1], out=gap)
-            np.less(gap, dead_ns, out=flag)
-            flag &= same
-            too_close |= flag.any()
-    shots, times = stream.shot_indices, stream.times_ns
+        same = shot[1:] == shot[:-1]
+        times_unsorted |= (same & (t[1:] < t[:-1])).any()
+        if dead_ns > 0:
+            too_close |= (same & (t[1:] - t[:-1] < dead_ns)).any()
     if shots_unsorted:
         s_min, s_max, t_min, t_max = shots.min(), shots.max(), times.min(), times.max()
     else:

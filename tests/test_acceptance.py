@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import scenarios
+from oracles import enhanced_lifetime
 from test_fitting import jacobian_fd_max_error
 
 from ersim.analysis import (
@@ -54,7 +55,7 @@ def lifetime_runs():
         cfg = scenarios.shipped(name)
         stream = run_lifetime(cfg)
         fit = fit_exponential(histogram_arrivals(stream, bin_width))
-        target = 1.0 / (cfg.emitters[0].gamma_0 * (1.0 + cfg.cavity.p_peak))
+        target = enhanced_lifetime(cfg.emitters[0].gamma_0, cfg.cavity.p_peak)
         runs[label] = dict(config=cfg, stream=stream, fit=fit, target=target)
     return runs
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scenarios
-from oracles import dark_count_floor
+from oracles import dark_count_floor, enhanced_lifetime
 import ersim.analysis
 from ersim.analysis import (
     _G2_WINDOW,
@@ -114,10 +114,10 @@ class TestHistogramArrivals:
         stream = run_lifetime(cfg)
         bw = 1e-6
         hist = histogram_arrivals(stream, bw)
-        gamma = cfg.emitters[0].gamma_0 * (1.0 + cfg.cavity.p_peak)
+        t1 = enhanced_lifetime(cfg.emitters[0].gamma_0, cfg.cavity.p_peak)
         edges = hist.bin_edges
-        expected_fraction = (np.exp(-gamma * edges[:-1]) - np.exp(-gamma * edges[1:])) / (
-            1.0 - np.exp(-gamma * cfg.sequence.t_coll)
+        expected_fraction = (np.exp(-edges[:-1] / t1) - np.exp(-edges[1:] / t1)) / (
+            1.0 - np.exp(-cfg.sequence.t_coll / t1)
         )
         assert np.all(np.diff(expected_fraction) < 0)  # monotone decreasing means
         total = hist.counts.sum()

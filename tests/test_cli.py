@@ -446,6 +446,22 @@ class TestFit:
             err = capsys.readouterr().err
             assert "spec.csv" in err and "counts" in err
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ("# label = line\n# acquisition_time_s = 1.0\n", "no header row in {path}"),
+            ("frequency_hz,counts\n1.0,2.0\n2.0,3.0,4.0\n", "{path}: row length does not match header"),
+        ],
+        ids=["comments-only", "long-row"],
+    )
+    def test_malformed_spectrum_names_the_table(self, tmp_path, capsys, table, message):
+        spec = tmp_path / "spec.csv"
+        spec.write_text(table)
+        out = tmp_path / "f.csv"
+        assert main(["fit", "gaussian", "--in", str(spec), "--out", str(out)]) == EXIT_CONFIG
+        assert message.format(path=spec) in capsys.readouterr().err
+        assert not out.exists()
+
 
 FIT_STATUSES = {"ok", "max_iterations", "stalled", "singular", "degenerate"}
 
@@ -835,6 +851,39 @@ class TestReport:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["report", "--in", str(work), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"{bad}: frequencies must be strictly increasing" in capsys.readouterr().err
+
+    def test_fit_table_with_two_rows_is_config_error(self, tmp_path, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        fit = work / "fit_exponential_a.csv"
+        write_fit_csv(FitResult((FitParameter("t1", 1e-5, 1e-7),), 1.0, 5), fit)
+        fit.write_text(fit.read_text() + fit.read_text().splitlines()[-1] + "\n")
+        assert main(["report", "--in", str(work), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{fit} must contain exactly one fit row" in capsys.readouterr().err
+
+    def test_g2_block_is_the_zero_row_of_the_first_table_that_has_one(self, tmp_path):
+        work = tmp_path / "work"
+        work.mkdir()
+        # sorts first, and has no offset-0 row to report
+        (work / "g2_a.csv").write_text("offset_shots,g2,g2_corrected,rho\n-1,0.5,0.5,1.0\n1,0.5,0.5,1.0\n")
+        rng = np.random.default_rng(4)
+        shots = np.sort(rng.integers(0, 2000, size=600))
+        times = np.full(600, 5000)
+        stream = ClickStream(np.column_stack([shots, times]), PulseSequence(1e-6, 20e-6, 60e-6, 2000))
+        write_correlation_csv(pulsed_g2(stream, 3), work / "g2_b.csv", rho=0.8)
+        report_dir = tmp_path / "report"
+        assert main(["report", "--in", str(work), "--out", str(report_dir)]) == EXIT_OK
+        summary = dict(line.split(" = ") for line in (report_dir / "summary.txt").read_text().splitlines())
+        comments, header, rows = _read_table(work / "g2_b.csv")
+        zero = rows[3]
+        assert zero[header.index("offset_shots")] == "0"
+        assert summary == {
+            "g2_zero_raw": zero[header.index("g2")],
+            "g2_zero_raw_sigma": comments["g2_zero_sigma"],
+            "g2_zero_corrected": zero[header.index("g2_corrected")],
+            "g2_rho": zero[header.index("rho")],
+        }
+        assert summary["g2_zero_raw"] != summary["g2_zero_corrected"]
 
     def test_g2_table_without_g2_columns_is_config_error(self, tmp_path, capsys):
         work = tmp_path / "work"

@@ -118,6 +118,12 @@ class TestDiagnostics:
              "line 3: [scan] scan span must be > 0"),
             ("[scan]\ngrid_hz = 1e14, abc\n",
              "line 2: [scan] grid_hz must be a comma-separated list of numbers"),
+            ("[scan]\ngrid_hz = 1e14, inf\n",
+             "line 2: [scan] value for 'grid_hz' is not a finite number"),
+            ("[scan]\ngrid_hz = nan\n",
+             "line 2: [scan] value for 'grid_hz' is not a finite number"),
+            ("[scan]\ngrid_hz = 1e400\n",
+             "line 2: [scan] value for 'grid_hz' is not a finite number"),
             ("[emitter.x]\n", "[emitter.x] unknown section 'emitter.x'; did you mean 'emitter'?"),
             ("[source]\nkind = poissonian\nrate_per_shot = -1\n",
              "poisson_rate_per_shot must be >= 0"),
@@ -125,7 +131,8 @@ class TestDiagnostics:
              "[emitter.2] a poissonian source has no emitters"),
         ],
         ids=["float_n_shots", "float_master_seed", "n_emitters_without_n", "n_with_single",
-             "negative_span", "bad_grid_entry", "bad_emitter_suffix", "negative_rate",
+             "negative_span", "bad_grid_entry", "infinite_grid_entry", "nan_grid_entry",
+             "overflowing_grid_entry", "bad_emitter_suffix", "negative_rate",
              "poissonian_with_emitter"],
     )
     def test_message(self, text, message):

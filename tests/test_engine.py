@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scenarios
+from oracles import clicks_per_shot, enhanced_lifetime
 from ersim import engine
 from ersim.analysis import histogram_arrivals, pulsed_g2, spectrum_from_scan
 from ersim.config import config_digest, parse_config_file
@@ -44,18 +45,6 @@ def with_shots(config, n_shots, **detector):
 def at_line(config):
     """``config`` with its laser on the emitter's line."""
     return dataclasses.replace(config, laser_frequency=(config.emitters[0].nu_ion_0,))
-
-
-def expected_clicks_per_shot(config):
-    """Analytic detection probability for a resonant shot (oracle formula)."""
-    total = 0.0
-    for em in config.emitters:
-        p = config.cavity.p_peak
-        gamma = em.gamma_0 * (1.0 + p)
-        capture = 1.0 - math.exp(-config.sequence.t_coll * gamma)
-        beta = p / (p + 1.0)
-        total += em.p_max * beta * config.detector.efficiency * capture
-    return total
 
 
 class TestPulseSequence:
@@ -198,7 +187,7 @@ class TestExperimentConfig:
         four = scenarios.g2_config(4, seed=5, n_shots=20_000)
         assert four.emitters == one.emitters * 4
         mean = len(run_lifetime(four)) / four.sequence.n_shots
-        assert mean == pytest.approx(4 * expected_clicks_per_shot(one), rel=0.03)
+        assert mean == pytest.approx(4 * sum(clicks_per_shot(one, one.single_frequency())), rel=0.03)
 
     def test_digest_tracks_fields(self):
         a = scenarios.lifetime_config(seed=1, n_shots=10)
@@ -216,7 +205,7 @@ class TestSampleShot:
         cfg = scenarios.lifetime_config(seed=101, n_shots=1_000_000, p_max=0.35)
         stream = run_lifetime(cfg)
         mean = len(stream) / cfg.sequence.n_shots
-        assert mean == pytest.approx(expected_clicks_per_shot(cfg), rel=0.02)
+        assert mean == pytest.approx(sum(clicks_per_shot(cfg, cfg.single_frequency())), rel=0.02)
         # with unit efficiency, near-unity branching and t_coll >> T1 the mean
         # click rate is the bare excitation probability
         assert mean == pytest.approx(0.35, rel=0.02)
@@ -239,7 +228,7 @@ class TestSampleShot:
             master_seed=cfg.master_seed,
         )
         stream = run_lifetime(cfg)
-        p_signal = expected_clicks_per_shot(cfg)
+        p_signal = sum(clicks_per_shot(cfg, cfg.single_frequency()))
         dark_mean = cfg.detector.dark_rate * cfg.sequence.t_coll
         n = cfg.sequence.n_shots
         sigma = math.sqrt((p_signal * (1 - p_signal) + dark_mean) / n)
@@ -248,16 +237,7 @@ class TestSampleShot:
     def test_g2_background_clicks_per_shot_match_analytic(self):
         cfg = parse_config_file(CONFIGS / "g2_background.ini")
         cfg = with_shots(cfg, 200_000)
-        laser = cfg.single_frequency()
-        kappa = cfg.cavity.nu_cav / cfg.cavity.q_factor
-        probs = []
-        for em in cfg.emitters:
-            # written out by hand, independent of the physics functions the engine samples through
-            p = cfg.cavity.p_peak / (1.0 + (2.0 * (em.nu_ion_0 - cfg.cavity.nu_cav) / kappa) ** 2)
-            capture = 1.0 - math.exp(-cfg.sequence.t_coll * em.gamma_0 * (1.0 + p))
-            half = 0.5 * em.gamma_h
-            excitation = em.p_max * half**2 / (half**2 + (laser - em.nu_ion_0) ** 2)
-            probs.append(excitation * p / (p + 1.0) * cfg.detector.efficiency * capture)
+        probs = clicks_per_shot(cfg, cfg.single_frequency())
         dark_mean = cfg.detector.dark_rate * cfg.sequence.t_coll
         n = cfg.sequence.n_shots
         expected = sum(probs) + dark_mean
@@ -278,7 +258,7 @@ class TestRunLifetime:
         stream = run_lifetime(cfg)
         delays = (stream.times_ns - stream.sequence.t_pulse_ns) * 1e-9
         assert len(delays) > 90_000
-        t1 = 1.0 / (cfg.emitters[0].gamma_0 * (1.0 + cfg.cavity.p_peak))
+        t1 = enhanced_lifetime(cfg.emitters[0].gamma_0, cfg.cavity.p_peak)
         result = scipy.stats.kstest(delays, "expon", args=(0.0, t1))
         assert result.pvalue > 0.01
         assert abs(np.mean(delays) - t1) / t1 < 0.02

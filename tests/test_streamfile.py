@@ -355,7 +355,8 @@ class TestMemoryBounds:
         write_clickstream(scenarios.paired_stream(self.N_RECORDS), path)
         stream, peak = scenarios.traced_peak(read_clickstream, path)
         assert len(stream) == self.N_RECORDS
-        # the validator's two int64 and two bool buffers of one window each, and room to spare
+        # the validator's int64 window copies (a window's shot copy is made while the last
+        # window's two are held: about 0.8 MiB), its bool comparisons, and room to spare
         assert peak <= 16 * self.N_RECORDS + 3 * MiB
 
     def test_write_allocates_no_copy_of_the_records(self, tmp_path):
