@@ -20,12 +20,12 @@ key is reused.  A run keeps its own list of block generators, as long as its
 largest segment, and re-keys them for each segment; re-keyed, a generator
 draws exactly the stream of a new ``Philox(key=...)``.
 
-A scan pass is sampled in segments: its blocks, in shot order, grouped into
-runs of at most ``BLOCK_SHOTS`` shots whose expected clicks stay within
-``CLICK_BUDGET`` (``_segments``); a block never spans two points.  A point
-of at most ``BLOCK_SHOTS`` shots is one block from shot 0, and every block of
-a larger point fills a segment alone, so a segment is one block of one size
-at each of its points: a (blocks, size) grid of shots.  Each segment draws
+A scan pass is sampled in segments (``_segments``), in shot order.  A segment
+(points, first, size) holds shots first .. first + size - 1 of each grid point
+in the range ``points``: one block per point, a (blocks, size) grid of shots.
+It is either as many whole points of one block from shot 0 as hold at most
+``BLOCK_SHOTS`` shots and expect at most ``CLICK_BUDGET`` clicks, or one block
+of a longer point; a block never spans two points.  Each segment draws
 one diffusion trajectory per emitter, then does its physics arithmetic, its
 sort and its dead-time filter once over the grid and cuts the records back
 into blocks at multiples of the size; only the keys and draws are per block,
@@ -290,26 +290,22 @@ def _clicks_per_shot(config: ExperimentConfig) -> float:
     return len(config.emitters) + config.poisson_rate_per_shot + dark
 
 
-def _segments(config: ExperimentConfig) -> Iterator[list]:
-    """The blocks of one scan pass in shot order, grouped into segments.
+def _segments(config: ExperimentConfig) -> Iterator[tuple[range, int, int]]:
+    """The segments of one scan pass in shot order, lazily, as (points, first, size).
 
-    A block is (grid point, first shot within the point, shots).  A segment
-    takes whole blocks while it holds at most ``BLOCK_SHOTS`` shots and the
-    clicks it expects stay within ``CLICK_BUDGET``; the config check lets
-    every block fit alone.
+    A segment samples shots ``first`` .. ``first + size - 1`` of each grid
+    point in the range ``points``, one block per point.  It is either as many
+    whole points of one block each as hold at most ``BLOCK_SHOTS`` shots and
+    expect at most ``CLICK_BUDGET`` clicks, or one block of a longer point;
+    the config check lets every block fit alone.
     """
-    n_per, per_shot = config.sequence.n_shots, _clicks_per_shot(config)
-    segment, shots = [], 0
-    for g in range(len(config.laser_frequency)):
-        for first in range(0, n_per, BLOCK_SHOTS):
-            size = min(BLOCK_SHOTS, n_per - first)
-            total = shots + size
-            if segment and (total > BLOCK_SHOTS or total * per_shot > CLICK_BUDGET):
-                yield segment
-                segment, total = [], size
-            segment.append((g, first, size))
-            shots = total
-    yield segment
+    n_shots, n_points = config.sequence.n_shots, len(config.laser_frequency)
+    per, per_shot = max(1, BLOCK_SHOTS // n_shots), _clicks_per_shot(config)
+    while per > 1 and per * n_shots * per_shot > CLICK_BUDGET:
+        per -= 1
+    for g in range(0, n_points, per):
+        for first in range(0, n_shots, BLOCK_SHOTS):
+            yield range(g, min(g + per, n_points)), first, min(BLOCK_SHOTS, n_shots - first)
 
 
 def _poisson_events(rngs, size: int, mean: float, per_event: tuple):
@@ -423,34 +419,28 @@ def _scans(config: ExperimentConfig) -> Iterator[ScanResult]:
                 generate_trajectory(s, 1, config.scan_dwell, em.diffusion, rng).final
                 for s, em, rng in zip(states, emitters, rngs)
             ]
-        points, blocks = [], []
-        for segment in _segments(config):
-            _, first, size = segment[0]     # every block of a segment has these
+        scan, blocks = [], []
+        for points, first, size in _segments(config):
             paths = [
-                generate_trajectory(s, len(segment) * size, seq.t_rep, em.diffusion, rng)
+                generate_trajectory(s, len(points) * size, seq.t_rep, em.diffusion, rng)
                 for s, em, rng in zip(states, emitters, rngs)
             ]
             states = [t.final for t in paths]
+            # the pool grows to the widest segment; every generator is re-keyed before it draws
+            pool += [np.random.Generator(np.random.Philox()) for _ in range(len(points) - len(pool))]
             block_rngs = [
-                block_stream(config.master_seed, (repeat * len(grid) + g) * n_per + first,
-                             pool[i] if i < len(pool) else None)
-                for i, (g, _, _) in enumerate(segment)
+                block_stream(config.master_seed, (repeat * len(grid) + g) * n_per + first, rng)
+                for g, rng in zip(points, pool)
             ]
-            pool[len(pool):] = block_rngs[len(pool):]
             sampled = _sample_segment(
-                config,
-                [grid[g] for g, _, _ in segment],
-                first,
-                size,
-                [t.total() for t in paths],
-                block_rngs,
+                config, [grid[g] for g in points], first, size, [t.total() for t in paths], block_rngs
             )
-            for (g, _, _), records in zip(segment, sampled):
+            for g, records in zip(points, sampled):
                 blocks.append(records)
                 if first + size == n_per:   # the point's last block
-                    points.append(ScanPoint(grid[g], ClickStream(np.concatenate(blocks), seq)))
+                    scan.append(ScanPoint(grid[g], ClickStream(np.concatenate(blocks), seq)))
                     blocks = []
-        yield ScanResult(tuple(points))
+        yield ScanResult(tuple(scan))
 
 
 def run_lifetime(config: ExperimentConfig) -> ClickStream:

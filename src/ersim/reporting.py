@@ -268,9 +268,14 @@ def generate_report(in_dir, out_dir) -> dict:
             "fwhm_sigma_mhz": [f.sigma("fwhm") / 1e6 for f in fits],
         }
         _write_table(out_dir / "scan_linewidths.csv", {}, columns)
-        summary["single_scan_fwhm_mhz_mean"] = float(np.mean(sd_map.per_scan_fwhm)) / 1e6
-        summary["time_averaged_fwhm_mhz"] = sd_map.average_fwhm / 1e6
-        summary.setdefault("measured_linewidth_mhz", summary["single_scan_fwhm_mhz_mean"])
+        # a fit that did not converge holds its starting guess, not a linewidth
+        widths = [f.value("fwhm") for f in fits if f.converged]
+        if widths:
+            summary["single_scan_fwhm_mhz_mean"] = float(np.mean(widths)) / 1e6
+        if sd_map.average_fit.converged:
+            summary["time_averaged_fwhm_mhz"] = sd_map.average_fwhm / 1e6
+        if widths:
+            summary.setdefault("measured_linewidth_mhz", summary["single_scan_fwhm_mhz_mean"])
 
     for path in sorted(in_dir.glob("g2*.csv")):
         comments, header, rows = _read_table(path)

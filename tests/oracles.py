@@ -48,3 +48,22 @@ def clicks_per_shot(config, laser):
         capture = 1.0 - math.exp(-t_coll / enhanced_lifetime(em.gamma_0, p))
         probs.append(excitation * (p / (p + 1.0)) * config.detector.efficiency * capture)
     return probs
+
+
+def g2_zero(probs, dark_mean):
+    """Pulsed g2(0) of independent emitters plus Poisson dark counts.
+
+    Emitter i clicks at most once a shot, with probability ``probs[i]``; the
+    dark counts of a shot are Poisson of mean ``dark_mean``.  With N the
+    clicks of a shot, g2(0) = E[N (N - 1)] / E[N]^2, where E[N] = S + mu for
+    S = sum p_i and Var N = S - sum p_i^2 + mu; so
+    g2(0) = 1 - sum p_i^2 / (S + mu)^2.
+    """
+    s = sum(probs)
+    return 1.0 - sum(p * p for p in probs) / (s + dark_mean) ** 2
+
+
+def signal_fraction(probs, dark_mean):
+    """Signal fraction rho = S / (S + mu) of the clicks, S = sum p_i (see ``g2_zero``)."""
+    s = sum(probs)
+    return s / (s + dark_mean)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import scenarios
-from oracles import enhanced_lifetime
+from oracles import clicks_per_shot, enhanced_lifetime, g2_zero, signal_fraction
 from test_fitting import jacobian_fd_max_error
 
 from ersim.analysis import (
@@ -177,6 +177,19 @@ def test_criterion_5_background_g2_reproduction(background_g2):
         f"raw g2(0) = {raw:.4f} (0.29 +- 0.03), corrected = {corrected:.4f} (0.04 +- 0.03) "
         f"at rho = {RHO_SIGNAL_FRACTION}",
     )
+
+
+def test_background_g2_and_rho_match_their_oracles(background_g2):
+    # a changed dark rate in g2_background.ini moves the analytic rho off the
+    # typed one, which would silently skew the corrected g2(0)
+    cfg = background_g2["config"]
+    probs = clicks_per_shot(cfg, cfg.single_frequency())
+    dark_mean = cfg.detector.dark_rate * cfg.sequence.t_coll
+    expected = g2_zero(probs, dark_mean)
+    sigma = background_g2["hist"].g2_zero_sigma()
+    assert abs(background_g2["raw"] - expected) <= 4 * sigma, (background_g2["raw"], expected, sigma)
+    rho = signal_fraction(probs, dark_mean)
+    assert abs(RHO_SIGNAL_FRACTION - rho) <= 5e-4, (RHO_SIGNAL_FRACTION, rho)
 
 
 def test_criterion_6_linewidth_pipeline(linewidth_session):

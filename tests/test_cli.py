@@ -799,6 +799,37 @@ class TestReport:
         summary = (a / "summary.txt").read_text()
         assert "time_averaged_fwhm_mhz" in summary
 
+    def test_scans_whose_fits_all_fail_report_no_linewidth(self, tmp_path):
+        # all-zero scans: every fit is degenerate and holds its starting guess, span / 4 = 150 MHz
+        work = tmp_path / "work"
+        work.mkdir()
+        x = 195.6e12 + np.linspace(-300e6, 300e6, 7)
+        for i in range(2):
+            write_spectrum_csv(Spectrum(x, np.zeros(7)), work / f"scan_{i:03d}.csv")
+        report_dir = tmp_path / "report"
+        assert main(["report", "--in", str(work), "--out", str(report_dir)]) == EXIT_OK
+        assert (report_dir / "summary.txt").read_text() == "\n"
+        assert len(_read_table(report_dir / "scan_linewidths.csv")[2]) == 2
+
+    def test_single_scan_mean_takes_only_converged_fits(self, tmp_path):
+        work = tmp_path / "work"
+        work.mkdir()
+        x = 195.6e12 + np.linspace(-400e6, 400e6, 81)
+        spectra = [Spectrum(x, gaussian_peak(x, (195.6e12 + off, 173.6e6, 200.0, 1.0))) for off in (0.0, 60e6)]
+        spectra.append(Spectrum(x, np.zeros(len(x))))   # flat: its fit does not converge
+        for i, spectrum in enumerate(spectra):
+            write_spectrum_csv(spectrum, work / f"scan_{i:03d}.csv")
+        fits = [fit_gaussian(s) for s in spectra]
+        assert [f.converged for f in fits] == [True, True, False]
+        report_dir = tmp_path / "report"
+        assert main(["report", "--in", str(work), "--out", str(report_dir)]) == EXIT_OK
+        summary = dict(line.split(" = ") for line in (report_dir / "summary.txt").read_text().splitlines())
+        mean = float(np.mean([f.value("fwhm") for f in fits[:2]])) / 1e6
+        assert float(summary["single_scan_fwhm_mhz_mean"]) == pytest.approx(mean, rel=1e-9)
+        assert summary["measured_linewidth_mhz"] == summary["single_scan_fwhm_mhz_mean"]
+        assert float(summary["time_averaged_fwhm_mhz"]) > mean
+        assert len(_read_table(report_dir / "scan_linewidths.csv")[2]) == 3
+
     def test_huge_lifetime_sigma_gives_infinite_purcell_sigma(self, tmp_path):
         work = tmp_path / "work"
         work.mkdir()

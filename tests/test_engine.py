@@ -47,6 +47,40 @@ def at_line(config):
     return dataclasses.replace(config, laser_frequency=(config.emitters[0].nu_ion_0,))
 
 
+def flat_blocks(segments):
+    """``_segments`` output as the (grid point, first shot, shots) of each block in shot order."""
+    return [(g, first, size) for points, first, size in segments for g in points]
+
+
+def greedy_segments(config):
+    """Reference grouping: blocks in shot order, each appended to the open segment
+    while it holds at most ``BLOCK_SHOTS`` shots and ``CLICK_BUDGET`` expected clicks."""
+    n_per, per_shot = config.sequence.n_shots, engine._clicks_per_shot(config)
+    segment, shots = [], 0
+    for g in range(len(config.laser_frequency)):
+        for first in range(0, n_per, BLOCK_SHOTS):
+            size = min(BLOCK_SHOTS, n_per - first)
+            total = shots + size
+            if segment and (total > BLOCK_SHOTS or total * per_shot > CLICK_BUDGET):
+                yield segment
+                segment, total = [], size
+            segment.append((g, first, size))
+            shots = total
+    yield segment
+
+
+@st.composite
+def binding_budgets(draw):
+    """(n_shots, points, Poissonian rate) with the rate up to the largest block's budget,
+    so that the click budget, not only ``BLOCK_SHOTS``, bounds a segment."""
+    n_shots = draw(st.integers(1, 3 * BLOCK_SHOTS + 5))
+    top = CLICK_BUDGET / min(n_shots, BLOCK_SHOTS)
+    # exact budget fractions put a segment's expected clicks on the budget itself
+    exact = st.integers(1, BLOCK_SHOTS).map(lambda k: CLICK_BUDGET / (k * n_shots))
+    rate = draw(st.one_of(st.floats(0, top), exact))
+    return n_shots, draw(st.integers(1, 64)), rate
+
+
 class TestPulseSequence:
     def test_validates_window_fits_period(self):
         with pytest.raises(InvalidParameterError):
@@ -139,10 +173,8 @@ class TestExperimentConfig:
             for g in range(len(cfg.laser_frequency))
             for first in range(0, n_shots, BLOCK_SHOTS)
         ]
-        assert [block for seg in segments for block in seg] == blocks
-        assert [len(seg) for seg in segments] == blocks_per_segment
-        # the sampler's grid: the blocks of a segment share their first shot and size
-        assert all(len({(first, size) for _, first, size in seg}) == 1 for seg in segments)
+        assert flat_blocks(segments) == blocks
+        assert [len(points) for points, _, _ in segments] == blocks_per_segment
 
     def test_segments_keep_the_click_budget(self):
         # 2**21 clicks expected per shot: two 1-shot blocks fill the budget
@@ -151,8 +183,19 @@ class TestExperimentConfig:
             laser_frequency=tuple(195.6e12 + 1e6 * np.arange(41)),
         )
         segments = list(engine._segments(cfg))
-        assert [len(seg) for seg in segments] == [2] * 20 + [1]
-        assert [block for seg in segments for block in seg] == [(g, 0, 1) for g in range(41)]
+        assert [len(points) for points, _, _ in segments] == [2] * 20 + [1]
+        assert flat_blocks(segments) == [(g, 0, 1) for g in range(41)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(binding_budgets())
+    def test_segments_match_the_greedy_grouping(self, case):
+        n_shots, points, rate = case
+        cfg = dataclasses.replace(
+            scenarios.g2_config(poisson_rate=rate, n_shots=n_shots),
+            laser_frequency=tuple(195.6e12 + 1e6 * np.arange(points)),
+        )
+        segments = [flat_blocks([segment]) for segment in engine._segments(cfg)]
+        assert segments == list(greedy_segments(cfg))
 
     def test_fields_are_stored_as_tuples(self):
         cfg = scenarios.lifetime_config()
@@ -375,7 +418,7 @@ class TestDeterminism:
         base = with_shots(base, n, dark_rate=1e5, dead_time=200e-9)
         grid = tuple(base.emitters[0].nu_ion_0 + np.linspace(-10e6, 10e6, points))
         cfg = dataclasses.replace(base, laser_frequency=grid, scan_repeats=2)
-        assert [[g for g, _, _ in seg] for seg in engine._segments(cfg)] == [[0, 1], [2, 3], [4]]
+        assert [list(points) for points, _, _ in engine._segments(cfg)] == [[0, 1], [2, 3], [4]]
         for repeat, scan in enumerate(run_scan_session(cfg)):
             for g, point in enumerate(scan.points):
                 offsets = [np.zeros(n) for _ in cfg.emitters]
@@ -403,7 +446,8 @@ class TestDeterminism:
         # records each gives alone, and no generator serves both
         a = scenarios.linewidth_session_config(scan_repeats=3, n_shots=2000, points=9)
         b = scenarios.linewidth_session_config(scan_repeats=3, n_shots=BLOCK_SHOTS + 7, points=3, seed=5)
-        assert max(map(len, engine._segments(a))) > 1 == max(map(len, engine._segments(b)))
+        widest = [max(len(points) for points, _, _ in engine._segments(c)) for c in (a, b)]
+        assert widest[0] > 1 == widest[1]
 
         def records(scans):
             return [p.stream.records.tobytes() for scan in scans for p in scan.points]
