@@ -22,7 +22,6 @@ import numpy as np
 from ersim.analysis import spectral_diffusion_map, spectrum_from_scan
 from ersim.config import parse_config_file
 from ersim.engine import run_scan_session
-from ersim.fitting import fit_gaussian
 
 SESSION_FILE = Path(__file__).resolve().parent.parent / "configs" / "ple_session.ini"
 SINGLE_SCAN_FWHM = 173.6e6
@@ -40,7 +39,7 @@ def measure(session, sigma_fast, rate):
     scans = run_scan_session(session_config(session, sigma_fast, rate))
     spectra = [spectrum_from_scan(s, label=f"scan {i}") for i, s in enumerate(scans)]
     sd_map = spectral_diffusion_map(spectra)
-    return float(np.mean(sd_map.per_scan_fwhm)), float(sd_map.average_fwhm)
+    return float(np.mean(sd_map.converged_fwhm)), float(sd_map.average_fwhm)
 
 
 def main():
@@ -55,8 +54,8 @@ def main():
     sigma_fast = SINGLE_SCAN_FWHM / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     for _ in range(3):
         cfg = session_config(session, sigma_fast, 0.0, scan_repeats=3, scan_dwell=0.0)
-        fits = [fit_gaussian(spectrum_from_scan(s)) for s in run_scan_session(cfg)]
-        mean = float(np.mean([f.value("fwhm") for f in fits]))
+        sd_map = spectral_diffusion_map(spectrum_from_scan(s) for s in run_scan_session(cfg))
+        mean = float(np.mean(sd_map.converged_fwhm))
         print(f"sigma_fast = {sigma_fast/1e6:.4f} MHz -> single-scan FWHM {mean/1e6:.2f} MHz")
         sigma_fast *= SINGLE_SCAN_FWHM / mean
 

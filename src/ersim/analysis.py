@@ -114,14 +114,21 @@ def _pairs_by_offset(shots: np.ndarray, k: int) -> np.ndarray:
     return sums
 
 
-def background_corrected_g2(g2_raw: float, rho: float) -> float:
+def background_corrected_g2(g2_raw, rho: float):
     """Remove an uncorrelated background with signal fraction rho = S/(S+B).
 
-    Returns (g2_raw - (1 - rho^2)) / rho^2, clamped below at zero.
+    Returns (g2_raw - (1 - rho^2)) / rho^2, clamped below at zero: a float for
+    one value, or an array corrected elementwise for an array of them.
     """
     _require(0 < rho <= 1, "rho must lie in (0, 1]")
-    _require(g2_raw >= 0, "g2_raw must be >= 0")
-    return max(0.0, (g2_raw - (1.0 - rho * rho)) / (rho * rho))
+    r2 = rho * rho
+    _require(r2 > 0, "rho is so small that rho**2 underflows to 0")
+    g2 = np.asarray(g2_raw, dtype=float)
+    _require(bool(np.all(g2 >= 0)), "g2_raw must be >= 0")
+    with np.errstate(over="ignore"):  # a huge g2 over a tiny rho^2 is inf, as in float arithmetic
+        corrected = (g2 - (1.0 - r2)) / r2
+    corrected = np.where(corrected > 0.0, corrected, 0.0)
+    return float(corrected) if corrected.ndim == 0 else corrected
 
 
 def spectrum_from_scan(scan: ScanResult, label: str = "") -> Spectrum:
@@ -141,8 +148,10 @@ class SpectralDiffusionMap:
     average_fit: FitResult
 
     @property
-    def per_scan_fwhm(self) -> np.ndarray:
-        return np.asarray([f.value("fwhm") for f in self.per_scan_fits])
+    def converged_fwhm(self) -> np.ndarray:
+        """The widths of the per-scan fits that converged, in scan order; a fit
+        that did not converge holds its starting guess, not a linewidth."""
+        return np.asarray([f.value("fwhm") for f in self.per_scan_fits if f.converged])
 
     @property
     def average_fwhm(self) -> float:

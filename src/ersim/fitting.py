@@ -1,10 +1,11 @@
 """Damped Gauss-Newton (Levenberg-Marquardt) peak and decay fitting.
 
-Three model families with analytic Jacobians: Lorentzian peak, Gaussian peak
-and exponential decay.  Width and lifetime parameters are kept positive by
-optimizing their logarithm; reported values and uncertainties are in natural
-units.  Initial guesses come from data heuristics (extremum location,
-half-maximum crossings, edge-point baseline).
+Three model families, Lorentzian peak, Gaussian peak and exponential decay,
+each one function that also gives its analytic Jacobian from the same terms.
+Width and lifetime parameters are kept positive by optimizing their
+logarithm; reported values and uncertainties are in natural units.  Initial
+guesses come from data heuristics (extremum location, half-maximum
+crossings, edge-point baseline).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .physics import _require, lorentzian
+from .physics import _require
 from .records import DecayHistogram, Spectrum
 
 _LN2x4 = 4.0 * math.log(2.0)
@@ -28,77 +29,73 @@ _LOG_LIMIT = 175.0
 _VALUE_LIMIT = math.exp(_LOG_LIMIT)  # bound on a non-log parameter, so on a count to fit
 
 
-def lorentzian_peak(x, params):
-    """baseline + amplitude * (fwhm/2)^2 / ((x-center)^2 + (fwhm/2)^2)."""
-    center, fwhm, amplitude, baseline = params
-    return lorentzian(x, center, fwhm, amplitude, baseline)
+def lorentzian_peak(x, params, jacobian=False):
+    """baseline + amplitude * (fwhm/2)^2 / ((x-center)^2 + (fwhm/2)^2).
 
-
-def lorentzian_peak_jacobian(x, params):
+    With ``jacobian``, returns the value and its derivatives in the parameters
+    as the columns of an ``(len(x), 4)`` array, both from one set of terms.
+    """
     center, fwhm, amplitude, baseline = params
     half = 0.5 * fwhm
+    h2 = half**2
     dx = x - center
-    denom = dx**2 + half**2
-    shape = half**2 / denom
-    j_center = amplitude * half**2 * 2.0 * dx / denom**2
-    j_fwhm = amplitude * half * dx**2 / denom**2
-    j_amp = shape
-    j_base = np.ones_like(x)
-    return np.column_stack([j_center, j_fwhm, j_amp, j_base])
+    dx2 = dx**2
+    denom = dx2 + h2
+    value = baseline + amplitude * h2 / denom
+    if not jacobian:
+        return value
+    denom2 = denom**2
+    J = np.empty((len(x), 4))
+    J[:, 0] = amplitude * h2 * 2.0 * dx / denom2
+    J[:, 1] = amplitude * half * dx2 / denom2
+    J[:, 2] = h2 / denom
+    J[:, 3] = 1.0
+    return value, J
 
 
-def gaussian_peak(x, params):
-    """baseline + amplitude * exp(-4 ln2 (x-center)^2 / fwhm^2)."""
-    center, fwhm, amplitude, baseline = params
-    return baseline + amplitude * np.exp(-_LN2x4 * (x - center) ** 2 / fwhm**2)
-
-
-def gaussian_peak_jacobian(x, params):
+def gaussian_peak(x, params, jacobian=False):
+    """baseline + amplitude * exp(-4 ln2 (x-center)^2 / fwhm^2); ``jacobian`` as
+    for ``lorentzian_peak``."""
     center, fwhm, amplitude, baseline = params
     dx = x - center
-    shape = np.exp(-_LN2x4 * dx**2 / fwhm**2)
-    j_center = amplitude * shape * 2.0 * _LN2x4 * dx / fwhm**2
-    j_fwhm = amplitude * shape * 2.0 * _LN2x4 * dx**2 / fwhm**3
-    j_amp = shape
-    j_base = np.ones_like(x)
-    return np.column_stack([j_center, j_fwhm, j_amp, j_base])
+    dx2 = dx**2
+    f2 = fwhm**2
+    shape = np.exp(-_LN2x4 * dx2 / f2)
+    scaled = amplitude * shape
+    value = baseline + scaled
+    if not jacobian:
+        return value
+    slope = scaled * 2.0 * _LN2x4
+    J = np.empty((len(x), 4))
+    J[:, 0] = slope * dx / f2
+    J[:, 1] = slope * dx2 / fwhm**3
+    J[:, 2] = shape
+    J[:, 3] = 1.0
+    return value, J
 
 
-def exponential_decay(t, params):
-    """baseline + amplitude * exp(-t / t1)."""
-    amplitude, t1, baseline = params
-    return baseline + amplitude * np.exp(-t / t1)
-
-
-def exponential_decay_jacobian(t, params):
+def exponential_decay(t, params, jacobian=False):
+    """baseline + amplitude * exp(-t / t1); ``jacobian`` as for ``lorentzian_peak``,
+    with 3 columns."""
     amplitude, t1, baseline = params
     shape = np.exp(-t / t1)
-    j_amp = shape
-    j_t1 = amplitude * shape * t / t1**2
-    j_base = np.ones_like(t)
-    return np.column_stack([j_amp, j_t1, j_base])
+    scaled = amplitude * shape
+    value = baseline + scaled
+    if not jacobian:
+        return value
+    J = np.empty((len(t), 3))
+    J[:, 0] = shape
+    J[:, 1] = scaled * t / t1**2
+    J[:, 2] = 1.0
+    return value, J
 
 
-#: name -> (model, jacobian, parameter names, log-parameterized mask)
+#: name -> (model, parameter names, log-parameterized mask); ``model(x, p, True)``
+#: gives the value and the Jacobian that ``levenberg_marquardt`` takes
 MODELS = {
-    "lorentzian": (
-        lorentzian_peak,
-        lorentzian_peak_jacobian,
-        ("center", "fwhm", "amplitude", "baseline"),
-        (False, True, False, False),
-    ),
-    "gaussian": (
-        gaussian_peak,
-        gaussian_peak_jacobian,
-        ("center", "fwhm", "amplitude", "baseline"),
-        (False, True, False, False),
-    ),
-    "exponential": (
-        exponential_decay,
-        exponential_decay_jacobian,
-        ("amplitude", "t1", "baseline"),
-        (False, True, False),
-    ),
+    "lorentzian": (lorentzian_peak, ("center", "fwhm", "amplitude", "baseline"), (False, True, False, False)),
+    "gaussian": (gaussian_peak, ("center", "fwhm", "amplitude", "baseline"), (False, True, False, False)),
+    "exponential": (exponential_decay, ("amplitude", "t1", "baseline"), (False, True, False)),
 }
 
 
@@ -194,29 +191,22 @@ def _to_internal(params, log_mask):
     )
 
 
-def _to_natural(u, log_mask):
-    return np.array([math.exp(v) if m else v for v, m in zip(u, log_mask)], dtype=float)
+def _to_natural(u, log_mask) -> list:
+    return [math.exp(v) if m else v for v, m in zip(u.tolist(), log_mask)]
 
 
 def _equilibrated(J):
     """``J.T @ J`` scaled to a unit diagonal, and the scale (1 for a zero column)."""
     A = J.T @ J
-    d = np.sqrt(np.diag(A))
+    d = np.sqrt(A.diagonal())
     d[d <= 0] = 1.0
-    return A / np.outer(d, d), d
+    return A / (d[:, None] * d), d
 
 
-def levenberg_marquardt(
-    model,
-    jacobian,
-    x,
-    y,
-    p0,
-    log_mask,
-    weights=None,
-):
+def levenberg_marquardt(model, x, y, p0, log_mask, weights=None):
     """Minimize sum w (model(x, p) - y)^2 and return (p, cov, rss, iters, status).
 
+    ``model(x, p, True)`` gives the value and the Jacobian, as in ``MODELS``.
     ``status`` says why the iteration stopped: ``"ok"`` (converged),
     ``"max_iterations"`` (iteration limit reached), ``"stalled"`` (no step
     lowered the cost before the damping exceeded 1e14) or ``"singular"``
@@ -232,17 +222,25 @@ def levenberg_marquardt(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = len(p0)
-    sw = np.ones_like(y) if weights is None else np.sqrt(np.asarray(weights, dtype=float))
-    limit = np.where(log_mask, _LOG_LIMIT, _VALUE_LIMIT)
+    eye = np.eye(m)
+    sw = None if weights is None else np.sqrt(np.asarray(weights, dtype=float))
+    limits = [_LOG_LIMIT if lg else _VALUE_LIMIT for lg in log_mask]
+    logs = [j for j, lg in enumerate(log_mask) if lg]
 
     def residual_and_jac(u):
-        """Weighted residuals, Jacobian in u, and dp/du (p for a log parameter)."""
+        """Weighted residuals and the Jacobian in u: a log parameter's column times p."""
         p = _to_natural(u, log_mask)
-        dp_du = np.where(log_mask, p, 1.0)
-        return sw * (model(x, p) - y), jacobian(x, p) * sw[:, None] * dp_du, dp_du
+        value, J = model(x, p, True)
+        r = value - y
+        if sw is not None:  # a weight of 1 would change no bit, so an unweighted fit skips it
+            r = sw * r
+            J *= sw[:, None]
+        for j in logs:
+            J[:, j] *= p[j]
+        return r, J
 
     u = _to_internal(p0, log_mask)
-    r, J, dp_du = residual_and_jac(u)
+    r, J = residual_and_jac(u)
     cost = float(r @ r)
     lam = 1e-3
     status = "max_iterations"
@@ -250,19 +248,19 @@ def levenberg_marquardt(
     for iterations in range(1, MAX_ITERATIONS + 1):
         A_hat, d = _equilibrated(J)
         try:
-            step_hat = np.linalg.solve(A_hat + lam * np.eye(m), -(J.T @ r) / d)
+            step_hat = np.linalg.solve(A_hat + lam * eye, -(J.T @ r) / d)
         except np.linalg.LinAlgError:
-            return _to_natural(u, log_mask), None, cost, iterations, "singular"
+            return np.array(_to_natural(u, log_mask)), None, cost, iterations, "singular"
         step = step_hat / d
         u_try = u + step
         cost_try = math.inf
-        if np.all(np.abs(u_try) < limit):  # also rejects a non-finite step
-            r_try, J_try, dp_du_try = residual_and_jac(u_try)
+        if all(abs(v) < lim for v, lim in zip(u_try.tolist(), limits)):  # also rejects a non-finite step
+            r_try, J_try = residual_and_jac(u_try)
             cost_try = float(r_try @ r_try)
-        if np.isfinite(cost_try) and cost_try <= cost:
-            small_step = np.all(np.abs(step) <= _XTOL * (np.abs(u) + _XTOL))
+        if math.isfinite(cost_try) and cost_try <= cost:
+            small_step = all(abs(s) <= _XTOL * (abs(v) + _XTOL) for s, v in zip(step.tolist(), u.tolist()))
             small_decrease = (cost - cost_try) <= _FTOL * max(cost, 1e-300)
-            u, r, J, dp_du, cost = u_try, r_try, J_try, dp_du_try, cost_try
+            u, r, J, cost = u_try, r_try, J_try, cost_try
             lam = max(lam * 0.3, 1e-14)
             if small_step or small_decrease:
                 status = "ok"
@@ -273,15 +271,16 @@ def levenberg_marquardt(
                 status = "stalled"
                 break
 
-    p = _to_natural(u, log_mask)
+    p = np.array(_to_natural(u, log_mask))
     cov = None
     if status == "ok":
         n_dof = len(y) - m
         A_hat, d = _equilibrated(J)
         if np.linalg.cond(A_hat) * np.finfo(float).eps < 1.0:
             scale = cost / n_dof if n_dof > 0 else 0.0
+            dp_du = np.where(log_mask, p, 1.0)
             with np.errstate(over="ignore", invalid="ignore"):
-                cov = np.linalg.inv(A_hat) / np.outer(d, d) * scale * np.outer(dp_du, dp_du)
+                cov = np.linalg.inv(A_hat) / (d[:, None] * d) * scale * (dp_du[:, None] * dp_du)
             cov = cov if np.all(np.isfinite(cov)) else None
     return p, cov, cost, iterations, status
 
@@ -298,7 +297,7 @@ def _fit_peak(kind: str, spectrum: Spectrum) -> tuple[FitResult, np.ndarray | No
     _require(spectrum.counts.max() < _VALUE_LIMIT, "counts must be below exp(175)")
     # the center is a non-log parameter, and the guess subtracts the grid's ends
     _require(np.abs(spectrum.frequencies).max() < _VALUE_LIMIT, "|frequencies| must be below exp(175) Hz")
-    model, jac, names, log_mask = MODELS[kind]
+    model, names, log_mask = MODELS[kind]
     x = spectrum.frequencies
     y = spectrum.counts
     center, fwhm, amplitude, baseline = peak_initial_guess(x, y)
@@ -306,7 +305,7 @@ def _fit_peak(kind: str, spectrum: Spectrum) -> tuple[FitResult, np.ndarray | No
         rss = np.sum((y - baseline) ** 2)
         return _build_result(names, (center, fwhm, 0.0, baseline), None, rss, 0, "degenerate"), None
     p, cov, rss, iters, status = levenberg_marquardt(
-        model, jac, x, y, (center, fwhm, amplitude, baseline), log_mask=log_mask
+        model, x, y, (center, fwhm, amplitude, baseline), log_mask=log_mask
     )
     return _build_result(names, p, cov, rss, iters, status), cov
 
@@ -333,7 +332,7 @@ def fit_exponential(histogram: DecayHistogram) -> FitResult:
     nonempty = int(np.count_nonzero(histogram.counts))
     _require(nonempty >= 4, "exponential fits need at least 4 nonempty bins")
     _require(histogram.counts.max() < _VALUE_LIMIT, "counts must be below exp(175)")
-    model, jac, names, log_mask = MODELS["exponential"]
+    model, names, log_mask = MODELS["exponential"]
     t = histogram.centers
     y = histogram.counts
     weights = 1.0 / np.maximum(y, 1.0)
@@ -343,6 +342,6 @@ def fit_exponential(histogram: DecayHistogram) -> FitResult:
     if amplitude <= 0:
         amplitude = max(float(np.max(y) - baseline), 1.0)
     p, cov, rss, iters, status = levenberg_marquardt(
-        model, jac, t, y, (amplitude, t1, baseline), weights=weights, log_mask=log_mask
+        model, t, y, (amplitude, t1, baseline), weights=weights, log_mask=log_mask
     )
     return _build_result(names, p, cov, rss, iters, status)

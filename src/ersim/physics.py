@@ -3,8 +3,9 @@
 All functions are pure and operate in SI units: frequencies in Hz, rates in
 1/s, times in s.  Frequencies are absolute; conversion to wavelength or
 detuning happens only in the reporting layer.  Each relation is defined once
-here.  The engine samples through them with fields the model types check,
-and the fits use ``lorentzian``; only relations fed by CSV values check.
+here.  The engine samples through them with fields the model types check;
+only relations fed by CSV values check.  The fitted lineshapes are defined
+once, beside their Jacobians, in ``fitting``.
 """
 
 from __future__ import annotations
@@ -108,15 +109,6 @@ class DetectorModel:
         _require(self.dead_time >= 0, "dead_time must be >= 0")
 
 
-def lorentzian(nu, center, fwhm, amplitude=1.0, baseline=0.0):
-    """Lorentzian lineshape: baseline + amplitude at nu=center, half width fwhm/2.
-
-    Accepts scalars or numpy arrays for ``nu``.
-    """
-    half = 0.5 * fwhm
-    return baseline + amplitude * half**2 / ((np.asarray(nu) - center) ** 2 + half**2)
-
-
 def purcell_profile(delta, p_peak: float, kappa: float):
     """Purcell factor at emitter-cavity detuning delta.
 
@@ -160,6 +152,7 @@ def cavity_branching_fraction(p) -> float:
     return p / (p + 1.0)
 
 
-def frequency_to_wavelength(frequency_hz: float) -> float:
-    _require(frequency_hz > 0, "frequency must be > 0")
+def frequency_to_wavelength(frequency_hz):
+    """c / frequency, of one frequency or elementwise of an array of them."""
+    _require(bool(np.all(frequency_hz > 0)), "frequency must be > 0")
     return SPEED_OF_LIGHT / frequency_hz

@@ -3,9 +3,9 @@
 All tabular files are comma-separated with one header row whose column names
 carry units; optional ``# key = value`` comment lines precede the header.
 ``_write_table`` is the only renderer: each writer declares its columns and
-``_fmt`` turns every cell and comment value into text.  Floats are rendered
-with ``repr`` so files are byte-reproducible and parse back to identical
-values.
+``_fmt`` turns every cell and comment value into text; ``_column`` renders a
+whole column to the same text.  Floats are rendered with ``repr`` so files
+are byte-reproducible and parse back to identical values.
 """
 
 from __future__ import annotations
@@ -32,13 +32,34 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+_TABLE_ROWS = 2**14  # rows rendered and written at a time
+
+
+def _column(values) -> list:
+    """``_fmt`` of every cell of one column: a float64 array through ``repr``
+    and an integer array through ``str`` in one pass each."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:
+            return list(map(repr, values.tolist()))
+        if values.dtype.kind in "iu":
+            return list(map(str, values.tolist()))
+    return list(map(_fmt, values))
+
+
 def _write_table(path, comments: dict, columns: dict) -> None:
     """Comment lines, a header of the column names, then one row per index of
-    the equal-length value sequences in ``columns``."""
-    lines = [f"# {k} = {_fmt(v)}" for k, v in comments.items()]
-    lines.append(",".join(columns))
-    lines += [",".join(map(_fmt, row)) for row in zip(*columns.values(), strict=True)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    the equal-length value sequences in ``columns``, rendered a column at a
+    time in chunks of ``_TABLE_ROWS`` rows."""
+    lengths = {len(v) for v in columns.values()}
+    if len(lengths) > 1:
+        raise ValueError("table columns differ in length")
+    head = [f"# {k} = {_fmt(v)}" for k, v in comments.items()]
+    head.append(",".join(columns))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(head) + "\n")
+        for start in range(0, max(lengths, default=0), _TABLE_ROWS):
+            cells = [_column(v[start : start + _TABLE_ROWS]) for v in columns.values()]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _read_table(path) -> tuple[dict, list, list]:
@@ -112,7 +133,7 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
         {"label": spectrum.label, "acquisition_time_s": spectrum.acquisition_time},
         {
             "frequency_hz": f,
-            "wavelength_nm": [frequency_to_wavelength(v) * 1e9 for v in f],
+            "wavelength_nm": frequency_to_wavelength(f) * 1e9,
             "detuning_mhz": (f - center) / 1e6,
             "counts": spectrum.counts,
         },
@@ -159,7 +180,9 @@ def read_decay_histogram_csv(path) -> DecayHistogram:
 
 def write_correlation_csv(hist: CorrelationHistogram, path, rho: float = 1.0) -> None:
     g2 = hist.g2
-    corrected = [background_corrected_g2(v, rho) if math.isfinite(v) else math.nan for v in g2]
+    finite = np.isfinite(g2)
+    corrected = np.full(len(g2), math.nan)
+    corrected[finite] = background_corrected_g2(g2[finite], rho)
     comments = {
         "normalization_per_pair": hist.normalization,
         "n_clicks": hist.n_clicks,
@@ -173,7 +196,7 @@ def write_correlation_csv(hist: CorrelationHistogram, path, rho: float = 1.0) ->
         "shot_pairs": hist.shot_pairs,
         "g2": g2,
         "g2_corrected": corrected,
-        "rho": [rho] * len(g2),
+        "rho": np.full(len(g2), rho),
     }
     _write_table(path, comments, columns)
 
@@ -268,13 +291,12 @@ def generate_report(in_dir, out_dir) -> dict:
             "fwhm_sigma_mhz": [f.sigma("fwhm") / 1e6 for f in fits],
         }
         _write_table(out_dir / "scan_linewidths.csv", {}, columns)
-        # a fit that did not converge holds its starting guess, not a linewidth
-        widths = [f.value("fwhm") for f in fits if f.converged]
-        if widths:
+        widths = sd_map.converged_fwhm
+        if len(widths):
             summary["single_scan_fwhm_mhz_mean"] = float(np.mean(widths)) / 1e6
         if sd_map.average_fit.converged:
             summary["time_averaged_fwhm_mhz"] = sd_map.average_fwhm / 1e6
-        if widths:
+        if len(widths):
             summary.setdefault("measured_linewidth_mhz", summary["single_scan_fwhm_mhz_mean"])
 
     for path in sorted(in_dir.glob("g2*.csv")):

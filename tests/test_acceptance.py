@@ -194,8 +194,8 @@ def test_background_g2_and_rho_match_their_oracles(background_g2):
 
 def test_criterion_6_linewidth_pipeline(linewidth_session):
     sd_map = linewidth_session["map"]
-    first = float(sd_map.per_scan_fwhm[0])
-    single_mean = float(np.mean(sd_map.per_scan_fwhm))
+    first = float(sd_map.converged_fwhm[0])
+    single_mean = float(np.mean(sd_map.converged_fwhm))
     averaged = float(sd_map.average_fwhm)
     ok = (
         abs(first - 173.6e6) <= 0.05 * 173.6e6
@@ -204,7 +204,7 @@ def test_criterion_6_linewidth_pipeline(linewidth_session):
         and averaged > single_mean
     )
     for extra in linewidth_session["extra"]:
-        ok = ok and extra.average_fwhm > float(np.mean(extra.per_scan_fwhm))
+        ok = ok and extra.average_fwhm > float(np.mean(extra.converged_fwhm))
     check(
         "6 (linewidth pipeline)",
         ok,

@@ -375,14 +375,24 @@ class TestSpectralDiffusionMap:
         result = spectral_diffusion_map(scans)
         # the mean of two equal scans is that scan, so its fit is the scan's fit
         assert result.average_fit == fit_gaussian(scans[0])
-        assert result.average_fwhm == pytest.approx(result.per_scan_fwhm[0], rel=1e-9)
+        assert result.average_fwhm == pytest.approx(result.converged_fwhm[0], rel=1e-9)
 
     def test_drifting_centers_broaden_average(self):
         rng = np.random.default_rng(17)
         offsets = np.cumsum(rng.normal(0.0, 40e6, size=10))
         scans = [self.spectrum(center_offset=o, label=str(i)) for i, o in enumerate(offsets)]
         result = spectral_diffusion_map(scans)
-        assert result.average_fwhm > result.per_scan_fwhm.mean()
+        assert result.average_fwhm > result.converged_fwhm.mean()
+
+    def test_converged_widths_leave_out_a_flat_scan(self):
+        # the flat scan's degenerate fit holds its starting guess, span / 4 = 200 MHz;
+        # averaged in, the single-scan mean would read 182.4 MHz
+        scans = [self.spectrum(), self.spectrum(), Spectrum(self.grid, np.zeros(len(self.grid)))]
+        result = spectral_diffusion_map(scans)
+        assert [f.status for f in result.per_scan_fits] == ["ok", "ok", "degenerate"]
+        assert result.per_scan_fits[2].value("fwhm") == pytest.approx(200e6)
+        assert len(result.converged_fwhm) == 2
+        assert float(np.mean(result.converged_fwhm)) == pytest.approx(173.6e6, rel=1e-9)
 
     def test_mismatched_grids_rejected(self):
         other = Spectrum(self.grid + 1e6, self.spectrum().counts)
@@ -432,7 +442,7 @@ class TestSpectralDiffusionMap:
             return
         result = spectral_diffusion_map(scans)
         # every scan is an exact Gaussian, so its fit returns its parameters
-        assert result.per_scan_fwhm == pytest.approx(fwhms[:n], rel=1e-9)
+        assert result.converged_fwhm == pytest.approx(fwhms[:n], rel=1e-9)
         centers = [f.value("center") - 195.6e12 for f in result.per_scan_fits]
         assert centers == pytest.approx(offsets[:n], abs=1.0)
         assert result.average_fit.converged

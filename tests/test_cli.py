@@ -630,7 +630,8 @@ class TestG2Command:
         zero = rows[5]
         assert float(zero[header.index("g2")]) < 0.05
 
-    @pytest.mark.parametrize("rho", ["-1", "5"])
+    # 1e-170 lies in (0, 1], but its square underflows to 0 and the correction divides by it
+    @pytest.mark.parametrize("rho", ["-1", "5", "1e-170"])
     def test_rho_outside_unit_interval_is_config_error(self, tmp_path, capsys, rho):
         # two clicks in 200 shots: no side coincidences, so no corrected g2 is computed
         sparse = tmp_path / "sparse.ertt"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,8 +38,8 @@ def _fd_step_scales(kind, params):
 
 def jacobian_fd_max_error(kind, x, params):
     """Worst column-norm relative deviation between analytic and central FD."""
-    model, jacobian, _, _ = MODELS[kind]
-    analytic = jacobian(x, np.asarray(params, dtype=float))
+    model, _, _ = MODELS[kind]
+    analytic = model(x, np.asarray(params, dtype=float), True)[1]
     worst = 0.0
     for j, scale in enumerate(_fd_step_scales(kind, params)):
         h = 6e-6 * max(scale, 1e-12)
@@ -87,6 +88,45 @@ class TestJacobians:
         assert err < 1e-6
 
 
+class TestEvaluators:
+    # each model's value and Jacobian come from one evaluation; its value half
+    # must be the model itself, and its weights must not move a fit
+    CASES = {
+        "lorentzian": (np.linspace(-5.0, 5.0, 61), random_peak_params),
+        "gaussian": (np.linspace(-5.0, 5.0, 61), random_peak_params),
+        "exponential": (
+            np.linspace(0.0, 10.0, 61),
+            lambda rng, t: (rng.uniform(1.0, 100.0), rng.uniform(0.3, 5.0), rng.uniform(-5.0, 5.0)),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_value_half_is_the_model_bit_for_bit(self, kind):
+        rng = np.random.default_rng(5)
+        model, names, _ = MODELS[kind]
+        x, draw = self.CASES[kind]
+        for _ in range(50):
+            for params in (np.asarray(draw(rng, x)), list(draw(rng, x))):
+                value, jac = model(x, params, True)
+                assert value.tobytes() == model(x, params).tobytes()
+                assert jac.shape == (len(x), len(names)) and jac.flags.c_contiguous
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_unit_weights_change_no_bit(self, kind):
+        rng = np.random.default_rng(6)
+        model, names, log_mask = MODELS[kind]
+        x, draw = self.CASES[kind]
+        for _ in range(20):
+            true = draw(rng, x)
+            y = model(x, np.asarray(true)) + rng.normal(0.0, 0.5, len(x))
+            p0 = np.asarray(true) * (1.0 + rng.uniform(-0.2, 0.2, size=len(true)))
+            results = [
+                fitting._build_result(names, *levenberg_marquardt(model, x, y, p0, log_mask, weights=w))
+                for w in (None, np.ones(len(x)))
+            ]
+            np.testing.assert_equal(*map(dataclasses.astuple, results))
+
+
 class TestRoundTrips:
     def test_perturbed_initialization_recovers_parameters(self):
         rng = np.random.default_rng(7)
@@ -96,11 +136,11 @@ class TestRoundTrips:
             ("gaussian", (-0.5, 0.9, -25.0, 10.0)),
         ]
         for kind, true in cases:
-            model, jac, _, log_mask = MODELS[kind]
+            model, _, log_mask = MODELS[kind]
             y = model(x, np.asarray(true))
             for _ in range(10):
                 p0 = np.asarray(true) * (1.0 + rng.uniform(-0.2, 0.2, size=4))
-                p, _, _, _, status = levenberg_marquardt(model, jac, x, y, p0, log_mask=log_mask)
+                p, _, _, _, status = levenberg_marquardt(model, x, y, p0, log_mask=log_mask)
                 assert status == "ok"
                 assert np.all(np.abs(p - np.asarray(true)) <= 1e-3 * np.abs(true))
 
@@ -108,11 +148,11 @@ class TestRoundTrips:
         rng = np.random.default_rng(8)
         t = np.linspace(0.0, 12.0, 80)
         true = (120.0, 2.2, 4.0)
-        model, jac, _, log_mask = MODELS["exponential"]
+        model, _, log_mask = MODELS["exponential"]
         y = model(t, np.asarray(true))
         for _ in range(10):
             p0 = np.asarray(true) * (1.0 + rng.uniform(-0.2, 0.2, size=3))
-            p, _, _, _, status = levenberg_marquardt(model, jac, t, y, p0, log_mask=log_mask)
+            p, _, _, _, status = levenberg_marquardt(model, t, y, p0, log_mask=log_mask)
             assert status == "ok"
             assert np.all(np.abs(p - np.asarray(true)) <= 1e-3 * np.abs(true))
 
@@ -227,11 +267,11 @@ class TestFitExponential:
 class TestNonConvergence:
     def test_iteration_limit_flags_not_converged(self, monkeypatch):
         monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
-        model, jac, _, log_mask = MODELS["gaussian"]
+        model, _, log_mask = MODELS["gaussian"]
         x = np.linspace(-3, 3, 40)
         y = model(x, np.array([0.0, 1.0, 10.0, 0.0]))
         p0 = (2.5, 4.0, -3.0, 8.0)
-        p, cov, rss, iters, status = levenberg_marquardt(model, jac, x, y, p0, log_mask=log_mask)
+        p, cov, rss, iters, status = levenberg_marquardt(model, x, y, p0, log_mask=log_mask)
         assert status == "max_iterations"
         assert iters == 1
         assert cov is None
