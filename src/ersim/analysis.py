@@ -63,11 +63,11 @@ def pulsed_g2(stream: ClickStream, max_offset: int) -> CorrelationHistogram:
 
     The stream is in (shot, time) order and within its shot count, as every
     ``ClickStream`` is checked when it is made.  The pass visits only occupied
-    shots, in windows of W = ``_G2_WINDOW`` shots plus K, so it costs
-    O(clicks + windows * K * W) time and O(W + K) memory beyond the records
-    of one window; K is at most 2**22, a 64 MiB histogram.  The shot count
-    sets no limit: the clicks of a stream spanning 2**61 shots are counted
-    as exactly as any.
+    shots, in windows of W = ``_G2_WINDOW`` shots plus K, one correlation
+    each, so it costs O(clicks + windows * K * W) time and O(W + K) memory
+    beyond the records of one window; K is at most 2**22, a 64 MiB histogram.
+    The shot count sets no limit: the clicks of a stream spanning 2**61 shots
+    are counted as exactly as any.
 
     Streams with fewer than two clicks (or no side coincidences) return a
     histogram flagged ``is_empty`` rather than raising.
@@ -91,25 +91,25 @@ def _pairs_by_offset(shots: np.ndarray, k: int) -> np.ndarray:
 
     A window counts the clicks of shots [a, a + W + k) from the next unvisited
     occupied shot a; the shots [a, a + W) head it, so every occupied shot
-    heads exactly one.  Its m records bound every partial sum by m**2, which
-    picks float64 dots, on a float64 copy of the window's counts, where they
-    are exact and int64 dots beyond.
+    heads exactly one.  One ``np.correlate`` of the head's counts against the
+    window's gives every offset the window's clicks reach.  Its m records
+    bound every partial sum by m**2, which picks float64, on a float64 copy of
+    the window's counts, where the sums are exact and int64 beyond.  Shots
+    below 2**62 keep a + W + k - 1 inside int64.
     """
     w = _G2_WINDOW
     sums = np.zeros(k + 1, dtype=np.int64)
-    last = int(shots[-1])
     i = 0
     while i < len(shots):
         a = int(shots[i])
-        j = int(np.searchsorted(shots, min(a + w + k - 1, last), side="right"))
-        nxt = i + int(np.searchsorted(shots[i:j], a + w)) if a + w <= last else j
+        j = int(np.searchsorted(shots, a + w + k - 1, side="right"))
+        nxt = i + int(np.searchsorted(shots[i:j], a + w))
         counts = np.bincount(shots[i:j] - a, minlength=w + k)
         if (j - i) ** 2 < _FLOAT64_EXACT:
             counts = counts.astype(float)
         head = int(shots[nxt - 1]) - a + 1     # shots up to the head's last click
-        span = int(shots[j - 1]) - a + 1       # shots up to the window's last click
-        for d in range(min(k + 1, span)):
-            sums[d] += int(np.dot(counts[:head], counts[d : d + head]))
+        top = min(k, int(shots[j - 1]) - a)    # the largest offset the window's clicks reach
+        sums[: top + 1] += np.correlate(counts[: head + top], counts[:head]).astype(np.int64)
         i = nxt
     return sums
 

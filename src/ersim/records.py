@@ -1,11 +1,11 @@
 """Analysis data containers: spectra, decay histograms, correlation histograms.
 
-Each stores only what it cannot derive; what follows from its fields is a property.
+Each stores only what it cannot derive, and derives the rest in properties or once when made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,53 +66,51 @@ class DecayHistogram:
         return len(self.counts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrelationHistogram:
     """Pulsed autocorrelation versus shot offset, symmetric about zero.
 
     ``coincidences[k]`` counts click pairs at shot offset ``offsets[k]``,
-    which run -K..K.  The rest is derived from the stored fields:
-    ``shot_pairs[k]`` = n_shots - |offsets[k]| is the number of shot
-    pairs available at that offset (the finite-trace edge correction), and
+    which run -K..K.  The rest is derived once, when the histogram is made:
+    ``shot_pairs[k]`` = n_shots - |offsets[k]| is the number of shot pairs
+    available at that offset (the finite-trace edge correction), and
     ``normalization`` is the mean per-pair coincidence rate over all nonzero
     offsets, so ``g2`` is 1 for a Poissonian source.  Below two clicks every
-    coincidence is 0, and so is the normalization.
+    coincidence is 0, and so is the normalization; a histogram without a
+    positive one ``is_empty``, its ``g2`` nan throughout.  K < n_shots gives
+    every offset a shot pair, so any other ``g2`` is finite.  The fields are
+    frozen and the arrays read-only, an owned int64 array adopted in place.
     """
 
     coincidences: np.ndarray     # int64, 2K + 1 bins for offsets -K..K, K >= 1
     n_shots: int
     t_rep: float
     n_clicks: int
+    offsets: np.ndarray = field(init=False)
+    shot_pairs: np.ndarray = field(init=False)
+    normalization: float = field(init=False)
+    g2: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        c = self.coincidences = np.asarray(self.coincidences, dtype=np.int64)
+        c = np.require(self.coincidences, np.int64, ["C_CONTIGUOUS", "OWNDATA"])  # adopt or copy
         shape_ok = c.ndim == 1 and len(c) % 2 == 1 and len(c) >= 3
         _require(shape_ok, "coincidences must have 2K + 1 bins for offsets -K..K, K >= 1")
-
-    @property
-    def offsets(self) -> np.ndarray:
-        k = len(self.coincidences) // 2
-        return np.arange(-k, k + 1)
-
-    @property
-    def shot_pairs(self) -> np.ndarray:
-        return self.n_shots - np.abs(self.offsets)
-
-    @property
-    def normalization(self) -> float:
-        side = self.offsets != 0
-        return float(np.mean(self.coincidences[side] / self.shot_pairs[side]))
+        k = len(c) // 2
+        _require(k < self.n_shots, "n_shots must exceed the largest offset")
+        offsets = np.arange(-k, k + 1)
+        shot_pairs = self.n_shots - np.abs(offsets)
+        rate = c / shot_pairs          # coincidences per shot pair
+        normalization = float(np.mean(rate[offsets != 0]))
+        g2 = rate / normalization if normalization > 0 else np.full(len(c), np.nan)
+        arrays = {"coincidences": c, "offsets": offsets, "shot_pairs": shot_pairs, "g2": g2}
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "normalization", normalization)
 
     @property
     def is_empty(self) -> bool:
         return self.normalization <= 0
-
-    @property
-    def g2(self) -> np.ndarray:
-        normalization = self.normalization
-        if normalization <= 0:
-            return np.full(len(self.coincidences), np.nan)
-        return self.coincidences / self.shot_pairs / normalization
 
     @property
     def g2_zero(self) -> float:

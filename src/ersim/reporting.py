@@ -179,10 +179,10 @@ def read_decay_histogram_csv(path) -> DecayHistogram:
 
 
 def write_correlation_csv(hist: CorrelationHistogram, path, rho: float = 1.0) -> None:
-    g2 = hist.g2
-    finite = np.isfinite(g2)
-    corrected = np.full(len(g2), math.nan)
-    corrected[finite] = background_corrected_g2(g2[finite], rho)
+    g2 = hist.g2    # finite, or nan throughout in an empty histogram, which still has rho checked
+    corrected = background_corrected_g2(g2[:0] if hist.is_empty else g2, rho)
+    if hist.is_empty:
+        corrected = np.full(len(g2), math.nan)
     comments = {
         "normalization_per_pair": hist.normalization,
         "n_clicks": hist.n_clicks,

@@ -20,7 +20,7 @@ from ersim.analysis import (
 from ersim.engine import _CHUNK, ClickStream, PulseSequence, run_lifetime
 from ersim.errors import InvalidParameterError, StreamInvariantError
 from ersim.fitting import FitParameter, FitResult, fit_gaussian, gaussian_peak
-from ersim.records import Spectrum
+from ersim.records import CorrelationHistogram, Spectrum
 from ersim.reporting import _read_table, generate_report, write_spectrum_csv
 
 
@@ -267,6 +267,65 @@ class TestPulsedG2:
         for shots in ([0, 3, 2, 9], [0, 2**17, 5], [4, 0]):
             with pytest.raises(StreamInvariantError, match="not sorted by shot index"):
                 make_stream(shots, [2000] * len(shots), n_shots=2**18)
+
+
+class TestPulsedG2AtTheOffsetBound:
+    def test_every_offset_matches_per_shot_dots(self):
+        # the widest histogram the CLI allows: 7 clicks over 2**23 shots at K = 2**22
+        k, n_shots = 2**22, 2**23
+        shots = np.array([0, 0, 1, 5, 1000, 2**22, 2**23 - 1])
+        hist = pulsed_g2(make_stream(shots, np.full(len(shots), 2000), n_shots=n_shots), k)
+        expected = brute_force_pairs(np.bincount(shots, minlength=n_shots), k)
+        assert np.array_equal(hist.coincidences[k:], expected)
+        assert np.array_equal(hist.coincidences[: k + 1], expected[::-1])
+
+
+class TestHistogramRecord:
+    def setup_method(self):
+        stream = make_stream([0, 0, 2, 3, 7], [2000, 3000, 2500, 4000, 1500], n_shots=10)
+        self.hist = pulsed_g2(stream, 3)
+
+    @pytest.mark.parametrize("column", ["coincidences", "offsets", "shot_pairs", "g2"])
+    def test_column_cannot_be_written(self, column):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(self.hist, column)[0] = 0
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CorrelationHistogram)])
+    def test_field_cannot_be_reassigned(self, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.hist, field, getattr(self.hist, field))
+
+    def test_columns_are_derived_once(self):
+        for column in ("offsets", "shot_pairs", "g2"):
+            assert getattr(self.hist, column) is getattr(self.hist, column)
+        assert self.hist.offsets.tolist() == [-3, -2, -1, 0, 1, 2, 3]
+        assert self.hist.shot_pairs.tolist() == [7, 8, 9, 10, 9, 8, 7]
+
+    def test_empty_histogram_g2_is_read_only_nan(self):
+        hist = pulsed_g2(make_stream([4], [2000], n_shots=10), 2)
+        assert hist.is_empty and np.all(np.isnan(hist.g2))
+        with pytest.raises(ValueError, match="read-only"):
+            hist.g2[0] = 1.0
+
+    def test_adopted_array_is_frozen_in_place(self):
+        counts = np.array([1, 4, 1], dtype=np.int64)
+        hist = CorrelationHistogram(counts, 10, 60e-6, n_clicks=2)
+        assert hist.coincidences is counts
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0] = 9
+
+    @pytest.mark.parametrize("n_shots", [1, 0, -5])
+    def test_shot_count_must_exceed_the_largest_offset(self, n_shots):
+        # every offset then has a shot pair, so a nonempty g2 is finite
+        with pytest.raises(InvalidParameterError, match="n_shots must exceed the largest offset"):
+            CorrelationHistogram([1, 4, 1], n_shots, 60e-6, n_clicks=2)
+
+    def test_histogram_from_a_view_does_not_follow_its_source(self):
+        source = np.array([1, 4, 1, 7], dtype=np.int64)
+        hist = CorrelationHistogram(source[:3], 10, 60e-6, n_clicks=2)
+        source[0] = 9
+        assert hist.coincidences.tolist() == [1, 4, 1]
+        assert hist.g2[0] == hist.g2[2]
 
 
 class TestMemoryBounds:

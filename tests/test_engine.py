@@ -345,21 +345,23 @@ class TestCavityDetuning:
 
     The cavity FWHM is 195.6 THz / 48900 = 4 GHz and the emitter sits 2 GHz
     above it: P = 2 / (1 + (2 * 2 GHz / 4 GHz)^2) = 1 exactly.  The expected
-    values are written out by hand, not computed by ersim.physics, which the
-    engine samples through.  With gamma_0 = 1e5/s the decay rate is
-    gamma_0 (1 + P) = 2e5/s (t1 = 5 us) and half the emission is routed into
-    the cavity channel.
+    values are written out by hand or taken from the oracles, not computed by
+    ersim.physics, which the engine samples through.  With gamma_0 = 1e5/s
+    the decay rate is gamma_0 (1 + P) = 2e5/s (t1 = 5 us) and half the
+    emission is routed into the cavity channel.
     """
 
-    def run(self):
+    def config(self):
         cfg = scenarios.lifetime_config(seed=31, n_shots=200_000, p_max=0.5)
-        cfg = dataclasses.replace(
+        return dataclasses.replace(
             cfg,
             emitters=(dataclasses.replace(cfg.emitters[0], nu_ion_0=195.602e12, gamma_0=1e5),),
             cavity=CavityModel(nu_cav=195.6e12, q_factor=48900.0, p_peak=2.0),
             laser_frequency=(195.602e12,),
         )
-        return run_lifetime(cfg)
+
+    def run(self):
+        return run_lifetime(self.config())
 
     def test_fitted_lifetime_is_half_the_bare_lifetime(self):
         fit = fit_exponential(histogram_arrivals(self.run(), 0.25e-6))
@@ -368,9 +370,10 @@ class TestCavityDetuning:
         assert abs(fit.value("t1") - 5e-6) < 4 * fit.sigma("t1")
 
     def test_clicks_per_shot_match_half_branching(self):
-        n = 200_000
-        # p_max * P/(P+1) * (1 - exp(-t_coll / t1)), t_coll = 20 us, t1 = 5 us
-        expected = 0.5 * 0.5 * (1.0 - math.exp(-4.0))
+        cfg = self.config()
+        n = cfg.sequence.n_shots
+        # p_max * P/(P+1) * (1 - exp(-t_coll / t1)) = 0.5 * 0.5 * (1 - exp(-4))
+        expected = sum(clicks_per_shot(cfg, cfg.single_frequency()))
         sigma = math.sqrt(expected * (1.0 - expected) / n)
         assert abs(len(self.run()) / n - expected) < 4 * sigma
 
